@@ -19,7 +19,8 @@
 #include <atomic>
 #include <iostream>
 
-#include "core/tester.hpp"
+#include "core/detector.hpp"
+#include "core/phase1.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/subgraph.hpp"
 #include "harness/claims.hpp"
@@ -60,6 +61,7 @@ int main(int argc, char** argv) {
     cases.push_back({"layered C5", graph::layered_instance(5, 9, 3, gen_rng), 5});
   }
 
+  const core::Detector& tester = core::DetectorRegistry::builtin().require("tester");
   for (const auto& c : cases) {
     const graph::Graph& g = c.inst.graph;
     const graph::IdAssignment ids = graph::IdAssignment::identity(g.num_vertices());
@@ -97,13 +99,15 @@ int main(int argc, char** argv) {
     std::atomic<std::size_t> switches{0}, discards{0};
     const auto concurrent = harness::estimate_rate(
         [&](std::size_t, std::uint64_t seed) {
-          core::TesterOptions topt;
+          core::DetectorOptions topt;
           topt.k = c.k;
           topt.repetitions = 1;
           topt.seed = seed;
-          const auto verdict = core::test_ck_freeness(g, ids, topt);
-          switches.fetch_add(verdict.total_switches, std::memory_order_relaxed);
-          discards.fetch_add(verdict.total_discarded, std::memory_order_relaxed);
+          const auto verdict = tester.run_fresh(g, ids, topt);
+          switches.fetch_add(core::counter_value(tester, verdict.counters, "switches_total"),
+                             std::memory_order_relaxed);
+          discards.fetch_add(core::counter_value(tester, verdict.counters, "discarded_total"),
+                             std::memory_order_relaxed);
           return !verdict.accepted;
         },
         trials, 777, &pool);

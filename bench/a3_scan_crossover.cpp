@@ -11,8 +11,8 @@
 #include <cstdio>
 #include <iostream>
 
+#include "core/detector.hpp"
 #include "core/scan.hpp"
-#include "core/tester.hpp"
 #include "graph/far_generators.hpp"
 #include "harness/claims.hpp"
 #include "util/cli.hpp"
@@ -53,11 +53,12 @@ int main(int argc, char** argv) {
                      "predicted winner", "agree"});
   const double eps_values[] = {0.5, 0.2, 0.05, 0.02, 0.01, 0.005, 0.002};
   for (const double eps : eps_values) {
-    core::TesterOptions topt;
+    core::DetectorOptions topt;
     topt.k = k;
     topt.epsilon = eps;
     topt.seed = 3;
-    const auto verdict = core::test_ck_freeness(far_inst.graph, ids, topt);
+    const auto verdict = core::DetectorRegistry::builtin().require("tester").run_fresh(
+        far_inst.graph, ids, topt);
     const bool tester_cheaper = verdict.stats.rounds_executed < scan.schedule_rounds;
     // Within 2x of the crossover the ceilings decide; only check the clear
     // cases.

@@ -17,7 +17,7 @@
 ///     filter-based approach is not a tester, exactly as §4 argues.
 #include <iostream>
 
-#include "core/cycle_detector.hpp"
+#include "core/detector.hpp"
 #include "graph/subgraph.hpp"
 #include "harness/claims.hpp"
 #include "util/cli.hpp"
@@ -55,6 +55,11 @@ int main(int argc, char** argv) {
   args.reject_unknown();
 
   harness::ClaimSet claims("C1 limitations (paper §4)");
+  // Every scenario probes the checker on edge {0, 1} = {u, v} for C5.
+  const core::Detector& checker = core::DetectorRegistry::builtin().require("edge_checker");
+  core::DetectorOptions opt;
+  opt.k = 5;
+  opt.edge = graph::Edge{0, 1};
   util::Table table({"scenario", "witness returned", "witness chorded", "induced C5 exists",
                      "filter-tester verdict", "claim"});
 
@@ -64,21 +69,20 @@ int main(int argc, char** argv) {
   {
     const graph::Graph g = two_c5_gadget(/*chord_on_x=*/true, 0, 1, 2, 3, 4, 5, 6);
     const graph::IdAssignment ids = graph::IdAssignment::identity(g.num_vertices());
-    core::EdgeDetectionOptions opt;
-    opt.detect.k = 5;
-    const auto result = core::detect_cycle_through_edge(g, ids, {0, 1}, opt);
+    const core::Verdict result = checker.run_fresh(g, ids, opt);
+    const bool found = !result.accepted;
     const bool witness_chorded =
-        result.found && !graph::validate_induced_cycle(g, result.witness);
+        found && !graph::validate_induced_cycle(g, result.witness);
     const bool induced_exists = graph::find_induced_cycle_through_edge(g, 5, 0, 1).has_value();
-    const bool filter_rejects = result.found && !witness_chorded;
+    const bool filter_rejects = found && !witness_chorded;
     // The failure the paper predicts: induced C5 exists but the filter
     // tester accepts because the witness it saw was chorded.
-    const bool demonstrates = result.found && witness_chorded && induced_exists && !filter_rejects;
-    claims.check("A: plain C5 detection works", result.found);
+    const bool demonstrates = found && witness_chorded && induced_exists && !filter_rejects;
+    claims.check("A: plain C5 detection works", found);
     claims.check("A: filter-tester misses the induced C5", demonstrates);
     table.row()
         .cell("A: chord on low-ID side")
-        .cell(result.found ? "chorded cycle" : "-")
+        .cell(found ? "chorded cycle" : "-")
         .cell(witness_chorded ? "yes" : "no")
         .cell(induced_exists ? "yes" : "no")
         .cell(filter_rejects ? "reject" : "accept (WRONG)")
@@ -92,18 +96,17 @@ int main(int argc, char** argv) {
   {
     const graph::Graph g = two_c5_gadget(/*chord_on_x=*/true, 0, 1, 4, 5, 2, 3, 6);
     const graph::IdAssignment ids = graph::IdAssignment::identity(g.num_vertices());
-    core::EdgeDetectionOptions opt;
-    opt.detect.k = 5;
-    const auto result = core::detect_cycle_through_edge(g, ids, {0, 1}, opt);
+    const core::Verdict result = checker.run_fresh(g, ids, opt);
+    const bool found = !result.accepted;
     const bool witness_chorded =
-        result.found && !graph::validate_induced_cycle(g, result.witness);
+        found && !graph::validate_induced_cycle(g, result.witness);
     const bool induced_exists = graph::find_induced_cycle_through_edge(g, 5, 0, 1).has_value();
-    const bool filter_rejects = result.found && !witness_chorded;
-    const bool demonstrates = result.found && !witness_chorded && induced_exists && filter_rejects;
+    const bool filter_rejects = found && !witness_chorded;
+    const bool demonstrates = found && !witness_chorded && induced_exists && filter_rejects;
     claims.check("B: relabeled gadget flips the filter-tester verdict", demonstrates);
     table.row()
         .cell("B: chord on high-ID side")
-        .cell(result.found ? "induced cycle" : "-")
+        .cell(found ? "induced cycle" : "-")
         .cell(witness_chorded ? "yes" : "no")
         .cell(induced_exists ? "yes" : "no")
         .cell(filter_rejects ? "reject" : "accept")
@@ -121,20 +124,19 @@ int main(int argc, char** argv) {
     b.add_edge(4, 1);  // chord {y1, v}
     const graph::Graph g2 = b.build();
     const graph::IdAssignment ids = graph::IdAssignment::identity(g2.num_vertices());
-    core::EdgeDetectionOptions opt;
-    opt.detect.k = 5;
-    const auto result = core::detect_cycle_through_edge(g2, ids, {0, 1}, opt);
+    const core::Verdict result = checker.run_fresh(g2, ids, opt);
+    const bool found = !result.accepted;
     const bool witness_chorded =
-        result.found && !graph::validate_induced_cycle(g2, result.witness);
+        found && !graph::validate_induced_cycle(g2, result.witness);
     // H exists: y-side C5 with its chord.
     const std::vector<graph::Vertex> y_cycle{0, 4, 6, 5, 1};
     const bool h_exists = graph::validate_cycle(g2, y_cycle) &&
                           !graph::validate_induced_cycle(g2, y_cycle);
-    const bool demonstrates = result.found && !witness_chorded && h_exists;
+    const bool demonstrates = found && !witness_chorded && h_exists;
     claims.check("C: witness filter misses the chorded pattern H", demonstrates);
     table.row()
         .cell("C: H = C5+chord target")
-        .cell(result.found ? (witness_chorded ? "chorded" : "chordless") : "-")
+        .cell(found ? (witness_chorded ? "chorded" : "chordless") : "-")
         .cell(witness_chorded ? "yes" : "no")
         .cell("n/a (H target)")
         .cell(witness_chorded ? "reject" : "accept (misses H)")

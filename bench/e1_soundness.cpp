@@ -9,7 +9,8 @@
 /// graph oracle then refutes by throwing.
 #include <iostream>
 
-#include "core/tester.hpp"
+#include "core/detector.hpp"
+#include "core/phase1.hpp"
 #include "graph/far_generators.hpp"
 #include "harness/claims.hpp"
 #include "harness/estimator.hpp"
@@ -29,6 +30,7 @@ int main(int argc, char** argv) {
   harness::ClaimSet claims("E1 soundness (Theorem 1, 1-sided error)");
   util::Table table({"k", "family", "n", "m", "trials x reps", "acceptance", "claim"});
 
+  const core::Detector& tester = core::DetectorRegistry::builtin().require("tester");
   for (unsigned k = 3; k <= kmax; ++k) {
     for (const auto family : graph::ck_free_families_for(k)) {
       std::size_t accepted = 0;
@@ -40,11 +42,11 @@ int main(int argc, char** argv) {
         const graph::Graph g = graph::ck_free_instance(family, k, n, rng);
         const graph::IdAssignment ids =
             graph::IdAssignment::random_quadratic(g.num_vertices(), rng);
-        core::TesterOptions topt;
+        core::DetectorOptions topt;
         topt.k = k;
         topt.epsilon = eps;
         topt.seed = 7777 + trial;
-        const auto verdict = core::test_ck_freeness(g, ids, topt);
+        const auto verdict = tester.run_fresh(g, ids, topt);
         if (verdict.accepted) ++accepted;
         m_last = g.num_edges();
         n_last = g.num_vertices();

@@ -9,7 +9,8 @@
 #include <cmath>
 #include <iostream>
 
-#include "core/tester.hpp"
+#include "core/detector.hpp"
+#include "core/phase1.hpp"
 #include "graph/far_generators.hpp"
 #include "harness/claims.hpp"
 #include "util/cli.hpp"
@@ -38,13 +39,14 @@ int main(int argc, char** argv) {
 
   const double eps_values[] = {0.5, 0.3, 0.2, 0.1, 0.05, 0.02};
   double first_scaled = 0.0;
+  const core::Detector& tester = core::DetectorRegistry::builtin().require("tester");
   for (const double eps : eps_values) {
-    core::TesterOptions topt;
+    core::DetectorOptions topt;
     topt.k = k;
     topt.epsilon = eps;
     topt.seed = 11;
-    topt.record_rounds = true;
-    const auto verdict = core::test_ck_freeness(inst.graph, ids, topt);
+    topt.record_rounds = true;  // normalized_rounds reads the per-round stats
+    const auto verdict = tester.run_fresh(inst.graph, ids, topt);
 
     const auto model_reps = core::recommended_repetitions(eps);
     const auto model_rounds = model_reps * (k / 2 + 2);

@@ -10,7 +10,7 @@
 /// round-complexity statement).
 #include <iostream>
 
-#include "core/cycle_detector.hpp"
+#include "core/detector.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
 #include "harness/claims.hpp"
@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   util::Table table({"k", "graphs", "edges checked", "positives", "mismatches", "us/check",
                      "max rounds", "claim"});
 
+  const core::Detector& checker = core::DetectorRegistry::builtin().require("edge_checker");
   for (unsigned k = 3; k <= 8; ++k) {
     std::size_t checked = 0, positives = 0, mismatches = 0;
     std::uint64_t max_rounds = 0;
@@ -39,13 +40,15 @@ int main(int argc, char** argv) {
       const graph::Graph g = graph::erdos_renyi_gnm(n, m, rng);
       const graph::IdAssignment ids = graph::IdAssignment::random_quadratic(n, rng);
       for (const auto& e : g.edges()) {
-        core::EdgeDetectionOptions opt;
-        opt.detect.k = k;
-        const auto result = core::detect_cycle_through_edge(g, ids, e, opt);
+        core::DetectorOptions opt;
+        opt.k = k;
+        opt.edge = e;
+        const auto result = checker.run_fresh(g, ids, opt);
+        const bool found = !result.accepted;
         const bool truth = graph::has_cycle_through_edge(g, k, e.first, e.second);
         ++checked;
-        if (result.found) ++positives;
-        if (result.found != truth) ++mismatches;
+        if (found) ++positives;
+        if (found != truth) ++mismatches;
         max_rounds = std::max(max_rounds, result.stats.rounds_executed);
       }
     }

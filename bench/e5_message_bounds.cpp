@@ -8,9 +8,12 @@
 /// record the per-round maxima across all nodes; the naive
 /// append-and-forward baseline on the same instances shows what the bound
 /// is protecting against.
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "core/cycle_detector.hpp"
+#include "core/detector.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/generators.hpp"
 #include "harness/claims.hpp"
@@ -37,26 +40,49 @@ int main(int argc, char** argv) {
   instances.push_back({"layered C5 s=11 g=5", graph::layered_instance(5, 11, 5, rng).graph});
   instances.push_back({"layered C7 s=11 g=4", graph::layered_instance(7, 11, 4, rng).graph});
 
+  // Runs the checker on edge 0 and collects the max bundle broadcast per
+  // phase round (index 0 = seeds) across all nodes, read from the
+  // EdgeCheckPrograms the run leaves on the simulator.
+  struct Bundles {
+    std::vector<std::size_t> by_round;
+    bool overflow = false;
+  };
+  const core::Detector& checker = core::DetectorRegistry::builtin().require("edge_checker");
+  const auto bundle_maxima = [&](congest::Simulator& sim, core::DetectorOptions opt) {
+    opt.edge = sim.graph().edge(0);
+    Bundles out;
+    out.overflow = checker.run(sim, opt).overflow;
+    out.by_round.assign(opt.k / 2 + 1, 0);
+    sim.for_each_program<core::EdgeCheckProgram>(
+        [&](graph::Vertex, const core::EdgeCheckProgram& prog) {
+          const auto counts = prog.state().sent_counts();
+          for (std::size_t r = 0; r < counts.size(); ++r) {
+            out.by_round[r] = std::max(out.by_round[r], counts[r]);
+          }
+        });
+    return out;
+  };
+
   for (const auto& inst : instances) {
     const graph::IdAssignment ids = graph::IdAssignment::identity(inst.g.num_vertices());
+    congest::Simulator sim(inst.g, ids);
     for (const unsigned k : {4u, 6u, 8u, 10u}) {
-      core::EdgeDetectionOptions opt;
-      opt.detect.k = k;
-      const auto pruned = core::detect_cycle_through_edge(inst.g, ids, inst.g.edge(0), opt);
+      core::DetectorOptions opt;
+      opt.k = k;
+      const Bundles pruned = bundle_maxima(sim, opt);
 
-      core::EdgeDetectionOptions naive_opt;
-      naive_opt.detect.k = k;
-      naive_opt.detect.pruning = core::PruningMode::kNaive;
-      naive_opt.detect.naive_cap = 200000;
-      const auto naive = core::detect_cycle_through_edge(inst.g, ids, inst.g.edge(0), naive_opt);
+      core::DetectorOptions naive_opt = opt;
+      naive_opt.pruning = core::PruningMode::kNaive;
+      naive_opt.naive_cap = 200000;
+      const Bundles naive = bundle_maxima(sim, naive_opt);
 
-      for (unsigned g_round = 1; g_round < pruned.max_bundle_by_round.size(); ++g_round) {
+      for (unsigned g_round = 1; g_round < pruned.by_round.size(); ++g_round) {
         const unsigned t = g_round + 1;  // paper round index
         if (t > k / 2) break;
         const std::uint64_t bound = core::lemma3_bound(k, t);
-        const std::size_t measured = pruned.max_bundle_by_round[g_round];
+        const std::size_t measured = pruned.by_round[g_round];
         const std::size_t naive_measured =
-            g_round < naive.max_bundle_by_round.size() ? naive.max_bundle_by_round[g_round] : 0;
+            g_round < naive.by_round.size() ? naive.by_round[g_round] : 0;
         const bool holds = measured <= bound;
         claims.check("bundle bound " + inst.name + " k=" + std::to_string(k) +
                          " t=" + std::to_string(t),

@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/cycle_detector.hpp"
+#include "core/detector.hpp"
 #include "graph/graph.hpp"
 #include "graph/subgraph.hpp"
 #include "harness/claims.hpp"
@@ -66,17 +66,20 @@ int main(int argc, char** argv) {
         {"naive forward-all", core::PruningMode::kNaive, 1u << 18, true},
     };
     for (const auto& strat : strategies) {
-      core::EdgeDetectionOptions opt;
-      opt.detect.k = 5;
-      opt.detect.pruning = strat.mode;
-      if (strat.cap != 0) opt.detect.naive_cap = strat.cap;
-      const auto result = core::detect_cycle_through_edge(g, ids, {0, 1}, opt);
-      const bool as_expected = result.found == strat.expect_detect && truth;
+      core::DetectorOptions opt;
+      opt.k = 5;
+      opt.edge = graph::Edge{0, 1};
+      opt.pruning = strat.mode;
+      if (strat.cap != 0) opt.naive_cap = strat.cap;
+      const auto result =
+          core::DetectorRegistry::builtin().require("edge_checker").run_fresh(g, ids, opt);
+      const bool found = !result.accepted;
+      const bool as_expected = found == strat.expect_detect && truth;
       claims.check(std::string(strat.name) + " at width " + std::to_string(width) +
                        (strat.expect_detect ? " detects" : " misses"),
                    as_expected);
       std::string witness = "-";
-      if (result.found) {
+      if (found) {
         witness.clear();
         for (const auto v : result.witness) {
           if (!witness.empty()) witness.push_back('-');
@@ -87,7 +90,7 @@ int main(int argc, char** argv) {
           .cell(static_cast<std::uint64_t>(width))
           .cell(strat.name)
           .cell(static_cast<std::uint64_t>(result.max_bundle_sequences))
-          .cell(result.found ? "yes" : "no")
+          .cell(found ? "yes" : "no")
           .cell(witness)
           .cell_ok(as_expected);
     }

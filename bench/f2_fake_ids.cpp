@@ -15,7 +15,7 @@
 /// unaffected.
 #include <iostream>
 
-#include "core/cycle_detector.hpp"
+#include "core/detector.hpp"
 #include "graph/generators.hpp"
 #include "harness/claims.hpp"
 #include "util/cli.hpp"
@@ -29,13 +29,15 @@ int main(int argc, char** argv) {
   harness::ClaimSet claims("F2 fake IDs (Instruction 14 ablation)");
   util::Table table({"instance", "k", "fake IDs on", "fake IDs off", "claim"});
 
+  const core::Detector& checker = core::DetectorRegistry::builtin().require("edge_checker");
   auto detect = [&](const graph::Graph& g, unsigned k, bool fake_ids) {
     const graph::IdAssignment ids = graph::IdAssignment::identity(g.num_vertices());
-    core::EdgeDetectionOptions opt;
-    opt.detect.k = k;
-    opt.detect.fake_ids = fake_ids;
+    core::DetectorOptions opt;
+    opt.k = k;
+    opt.fake_ids = fake_ids;
     // Edge {n-1, 0} is the paper's {9, 1} up to renaming.
-    return core::detect_cycle_through_edge(g, ids, g.edge(0), opt).found;
+    opt.edge = g.edge(0);
+    return !checker.run_fresh(g, ids, opt).accepted;
   };
 
   // Bare cycles: detection must vanish without fake IDs for every k >= 4

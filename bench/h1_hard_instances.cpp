@@ -15,8 +15,7 @@
 /// and the naive forwarder's bundle growth for contrast.
 #include <iostream>
 
-#include "core/cycle_detector.hpp"
-#include "core/tester.hpp"
+#include "core/detector.hpp"
 #include "graph/far_generators.hpp"
 #include "harness/claims.hpp"
 #include "harness/estimator.hpp"
@@ -34,6 +33,7 @@ int main(int argc, char** argv) {
   util::Table table({"layers s", "shifts g", "m", "cycles/vertex", "detect rate", "max |S|",
                      "Lemma3 bound", "naive max |S|", "claim"});
   util::ThreadPool& pool = util::global_pool();
+  const core::DetectorRegistry& registry = core::DetectorRegistry::builtin();
 
   std::uint64_t bound = 1;
   for (unsigned t = 2; t <= k / 2; ++t) bound = std::max(bound, core::lemma3_bound(k, t));
@@ -46,22 +46,23 @@ int main(int argc, char** argv) {
 
     const auto detection = harness::estimate_rate(
         [&](std::size_t, std::uint64_t seed) {
-          core::TesterOptions topt;
+          core::DetectorOptions topt;
           topt.k = k;
           topt.epsilon = inst.certified_epsilon();
           topt.seed = seed;
-          return !core::test_ck_freeness(inst.graph, ids, topt).accepted;
+          return !registry.require("tester").run_fresh(inst.graph, ids, topt).accepted;
         },
         trials, 31 * s, &pool);
 
-    core::EdgeDetectionOptions eopt;
-    eopt.detect.k = k;
-    const auto pruned = core::detect_cycle_through_edge(inst.graph, ids, inst.graph.edge(0), eopt);
-    core::EdgeDetectionOptions nopt;
-    nopt.detect.k = k;
-    nopt.detect.pruning = core::PruningMode::kNaive;
-    nopt.detect.naive_cap = 1u << 20;
-    const auto naive = core::detect_cycle_through_edge(inst.graph, ids, inst.graph.edge(0), nopt);
+    const core::Detector& checker = registry.require("edge_checker");
+    core::DetectorOptions eopt;
+    eopt.k = k;
+    eopt.edge = inst.graph.edge(0);
+    const auto pruned = checker.run_fresh(inst.graph, ids, eopt);
+    core::DetectorOptions nopt = eopt;
+    nopt.pruning = core::PruningMode::kNaive;
+    nopt.naive_cap = 1u << 20;
+    const auto naive = checker.run_fresh(inst.graph, ids, nopt);
 
     const bool detect_ok = detection.rate() >= 2.0 / 3.0;
     const bool bound_ok = pruned.max_bundle_sequences <= bound && !pruned.overflow;

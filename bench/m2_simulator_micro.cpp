@@ -1,9 +1,10 @@
 /// \file m2_simulator_micro.cpp
 /// \brief Micro-benchmark M2 — CONGEST simulator message-path throughput.
 ///
-/// Measures delivered-message throughput of the arena delivery path against
-/// the legacy loop it replaced (binary-search port lookup, per-inbox sort,
-/// allocating containers), on three traffic shapes:
+/// Measures delivered-message throughput of Simulator::run (the arena
+/// delivery path) against Simulator::run_reference, the legacy loop it
+/// replaced (binary-search port lookup, per-inbox sort, allocating
+/// containers), on three traffic shapes:
 ///
 ///   * delivery_dense10k_d24 — the acceptance workload: a 10k-node
 ///     24-regular circulant graph where every node broadcasts every round,
@@ -36,8 +37,11 @@
 namespace {
 
 using namespace decycle;
-using congest::DeliveryMode;
 using congest::Simulator;
+
+/// Which loop measure() times: Simulator::run, or the run_reference baseline.
+constexpr bool kRun = false;
+constexpr bool kReference = true;
 
 /// Every node sends its ID on every port each round for a fixed horizon;
 /// payloads are a couple of varints, i.e. legal O(log n)-bit CONGEST
@@ -121,23 +125,25 @@ using ProgramFactory = Simulator::ProgramFactory;
 /// warm-up run, so the number is steady-state delivery throughput; stateful
 /// programs get a fresh simulator per rep (construction untimed).
 Measurement measure(const graph::Graph& g, const graph::IdAssignment& ids,
-                    const ProgramFactory& factory, DeliveryMode mode, int reps,
-                    bool rerunnable, util::ThreadPool* pool = nullptr) {
+                    const ProgramFactory& factory, bool reference, int reps, bool rerunnable,
+                    util::ThreadPool* pool = nullptr) {
   Measurement best;
   std::unique_ptr<Simulator> shared;
   Simulator::Options opt;
-  opt.delivery = mode;
   opt.pool = pool;
+  const auto run = [&](Simulator& sim) {
+    return reference ? sim.run_reference(opt) : sim.run(opt);
+  };
   if (rerunnable) {
     shared = std::make_unique<Simulator>(g, ids, factory);
-    (void)shared->run(opt);  // warm every reusable buffer, untimed
+    (void)run(*shared);  // warm every reusable buffer, untimed
   }
   for (int rep = 0; rep < reps; ++rep) {
     std::unique_ptr<Simulator> fresh;
     if (!rerunnable) fresh = std::make_unique<Simulator>(g, ids, factory);
     Simulator& sim = rerunnable ? *shared : *fresh;
     const auto start = std::chrono::steady_clock::now();
-    const congest::RunStats stats = sim.run(opt);
+    const congest::RunStats stats = run(sim);
     const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - start;
     if (rep == 0 || dt.count() < best.seconds) {
       best.seconds = dt.count();
@@ -192,8 +198,8 @@ int main(int argc, char** argv) {
     s.name = smoke ? "delivery_dense2k_d24" : "delivery_dense10k_d24";
     s.n = n;
     s.edges = g.num_edges();
-    s.legacy = measure(g, ids, factory, DeliveryMode::kLegacy, reps, /*rerunnable=*/true);
-    s.arena = measure(g, ids, factory, DeliveryMode::kArena, reps, /*rerunnable=*/true);
+    s.legacy = measure(g, ids, factory, kReference, reps, /*rerunnable=*/true);
+    s.arena = measure(g, ids, factory, kRun, reps, /*rerunnable=*/true);
     ok &= check(s.legacy.messages == s.arena.messages && s.legacy.rounds == s.arena.rounds,
                 "dense: legacy and arena disagree on totals");
     // The --threads sweep: work-stealing delivery at each pool size, totals
@@ -201,7 +207,7 @@ int main(int argc, char** argv) {
     for (const unsigned t : thread_counts) {
       util::ThreadPool pool(t);
       const Measurement m =
-          measure(g, ids, factory, DeliveryMode::kArena, reps, /*rerunnable=*/true, &pool);
+          measure(g, ids, factory, kRun, reps, /*rerunnable=*/true, &pool);
       ok &= check(m.messages == s.arena.messages && m.rounds == s.arena.rounds,
                   "dense: threaded arena disagrees with serial arena on totals");
       s.threaded.emplace_back(t, m);
@@ -222,8 +228,8 @@ int main(int argc, char** argv) {
     s.name = smoke ? "floodmax_grid32" : "floodmax_grid96";
     s.n = g.num_vertices();
     s.edges = g.num_edges();
-    s.legacy = measure(g, ids, factory, DeliveryMode::kLegacy, reps, /*rerunnable=*/false);
-    s.arena = measure(g, ids, factory, DeliveryMode::kArena, reps, /*rerunnable=*/false);
+    s.legacy = measure(g, ids, factory, kReference, reps, /*rerunnable=*/false);
+    s.arena = measure(g, ids, factory, kRun, reps, /*rerunnable=*/false);
     ok &= check(s.legacy.messages == s.arena.messages && s.legacy.rounds == s.arena.rounds,
                 "floodmax: legacy and arena disagree on totals");
     scenarios.push_back(s);
@@ -242,8 +248,8 @@ int main(int argc, char** argv) {
     s.name = smoke ? "sparse_ring_20k" : "sparse_ring_100k";
     s.n = n;
     s.edges = g.num_edges();
-    s.legacy = measure(g, ids, factory, DeliveryMode::kLegacy, reps, /*rerunnable=*/true);
-    s.arena = measure(g, ids, factory, DeliveryMode::kArena, reps, /*rerunnable=*/true);
+    s.legacy = measure(g, ids, factory, kReference, reps, /*rerunnable=*/true);
+    s.arena = measure(g, ids, factory, kRun, reps, /*rerunnable=*/true);
     ok &= check(s.legacy.messages == s.arena.messages && s.legacy.rounds == s.arena.rounds,
                 "ring: legacy and arena disagree on totals");
     scenarios.push_back(s);

@@ -7,14 +7,15 @@
 /// n and the cost of a traced run (observability overhead).
 #include <benchmark/benchmark.h>
 
-#include "core/cycle_detector.hpp"
-#include "core/tester.hpp"
+#include "core/detector.hpp"
 #include "core/trace.hpp"
 #include "graph/generators.hpp"
 
 namespace {
 
 using namespace decycle;
+
+const core::Detector& tester() { return core::DetectorRegistry::builtin().require("tester"); }
 
 void BM_TesterSparseGrowth(benchmark::State& state) {
   const auto n = static_cast<graph::Vertex>(state.range(0));
@@ -23,11 +24,11 @@ void BM_TesterSparseGrowth(benchmark::State& state) {
   const graph::IdAssignment ids = graph::IdAssignment::identity(n);
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    core::TesterOptions opt;
+    core::DetectorOptions opt;
     opt.k = 5;
     opt.repetitions = 4;
     opt.seed = ++seed;
-    benchmark::DoNotOptimize(core::test_ck_freeness(g, ids, opt).accepted);
+    benchmark::DoNotOptimize(tester().run_fresh(g, ids, opt).accepted);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
   state.counters["n"] = static_cast<double>(n);
@@ -41,11 +42,11 @@ void BM_TesterRepetitionScaling(benchmark::State& state) {
   const graph::IdAssignment ids = graph::IdAssignment::identity(512);
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    core::TesterOptions opt;
+    core::DetectorOptions opt;
     opt.k = 5;
     opt.repetitions = reps;
     opt.seed = ++seed;
-    benchmark::DoNotOptimize(core::test_ck_freeness(g, ids, opt).accepted);
+    benchmark::DoNotOptimize(tester().run_fresh(g, ids, opt).accepted);
   }
   state.counters["reps"] = static_cast<double>(reps);
 }
@@ -57,11 +58,11 @@ void BM_TesterKScaling(benchmark::State& state) {
   const graph::IdAssignment ids = graph::IdAssignment::identity(g.num_vertices());
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    core::TesterOptions opt;
+    core::DetectorOptions opt;
     opt.k = k;
     opt.repetitions = 4;
     opt.seed = ++seed;
-    benchmark::DoNotOptimize(core::test_ck_freeness(g, ids, opt).accepted);
+    benchmark::DoNotOptimize(tester().run_fresh(g, ids, opt).accepted);
   }
   state.counters["k"] = static_cast<double>(k);
 }
@@ -74,10 +75,12 @@ void BM_TracedDetection(benchmark::State& state) {
   const graph::IdAssignment ids = graph::IdAssignment::identity(g.num_vertices());
   for (auto _ : state) {
     core::TraceSink sink;
-    core::EdgeDetectionOptions opt;
-    opt.detect.k = 8;
-    if (traced) opt.detect.trace = &sink;
-    benchmark::DoNotOptimize(core::detect_cycle_through_edge(g, ids, g.edge(0), opt).found);
+    core::DetectorOptions opt;
+    opt.k = 8;
+    opt.edge = g.edge(0);
+    if (traced) opt.trace = &sink;
+    benchmark::DoNotOptimize(
+        core::DetectorRegistry::builtin().require("edge_checker").run_fresh(g, ids, opt).accepted);
   }
   state.counters["traced"] = traced ? 1 : 0;
 }

@@ -21,10 +21,10 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/tester.hpp"
-#include "core/threshold/threshold_tester.hpp"
+#include "core/detector.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
@@ -53,40 +53,25 @@ struct Workload {
   std::size_t trials = 0;
 };
 
-AlgoResult run_tester(const Workload& w, const graph::IdAssignment& ids) {
+/// Runs \p w's trials through \p detector on one reused simulator, with the
+/// same per-trial seeds for every detector.
+AlgoResult run_detector(std::string_view detector, const Workload& w,
+                        const graph::IdAssignment& ids) {
+  const core::Detector& d = core::DetectorRegistry::builtin().require(detector);
   AlgoResult out;
   congest::Simulator sim(w.graph, ids);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t t = 0; t < w.trials; ++t) {
-    core::TesterOptions opt;
+    core::DetectorOptions opt;
     opt.k = w.k;
-    opt.epsilon = 0.125;
+    opt.epsilon = 0.125;  // read by the tester only
     opt.seed = harness::trial_seed(404, t);
-    const core::TestVerdict v = core::test_ck_freeness(sim, opt);
+    const core::Verdict v = d.run(sim, opt);
     out.detections += v.accepted ? 0 : 1;
     out.rounds_total += v.stats.rounds_executed;
     out.messages_total += v.stats.total_messages;
     out.bits_total += v.stats.total_bits;
     out.max_link_bits = std::max(out.max_link_bits, v.stats.max_link_bits);
-  }
-  out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return out;
-}
-
-AlgoResult run_threshold(const Workload& w, const graph::IdAssignment& ids) {
-  AlgoResult out;
-  congest::Simulator sim(w.graph, ids);
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t t = 0; t < w.trials; ++t) {
-    core::threshold::ThresholdOptions opt;
-    opt.k = w.k;
-    opt.seed = harness::trial_seed(404, t);  // same per-trial seeds as the tester
-    const auto v = core::threshold::test_ck_freeness_threshold(sim, opt);
-    out.detections += v.verdict.accepted ? 0 : 1;
-    out.rounds_total += v.verdict.stats.rounds_executed;
-    out.messages_total += v.verdict.stats.total_messages;
-    out.bits_total += v.verdict.stats.total_bits;
-    out.max_link_bits = std::max(out.max_link_bits, v.verdict.stats.max_link_bits);
   }
   out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return out;
@@ -155,8 +140,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     const Workload& w = workloads[i];
     const graph::IdAssignment ids = graph::IdAssignment::identity(w.graph.num_vertices());
-    const AlgoResult tester = run_tester(w, ids);
-    const AlgoResult thresh = run_threshold(w, ids);
+    const AlgoResult tester = run_detector("tester", w, ids);
+    const AlgoResult thresh = run_detector("threshold", w, ids);
     if (w.ck_free && (tester.detections != 0 || thresh.detections != 0)) {
       std::fprintf(stderr, "FAIL: %s — rejection on a Ck-free workload\n", w.name);
       ok = false;

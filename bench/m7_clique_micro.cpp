@@ -25,10 +25,11 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "baselines/clique_hcycle.hpp"
+#include "core/detector.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
@@ -66,6 +67,13 @@ struct SweepRow {
 bool check(bool okay, const char* what) {
   if (!okay) std::fprintf(stderr, "FAILED: %s\n", what);
   return okay;
+}
+
+const core::Detector& kDetector = core::DetectorRegistry::builtin().require("clique_hcycle");
+
+/// The named adaptivity counter of \p v.
+std::uint64_t counter(const core::Verdict& v, std::string_view name) {
+  return core::counter_value(kDetector, v.counters, name);
 }
 
 }  // namespace
@@ -106,10 +114,10 @@ int main(int argc, char** argv) {
     row.n = n;
     row.edges = inst.graph.num_edges();
 
-    baselines::CliqueHCycleVerdict base;
+    core::Verdict base;
     for (const unsigned t : thread_counts) {
       std::unique_ptr<util::ThreadPool> pool;
-      baselines::CliqueHCycleOptions opt;
+      core::DetectorOptions opt;
       opt.k = kK;
       opt.seed = 0xFA17;
       if (t > 1) {
@@ -120,25 +128,23 @@ int main(int argc, char** argv) {
       tr.threads = t;
       for (int rep = 0; rep < reps; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        const auto v = baselines::detect_hcycle_clique(inst.graph, ids, opt);
+        const core::Verdict v = kDetector.run_fresh(inst.graph, ids, opt);
         const double dt = seconds_since(t0);
         if (rep == 0 || dt < tr.seconds) tr.seconds = dt;
         if (t == 1 && rep == 0) {
           base = v;
-          row.phases = v.phases;
-          row.sampled_vertices = v.sampled_vertices;
-          row.sampled_edges = v.sampled_edges;
+          row.phases = counter(v, "phases_total");
+          row.sampled_vertices = counter(v, "sampled_vertices_total");
+          row.sampled_edges = counter(v, "sampled_edges_total");
           row.rounds = v.stats.rounds_executed;
           row.messages = v.stats.total_messages;
           row.bits = v.stats.total_bits;
-          row.rounds_saved = v.rounds_saved;
-          row.early_exit = v.early_exit;
+          row.rounds_saved = counter(v, "rounds_saved_total");
+          row.early_exit = counter(v, "early_exit_trials") != 0;
         }
         ok &= check(!v.accepted, "planted instance must be rejected");
         ok &= check(v.accepted == base.accepted && v.witness == base.witness &&
-                        v.phases == base.phases &&
-                        v.sampled_vertices == base.sampled_vertices &&
-                        v.sampled_edges == base.sampled_edges &&
+                        v.counters == base.counters &&
                         v.stats.rounds_executed == base.stats.rounds_executed &&
                         v.stats.total_messages == base.stats.total_messages &&
                         v.stats.total_bits == base.stats.total_bits,

@@ -5,9 +5,10 @@
 /// Gates the PR 8 engine layer (GraphStore, SessionPool, run_batch) on two
 /// axes, at n ∈ {10k, 100k, 1M} on circulant C_n(1..4):
 ///
-///   * session_* — per-query latency with the session cache off (a fresh
-///     Simulator build per query: the pre-engine cost model) vs on (one
-///     leased, reset() session): the cache must buy >= 1.5x at 100k;
+///   * session_* — per-query latency on a fresh Simulator build per query
+///     (Detector::run_fresh: the pre-engine cost model) vs through the
+///     engine (one leased, reset() session): the cache must buy >= 1.5x at
+///     100k;
 ///   * batch_* — a mixed-seed query batch through run_batch swept over
 ///     thread counts {1, 4, 8} vs the same queries one-at-a-time through
 ///     run_one: lane fan-out throughput, with every threaded batch's verdict
@@ -91,7 +92,7 @@ struct SizeRow {
   graph::Vertex n = 0;
   std::size_t edges = 0;
   std::size_t queries = 0;
-  double cold_ms_per_query = 0;    ///< cache off: fresh Simulator per query
+  double cold_ms_per_query = 0;    ///< run_fresh: fresh Simulator per query
   double cached_ms_per_query = 0;  ///< cache on: one leased, reset() session
   double session_speedup = 0;
   double sequential_s = 0;  ///< run_one loop, cached, no pool
@@ -133,16 +134,20 @@ int main(int argc, char** argv) {
     row.edges = g->graph.num_edges();
     row.queries = batch_q;
 
-    // --- Session latency: cold (cache off) vs cached (reset-reuse). ---
+    // --- Session latency: cold (run_fresh) vs cached (reset-reuse). ---
     const std::vector<engine::Query> latency_batch = make_batch(detector, latency_q, 808);
     VerdictFold cold_fold;
     {
-      const engine::DetectionEngine cold{
-          engine::EngineOptions{.pool = nullptr, .cache_sessions = false}};
-      (void)cold.run_one(g, latency_batch[0]);  // warm allocator pools, untimed
+      // Warm allocator pools, untimed.
+      (void)detector.run_fresh(g->graph, g->ids, latency_batch[0].options);
       const auto t0 = std::chrono::steady_clock::now();
-      cold_fold = fold_all(cold.run_batch(g, latency_batch));
+      std::vector<core::Verdict> verdicts;
+      verdicts.reserve(latency_q);
+      for (const engine::Query& q : latency_batch) {
+        verdicts.push_back(detector.run_fresh(g->graph, g->ids, q.options));
+      }
       row.cold_ms_per_query = seconds_since(t0) * 1e3 / static_cast<double>(latency_q);
+      cold_fold = fold_all(verdicts);
     }
     {
       const engine::DetectionEngine cached;

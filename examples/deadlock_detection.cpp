@@ -17,7 +17,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/tester.hpp"
+#include "core/detector.hpp"
 #include "graph/graph.hpp"
 #include "graph/subgraph.hpp"
 #include "util/cli.hpp"
@@ -74,11 +74,11 @@ int main(int argc, char** argv) {
               resources, g.num_edges());
   std::printf("searching for deadlocks of %u transactions (C%u in the wait-for graph)\n", ring, k);
 
-  core::TesterOptions topt;
+  core::DetectorOptions topt;
   topt.k = k;
   topt.epsilon = 0.05;
   topt.seed = seed;
-  const auto verdict = core::test_ck_freeness(g, ids, topt);
+  const auto verdict = core::DetectorRegistry::builtin().require("tester").run_fresh(g, ids, topt);
 
   if (verdict.accepted) {
     std::printf("no C%u deadlock detected (tester accepted; 1-sided: a real deadlock of this size "

@@ -8,8 +8,7 @@
 ///   ./quickstart [--k=5] [--n=64] [--extra=12] [--seed=7] [--eps=0.1]
 #include <cstdio>
 
-#include "core/cycle_detector.hpp"
-#include "core/tester.hpp"
+#include "core/detector.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
 #include "util/cli.hpp"
@@ -34,11 +33,12 @@ int main(int argc, char** argv) {
   // 2. Run the paper's tester: Phase 1 picks random edge ranks, Phase 2 runs
   //    the pruned append-and-forward search, repeated ceil(e^2 ln3 / eps)
   //    times (Theorem 1).
-  core::TesterOptions topt;
+  const core::DetectorRegistry& registry = core::DetectorRegistry::builtin();
+  core::DetectorOptions topt;
   topt.k = k;
   topt.epsilon = eps;
   topt.seed = seed;
-  const core::TestVerdict verdict = core::test_ck_freeness(g, ids, topt);
+  const core::Verdict verdict = registry.require("tester").run_fresh(g, ids, topt);
   std::printf("tester: C%u-freeness -> %s  (repetitions=%zu, rounds=%llu, max bundle=%zu seqs)\n",
               k, verdict.accepted ? "ACCEPT" : "REJECT", verdict.repetitions,
               static_cast<unsigned long long>(verdict.stats.rounds_executed),
@@ -52,11 +52,12 @@ int main(int argc, char** argv) {
   // 3. The deterministic core: check one specific edge. If a Ck passes
   //    through it, detection is certain — no farness assumption (Lemma 2).
   const graph::Edge probe = g.edge(0);
-  core::EdgeDetectionOptions eopt;
-  eopt.detect.k = k;
-  const auto edge_result = core::detect_cycle_through_edge(g, ids, probe, eopt);
+  core::DetectorOptions eopt;
+  eopt.k = k;
+  eopt.edge = probe;
+  const bool found = !registry.require("edge_checker").run_fresh(g, ids, eopt).accepted;
   const bool truth = graph::has_cycle_through_edge(g, k, probe.first, probe.second);
   std::printf("edge (%u,%u): checker=%s oracle=%s — always identical\n", probe.first, probe.second,
-              edge_result.found ? "C-found" : "none", truth ? "C-found" : "none");
-  return edge_result.found == truth ? 0 : 1;
+              found ? "C-found" : "none", truth ? "C-found" : "none");
+  return found == truth ? 0 : 1;
 }

@@ -20,6 +20,7 @@ using congest::MessageWriter;
 using graph::NodeId;
 
 constexpr std::uint64_t kTagCherry = 1;
+constexpr std::size_t kDefaultIterations = 64;
 
 class C4Program final : public congest::NodeProgram {
  public:
@@ -75,42 +76,47 @@ class C4Program final : public congest::NodeProgram {
   std::optional<std::array<NodeId, 4>> c4_;
 };
 
+class C4Detector final : public core::Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "c4"; }
+
+  [[nodiscard]] const core::DetectorCapabilities& capabilities() const noexcept override {
+    static constexpr core::DetectorCapabilities caps{
+        .min_k = 4,
+        .max_k = 4,
+        .summary = "FRST-style C4 tester [20]: random cherry sampling; the technique "
+                   "provably fails for k >= 5"};
+    return caps;
+  }
+
+  [[nodiscard]] core::Verdict run(congest::Simulator& sim,
+                                  const core::DetectorOptions& options) const override {
+    DECYCLE_CHECK_MSG(options.k == 4,
+                      "detector 'c4' supports k=4 only, got k=" + std::to_string(options.k));
+    const graph::Graph& g = sim.graph();
+    const graph::IdAssignment& ids = sim.ids();
+    core::Verdict verdict;
+    verdict.repetitions = options.repetitions != 0 ? options.repetitions : kDefaultIterations;
+    sim.reset([&](graph::Vertex v) {
+      return std::make_unique<C4Program>(verdict.repetitions, options.seed, ids.id_of(v));
+    });
+    verdict.stats = sim.run(core::simulator_options(options, verdict.repetitions + 2));
+
+    sim.for_each_program<C4Program>([&](graph::Vertex, const C4Program& prog) {
+      if (!prog.c4()) return;
+      verdict.accepted = false;
+      verdict.rejecting_nodes += 1;
+      if (verdict.witness.empty()) {
+        verdict.witness =
+            core::witness_vertices(g, ids, *prog.c4(), options.validate_witnesses);
+      }
+    });
+    return verdict;
+  }
+};
+
 }  // namespace
 
-C4Verdict test_c4_freeness_frst(const graph::Graph& g, const graph::IdAssignment& ids,
-                                const C4TesterOptions& options) {
-  congest::Simulator sim(g, ids);
-  return test_c4_freeness_frst(sim, options);
-}
-
-C4Verdict test_c4_freeness_frst(congest::Simulator& sim, const C4TesterOptions& options) {
-  const graph::Graph& g = sim.graph();
-  const graph::IdAssignment& ids = sim.ids();
-  sim.reset([&](graph::Vertex v) {
-    return std::make_unique<C4Program>(options.iterations, options.seed, ids.id_of(v));
-  });
-  congest::Simulator::Options sim_options;
-  sim_options.max_rounds = options.iterations + 2;
-  sim_options.drop = options.drop;
-  sim_options.delivery = options.delivery;
-  C4Verdict verdict;
-  verdict.stats = sim.run(sim_options);
-
-  sim.for_each_program<C4Program>([&](graph::Vertex vert, const C4Program& prog) {
-    (void)vert;
-    if (!prog.c4()) return;
-    verdict.accepted = false;
-    verdict.rejecting_nodes += 1;
-    if (verdict.witness.empty()) {
-      const auto& cyc = *prog.c4();
-      if (options.validate_witnesses) {
-        verdict.witness = core::validated_witness_vertices(g, ids, std::span(cyc.data(), 4));
-      } else {
-        for (const NodeId id : cyc) verdict.witness.push_back(ids.vertex_of(id));
-      }
-    }
-  });
-  return verdict;
-}
+std::unique_ptr<core::Detector> make_c4_detector() { return std::make_unique<C4Detector>(); }
 
 }  // namespace decycle::baselines

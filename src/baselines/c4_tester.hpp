@@ -13,37 +13,14 @@
 /// versus the specialized tester whose technique provably fails for k >= 5.
 #pragma once
 
-#include <cstdint>
+#include <memory>
 
-#include "congest/simulator.hpp"
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
+#include "core/detector.hpp"
 
 namespace decycle::baselines {
 
-struct C4TesterOptions {
-  std::size_t iterations = 64;
-  std::uint64_t seed = 1;
-  bool validate_witnesses = true;
-  congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
-};
-
-struct C4Verdict {
-  bool accepted = true;
-  std::size_t rejecting_nodes = 0;
-  std::vector<graph::Vertex> witness;  ///< a validated C4 when rejected
-  congest::RunStats stats;
-};
-
-[[nodiscard]] C4Verdict test_c4_freeness_frst(const graph::Graph& g,
-                                              const graph::IdAssignment& ids,
-                                              const C4TesterOptions& options);
-
-/// Same, but on an existing Simulator for the topology (reset + run — the
-/// reuse contract: bit-identical to the fresh-build overload). This is how
-/// the detector registry drives the baseline from reused lab lanes.
-[[nodiscard]] C4Verdict test_c4_freeness_frst(congest::Simulator& sim,
-                                              const C4TesterOptions& options);
+/// The registry's "c4" (core::DetectorRegistry::builtin()): k = 4 only;
+/// DetectorOptions::repetitions iterations (0 = 64).
+[[nodiscard]] std::unique_ptr<core::Detector> make_c4_detector();
 
 }  // namespace decycle::baselines

@@ -25,6 +25,9 @@ constexpr std::uint64_t kTagRow = 1;       ///< member -> collector: my adjacenc
 constexpr std::uint64_t kTagContinue = 2;  ///< collector -> all: phase p starts, joiners report
 constexpr std::uint64_t kTagFound = 3;     ///< collector -> all: witness cycle, stop
 
+/// |S_0|, the first phase's sample size (clamped to n); doubles per phase.
+constexpr std::uint64_t kInitialSample = 8;
+
 /// Everything the run fixes up front, shared read-only by all n programs.
 /// The rank permutation and phase-size table derive from the seed alone, so
 /// in the real model every node computes them locally from the shared seed;
@@ -179,73 +182,104 @@ class CliqueHCycleProgram final : public congest::NodeProgram {
   std::vector<Vertex> witness_;
 };
 
+class CliqueHCycleDetector final : public core::Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "clique_hcycle"; }
+
+  [[nodiscard]] const core::DetectorCapabilities& capabilities() const noexcept override {
+    // max_k = 16 is a lab-practicality bound on the collector's exact
+    // search over sampled subgraphs, not an algorithmic limit.
+    static constexpr core::DetectorCapabilities caps{
+        .min_k = 3,
+        .max_k = 16,
+        .has_repetitions = false,
+        .models = congest::kModelClique,
+        .exact_when_lossless = true,
+        .summary = "cycle-count-adaptive Congested-Clique h-cycle detection (CEW): "
+                   "doubling vertex samples to a collector, exact subgraph search, "
+                   "early exit when copies abound"};
+    return caps;
+  }
+
+  [[nodiscard]] std::span<const core::CounterDef> counters() const noexcept override {
+    // Names and order are the JSONL contract for algo=clique_hcycle cells.
+    static constexpr core::CounterDef defs[] = {
+        {"phases_total", core::CounterKind::kSum},
+        {"sampled_vertices_total", core::CounterKind::kSum},
+        {"sampled_edges_total", core::CounterKind::kSum},
+        {"early_exit_trials", core::CounterKind::kSum},
+        {"rounds_saved_total", core::CounterKind::kSum},
+    };
+    return defs;
+  }
+
+  [[nodiscard]] core::Verdict run(congest::Simulator& sim,
+                                  const core::DetectorOptions& options) const override {
+    DECYCLE_CHECK_MSG(sim.model().kind() == congest::CommModelKind::kClique,
+                      std::string("clique_hcycle runs on the Congested Clique only; this "
+                                  "simulator was built with model '") +
+                          std::string(sim.model().name()) +
+                          "' (construct it with CommModel::clique())");
+    DECYCLE_CHECK_MSG(options.k >= 3, "clique_hcycle: k must be at least 3");
+    const graph::Graph& g = sim.graph();
+    const Vertex n = g.num_vertices();
+
+    core::Verdict verdict;
+    if (n == 0) {
+      verdict.truncated = true;  // nothing ran, so nothing quiesced
+      verdict.counters.assign(counters().size(), 0);
+      return verdict;
+    }
+
+    auto cfg = std::make_shared<SharedConfig>();
+    cfg->k = options.k;
+    cfg->input = &g;
+    util::Rng rng(options.seed);
+    const std::vector<std::uint32_t> order = rng.permutation(n);
+    cfg->rank.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) cfg->rank[order[i]] = i;
+    std::uint64_t s = std::min<std::uint64_t>(n, kInitialSample);
+    for (;;) {
+      cfg->sizes.push_back(static_cast<std::uint32_t>(s));
+      if (s >= n) break;
+      s = std::min<std::uint64_t>(n, 2 * s);
+    }
+
+    sim.reset([&cfg](Vertex) { return std::make_unique<CliqueHCycleProgram>(cfg); });
+    verdict.stats = sim.run(core::simulator_options(options, 2 * cfg->sizes.size() + 4));
+    verdict.truncated = !verdict.stats.halted;
+
+    const auto& collector = static_cast<const CliqueHCycleProgram&>(sim.program(0));
+    std::uint64_t early_exit = 0;
+    std::uint64_t rounds_saved = 0;
+    if (collector.found()) {
+      verdict.witness = collector.witness();
+      if (options.validate_witnesses) {
+        DECYCLE_CHECK_MSG(graph::validate_cycle(g, verdict.witness),
+                          "clique_hcycle produced an invalid witness cycle");
+        DECYCLE_CHECK_MSG(verdict.witness.size() == options.k,
+                          "clique_hcycle witness has the wrong length");
+      }
+      const std::uint64_t last_phase = cfg->sizes.size() - 1;
+      const std::uint64_t exit_phase = *collector.exit_phase();
+      early_exit = exit_phase < last_phase ? 1 : 0;
+      rounds_saved = 2 * (last_phase - exit_phase);
+    }
+    sim.for_each_program<CliqueHCycleProgram>([&](Vertex, const CliqueHCycleProgram& prog) {
+      if (!prog.found()) return;
+      verdict.accepted = false;
+      verdict.rejecting_nodes += 1;
+    });
+    verdict.counters = {collector.phases_run(), collector.sampled_vertices(),
+                        collector.sampled_edges(), early_exit, rounds_saved};
+    return verdict;
+  }
+};
+
 }  // namespace
 
-CliqueHCycleVerdict detect_hcycle_clique(const graph::Graph& g, const graph::IdAssignment& ids,
-                                         const CliqueHCycleOptions& options) {
-  congest::Simulator sim(g, ids, congest::CommModel::clique());
-  return detect_hcycle_clique(sim, options);
-}
-
-CliqueHCycleVerdict detect_hcycle_clique(congest::Simulator& sim,
-                                         const CliqueHCycleOptions& options) {
-  DECYCLE_CHECK_MSG(sim.model().kind() == congest::CommModelKind::kClique,
-                    std::string("clique_hcycle runs on the Congested Clique only; this "
-                                "simulator was built with model '") +
-                        std::string(sim.model().name()) +
-                        "' (construct it with CommModel::clique())");
-  DECYCLE_CHECK_MSG(options.k >= 3, "clique_hcycle: k must be at least 3");
-  const graph::Graph& g = sim.graph();
-  const Vertex n = g.num_vertices();
-
-  CliqueHCycleVerdict verdict;
-  if (n == 0) return verdict;
-
-  auto cfg = std::make_shared<SharedConfig>();
-  cfg->k = options.k;
-  cfg->input = &g;
-  util::Rng rng(options.seed);
-  const std::vector<std::uint32_t> order = rng.permutation(n);
-  cfg->rank.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) cfg->rank[order[i]] = i;
-  std::uint64_t s = std::min<std::uint64_t>(n, std::max<std::size_t>(1, options.initial_sample));
-  for (;;) {
-    cfg->sizes.push_back(static_cast<std::uint32_t>(s));
-    if (s >= n) break;
-    s = std::min<std::uint64_t>(n, 2 * s);
-  }
-
-  sim.reset([&cfg](Vertex) { return std::make_unique<CliqueHCycleProgram>(cfg); });
-  congest::Simulator::Options sim_options;
-  sim_options.max_rounds = 2 * cfg->sizes.size() + 4;
-  sim_options.pool = options.pool;
-  sim_options.drop = options.drop;
-  sim_options.delivery = options.delivery;
-  verdict.stats = sim.run(sim_options);
-
-  const auto& collector = static_cast<const CliqueHCycleProgram&>(sim.program(0));
-  verdict.phases = collector.phases_run();
-  verdict.sampled_vertices = collector.sampled_vertices();
-  verdict.sampled_edges = collector.sampled_edges();
-  if (collector.found()) {
-    verdict.witness = collector.witness();
-    if (options.validate_witnesses) {
-      DECYCLE_CHECK_MSG(graph::validate_cycle(g, verdict.witness),
-                        "clique_hcycle produced an invalid witness cycle");
-      DECYCLE_CHECK_MSG(verdict.witness.size() == options.k,
-                        "clique_hcycle witness has the wrong length");
-    }
-    const std::uint64_t last_phase = cfg->sizes.size() - 1;
-    const std::uint64_t exit_phase = *collector.exit_phase();
-    verdict.early_exit = exit_phase < last_phase;
-    verdict.rounds_saved = 2 * (last_phase - exit_phase);
-  }
-  sim.for_each_program<CliqueHCycleProgram>([&](Vertex, const CliqueHCycleProgram& prog) {
-    if (!prog.found()) return;
-    verdict.accepted = false;
-    verdict.rejecting_nodes += 1;
-  });
-  return verdict;
+std::unique_ptr<core::Detector> make_clique_hcycle_detector() {
+  return std::make_unique<CliqueHCycleDetector>();
 }
 
 }  // namespace decycle::baselines

@@ -35,49 +35,19 @@
 /// which is how the bench demonstrates the cycle-count adaptivity.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <memory>
 
-#include "congest/simulator.hpp"
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
-#include "util/thread_pool.hpp"
+#include "core/detector.hpp"
 
 namespace decycle::baselines {
 
-struct CliqueHCycleOptions {
-  unsigned k = 5;                  ///< cycle length h to detect
-  std::uint64_t seed = 1;          ///< drives the sampling permutation
-  std::size_t initial_sample = 8;  ///< |S_0| (clamped to [1, n]); doubles per phase
-  bool validate_witnesses = true;
-  util::ThreadPool* pool = nullptr;
-  congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
-};
-
-struct CliqueHCycleVerdict {
-  bool accepted = true;
-  std::size_t rejecting_nodes = 0;     ///< nodes that learned the witness
-  std::vector<graph::Vertex> witness;  ///< a validated C_k when rejected
-  congest::RunStats stats;
-
-  // --- adaptivity instrumentation (the detector's typed counters) --------
-  std::uint64_t phases = 0;            ///< sampling phases executed
-  std::uint64_t sampled_vertices = 0;  ///< |S| at exit
-  std::uint64_t sampled_edges = 0;     ///< edges of the collector's subgraph at exit
-  bool early_exit = false;             ///< found before the full-vertex phase
-  std::uint64_t rounds_saved = 0;      ///< schedule rounds skipped by the early exit
-};
-
-/// Runs on a fresh clique-model Simulator built for (g, ids).
-[[nodiscard]] CliqueHCycleVerdict detect_hcycle_clique(const graph::Graph& g,
-                                                       const graph::IdAssignment& ids,
-                                                       const CliqueHCycleOptions& options);
-
-/// Same, on an existing Simulator (reset + run — the reuse contract:
-/// bit-identical to the fresh-build overload). The simulator MUST have been
-/// built with CommModel::clique(); anything else throws CheckError.
-[[nodiscard]] CliqueHCycleVerdict detect_hcycle_clique(congest::Simulator& sim,
-                                                       const CliqueHCycleOptions& options);
+/// The registry's "clique_hcycle" (core::DetectorRegistry::builtin()): runs
+/// on a Simulator built with CommModel::clique() only (anything else throws
+/// CheckError); DetectorOptions::seed drives the sampling permutation, and
+/// |S_0| = 8. Counters: phases_total, sampled_vertices_total (|S| at exit),
+/// sampled_edges_total (the collector's subgraph at exit), early_exit_trials
+/// (found before the full-vertex phase) and rounds_saved_total (schedule
+/// rounds the early exit skipped).
+[[nodiscard]] std::unique_ptr<core::Detector> make_clique_hcycle_detector();
 
 }  // namespace decycle::baselines

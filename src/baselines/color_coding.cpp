@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "graph/subgraph.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace decycle::baselines {
 
@@ -134,25 +137,63 @@ std::size_t color_coding_iterations(unsigned k, double delta) noexcept {
   return static_cast<std::size_t>(std::max(1.0, iters));
 }
 
-ColorCodingResult find_cycle_color_coding(const Graph& g, unsigned k,
-                                          const ColorCodingOptions& options) {
-  DECYCLE_CHECK_MSG(k >= 3 && k <= 20, "color coding supports 3 <= k <= 20");
-  ColorCodingResult result;
-  const std::size_t iterations =
-      options.iterations != 0 ? options.iterations : color_coding_iterations(k, 1.0 / 3.0);
-  result.iterations_budget = iterations;
-  util::Rng rng(options.seed);
-  std::vector<std::uint8_t> color(g.num_vertices(), 0);
-  for (std::size_t it = 0; it < iterations; ++it) {
-    for (auto& c : color) c = static_cast<std::uint8_t>(rng.next_below(k));
-    result.iterations_used = it + 1;
-    if (auto cycle = colorful_cycle(g, k, color)) {
-      result.found = true;
-      result.witness = std::move(*cycle);
-      return result;
-    }
+namespace {
+
+class ColorCodingDetector final : public core::Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "color_coding"; }
+
+  [[nodiscard]] const core::DetectorCapabilities& capabilities() const noexcept override {
+    // max_k is a lab-practicality bound: auto iteration counts grow like
+    // e^k, so k=8 already means ~3000 colorings of an O(m·2^k) DP.
+    static constexpr core::DetectorCapabilities caps{
+        .min_k = 3,
+        .max_k = 8,
+        .distributed = false,
+        // Reads sim.graph() only, so any communication model is fine.
+        .models = congest::kModelAll,
+        .summary = "centralized color-coding reference (Alon–Yuster–Zwick): ⌈e^k·ln3⌉ "
+                   "random colorings, colorful-cycle DP"};
+    return caps;
   }
-  return result;
+
+  [[nodiscard]] std::span<const core::CounterDef> counters() const noexcept override {
+    static constexpr core::CounterDef defs[] = {
+        {"iterations_total", core::CounterKind::kSum},
+    };
+    return defs;
+  }
+
+  [[nodiscard]] core::Verdict run(congest::Simulator& sim,
+                                  const core::DetectorOptions& options) const override {
+    const Graph& g = sim.graph();
+    const unsigned k = options.k;
+    DECYCLE_CHECK_MSG(k >= 3 && k <= 20, "color coding supports 3 <= k <= 20");
+    core::Verdict verdict;
+    verdict.repetitions =
+        options.repetitions != 0 ? options.repetitions : color_coding_iterations(k, 1.0 / 3.0);
+    util::Rng rng(options.seed);
+    std::vector<std::uint8_t> color(g.num_vertices(), 0);
+    std::uint64_t iterations_used = 0;
+    for (std::size_t it = 0; it < verdict.repetitions; ++it) {
+      for (auto& c : color) c = static_cast<std::uint8_t>(rng.next_below(k));
+      iterations_used = it + 1;
+      if (auto cycle = colorful_cycle(g, k, color)) {
+        verdict.accepted = false;
+        verdict.rejecting_nodes = 1;
+        verdict.witness = std::move(*cycle);
+        break;
+      }
+    }
+    verdict.counters = {iterations_used};
+    return verdict;
+  }
+};
+
+}  // namespace
+
+std::unique_ptr<core::Detector> make_color_coding_detector() {
+  return std::make_unique<ColorCodingDetector>();
 }
 
 }  // namespace decycle::baselines

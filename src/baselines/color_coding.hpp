@@ -12,38 +12,21 @@
 /// is measured against, and by tests as an independent exact-ish oracle.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <vector>
+#include <cstddef>
+#include <memory>
 
-#include "graph/graph.hpp"
-#include "util/rng.hpp"
+#include "core/detector.hpp"
 
 namespace decycle::baselines {
 
-struct ColorCodingOptions {
-  /// 0 = auto: ⌈e^k · ln(1/δ)⌉ with δ = 1/3 (the property-testing guarantee).
-  std::size_t iterations = 0;
-  std::uint64_t seed = 1;
-};
-
-struct ColorCodingResult {
-  bool found = false;
-  /// Validated witness cycle when found. Named and typed like every other
-  /// verdict's witness (graph::Vertex) — the unified-Verdict convention of
-  /// core/detector.hpp.
-  std::vector<graph::Vertex> witness;
-  std::size_t iterations_used = 0;    ///< colorings executed (early exit on found)
-  /// The resolved iteration budget: options.iterations, or the auto count
-  /// when 0. Single source of truth for "what was configured" (the
-  /// detector registry reports it as Verdict::repetitions).
-  std::size_t iterations_budget = 0;
-};
-
-/// Searches for any Ck. One-sided: found=true always carries a real cycle;
-/// found=false may be a false negative with probability <= (1-k!/k^k)^iters.
-[[nodiscard]] ColorCodingResult find_cycle_color_coding(const graph::Graph& g, unsigned k,
-                                                        const ColorCodingOptions& options);
+/// The registry's "color_coding" (core::DetectorRegistry::builtin()):
+/// searches sim.graph() for any Ck with DetectorOptions::repetitions
+/// colorings (0 = color_coding_iterations(k, 1/3)), stopping at the first
+/// colorful cycle. One-sided: a rejection always carries a real, validated
+/// cycle; an accept may be a false negative with probability <=
+/// (1-k!/k^k)^iterations. Verdict::repetitions is the iteration budget and
+/// the iterations_total counter the colorings actually run.
+[[nodiscard]] std::unique_ptr<core::Detector> make_color_coding_detector();
 
 /// Number of iterations for failure probability delta.
 [[nodiscard]] std::size_t color_coding_iterations(unsigned k, double delta) noexcept;

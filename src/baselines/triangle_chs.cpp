@@ -21,6 +21,7 @@ using congest::MessageWriter;
 using graph::NodeId;
 
 constexpr std::uint64_t kTagQuery = 1;
+constexpr std::size_t kDefaultIterations = 64;
 
 /// Two rounds per iteration: even rounds send queries, odd rounds answer
 /// them locally (the answerer knows its neighbor IDs, so detection happens
@@ -80,43 +81,49 @@ class TriangleProgram final : public congest::NodeProgram {
   std::optional<std::array<NodeId, 3>> triangle_;
 };
 
+class TriangleDetector final : public core::Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "triangle"; }
+
+  [[nodiscard]] const core::DetectorCapabilities& capabilities() const noexcept override {
+    static constexpr core::DetectorCapabilities caps{
+        .min_k = 3,
+        .max_k = 3,
+        .summary = "CHS-style triangle tester [7]: random neighbor-pair adjacency "
+                   "queries against the KT1 neighbor table"};
+    return caps;
+  }
+
+  [[nodiscard]] core::Verdict run(congest::Simulator& sim,
+                                  const core::DetectorOptions& options) const override {
+    DECYCLE_CHECK_MSG(options.k == 3, "detector 'triangle' supports k=3 only, got k=" +
+                                          std::to_string(options.k));
+    const graph::Graph& g = sim.graph();
+    const graph::IdAssignment& ids = sim.ids();
+    core::Verdict verdict;
+    verdict.repetitions = options.repetitions != 0 ? options.repetitions : kDefaultIterations;
+    sim.reset([&](graph::Vertex v) {
+      return std::make_unique<TriangleProgram>(verdict.repetitions, options.seed, ids.id_of(v));
+    });
+    verdict.stats = sim.run(core::simulator_options(options, verdict.repetitions + 2));
+
+    sim.for_each_program<TriangleProgram>([&](graph::Vertex, const TriangleProgram& prog) {
+      if (!prog.triangle()) return;
+      verdict.accepted = false;
+      verdict.rejecting_nodes += 1;
+      if (verdict.witness.empty()) {
+        verdict.witness =
+            core::witness_vertices(g, ids, *prog.triangle(), options.validate_witnesses);
+      }
+    });
+    return verdict;
+  }
+};
+
 }  // namespace
 
-TriangleVerdict test_triangle_freeness_chs(const graph::Graph& g, const graph::IdAssignment& ids,
-                                           const TriangleTesterOptions& options) {
-  congest::Simulator sim(g, ids);
-  return test_triangle_freeness_chs(sim, options);
-}
-
-TriangleVerdict test_triangle_freeness_chs(congest::Simulator& sim,
-                                           const TriangleTesterOptions& options) {
-  const graph::Graph& g = sim.graph();
-  const graph::IdAssignment& ids = sim.ids();
-  sim.reset([&](graph::Vertex v) {
-    return std::make_unique<TriangleProgram>(options.iterations, options.seed, ids.id_of(v));
-  });
-  congest::Simulator::Options sim_options;
-  sim_options.max_rounds = options.iterations + 2;
-  sim_options.drop = options.drop;
-  sim_options.delivery = options.delivery;
-  TriangleVerdict verdict;
-  verdict.stats = sim.run(sim_options);
-
-  sim.for_each_program<TriangleProgram>([&](graph::Vertex vert, const TriangleProgram& prog) {
-    (void)vert;
-    if (!prog.triangle()) return;
-    verdict.accepted = false;
-    verdict.rejecting_nodes += 1;
-    if (verdict.witness.empty()) {
-      const auto& tri = *prog.triangle();
-      if (options.validate_witnesses) {
-        verdict.witness = core::validated_witness_vertices(g, ids, std::span(tri.data(), 3));
-      } else {
-        for (const NodeId id : tri) verdict.witness.push_back(ids.vertex_of(id));
-      }
-    }
-  });
-  return verdict;
+std::unique_ptr<core::Detector> make_triangle_detector() {
+  return std::make_unique<TriangleDetector>();
 }
 
 }  // namespace decycle::baselines

@@ -13,38 +13,14 @@
 /// versus the specialized tester it generalizes.
 #pragma once
 
-#include <cstdint>
+#include <memory>
 
-#include "congest/simulator.hpp"
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
-#include "util/rng.hpp"
+#include "core/detector.hpp"
 
 namespace decycle::baselines {
 
-struct TriangleTesterOptions {
-  std::size_t iterations = 64;
-  std::uint64_t seed = 1;
-  bool validate_witnesses = true;
-  congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
-};
-
-struct TriangleVerdict {
-  bool accepted = true;
-  std::size_t rejecting_nodes = 0;
-  std::vector<graph::Vertex> witness;  ///< a validated triangle when rejected
-  congest::RunStats stats;
-};
-
-[[nodiscard]] TriangleVerdict test_triangle_freeness_chs(const graph::Graph& g,
-                                                         const graph::IdAssignment& ids,
-                                                         const TriangleTesterOptions& options);
-
-/// Same, but on an existing Simulator for the topology (reset + run — the
-/// reuse contract: bit-identical to the fresh-build overload). This is how
-/// the detector registry drives the baseline from reused lab lanes.
-[[nodiscard]] TriangleVerdict test_triangle_freeness_chs(congest::Simulator& sim,
-                                                         const TriangleTesterOptions& options);
+/// The registry's "triangle" (core::DetectorRegistry::builtin()): k = 3
+/// only; DetectorOptions::repetitions iterations (0 = 64).
+[[nodiscard]] std::unique_ptr<core::Detector> make_triangle_detector();
 
 }  // namespace decycle::baselines

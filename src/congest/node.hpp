@@ -89,7 +89,7 @@ class Context {
 
   /// \p g is the *communication* graph the model picked (== the input graph
   /// for congest/broadcast, K_n for clique). \p rev_ports may be null
-  /// (legacy delivery resolves receiver ports by binary search instead).
+  /// (Simulator::run_reference resolves receiver ports by binary search).
   /// Send-slot stamps are sized to the graph's maximum degree.
   Context(const graph::Graph& g, const graph::IdAssignment& ids, const std::uint32_t* rev_ports,
           const CommModel& model)

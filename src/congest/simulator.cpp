@@ -15,8 +15,8 @@ namespace {
 constexpr std::uint64_t kNoWakeup = Context::kNoWakeup;
 constexpr std::uint64_t kNeverStamp = ~std::uint64_t{0};
 
-/// Receiver's port for neighbor \p from (adjacency is sorted). Legacy-path
-/// lookup; the arena path uses the precomputed reverse-port table instead.
+/// Receiver's port for neighbor \p from (adjacency is sorted). The
+/// reference loop's lookup; run() uses the precomputed reverse-port table.
 std::uint32_t port_of(const graph::Graph& g, Vertex receiver, Vertex from) {
   const auto nb = g.neighbors(receiver);
   const auto it = std::lower_bound(nb.begin(), nb.end(), from);
@@ -274,13 +274,13 @@ void Simulator::reset(const ProgramFactory& factory) {
   }
 }
 
-RunStats Simulator::run(const Options& options) {
+void Simulator::check_programmed() const {
   DECYCLE_CHECK_MSG(!programs_.empty() || graph_->num_vertices() == 0,
                     "Simulator::run before reset(): topology-only simulator has no programs");
-  return options.delivery == DeliveryMode::kArena ? run_arena(options) : run_legacy(options);
 }
 
-RunStats Simulator::run_arena(const Options& options) {
+RunStats Simulator::run(const Options& options) {
+  check_programmed();
   const Vertex n = graph_->num_vertices();
   if (runtime_ == nullptr) {
     runtime_ = std::make_unique<SimRuntime>();
@@ -589,16 +589,13 @@ RunStats Simulator::run_arena(const Options& options) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy delivery: the straightforward loop this simulator shipped with —
-// per-receiver vector inboxes (sorted after the fact), binary-search port
-// lookup per message, std::map wake-up schedule, fresh containers every
-// round. Kept as a semantics oracle for the arena path and as the baseline
-// bench/m2_simulator_micro measures against.
+// Reference loop (see run_reference in simulator.hpp): the semantics oracle
+// the tests hold run() to, and m2's baseline.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct LegacyStepResult {
+struct ReferenceStepResult {
   std::vector<Context::OutMeta> meta;
   std::vector<Message> payload;
   std::uint64_t wakeup = kNoWakeup;
@@ -606,7 +603,8 @@ struct LegacyStepResult {
 
 }  // namespace
 
-RunStats Simulator::run_legacy(const Options& options) {
+RunStats Simulator::run_reference(const Options& options) {
+  check_programmed();
   const Vertex n = graph_->num_vertices();
   std::vector<std::vector<Envelope>> inbox(n);
   std::map<std::uint64_t, std::vector<Vertex>> wakeups;
@@ -634,7 +632,7 @@ RunStats Simulator::run_legacy(const Options& options) {
       continue;
     }
 
-    std::vector<LegacyStepResult> results(active.size());
+    std::vector<ReferenceStepResult> results(active.size());
     const auto step_range = [&](std::size_t begin, std::size_t end) {
       Context ctx(*comm_graph_, *ids_, nullptr, *model_);
       for (std::size_t i = begin; i < end; ++i) {

@@ -29,8 +29,8 @@
 ///
 /// Determinism: node stepping and delivery may be spread across a thread
 /// pool, but every inbox, every statistic, and the full round schedule are
-/// bit-identical for any thread count and either delivery mode —
-/// property-tested in tests/congest/simulator_test.cpp.
+/// bit-identical for any thread count, and identical to run_reference()'s
+/// straightforward loop — property-tested in tests/congest/simulator_test.cpp.
 #pragma once
 
 #include <functional>
@@ -47,13 +47,6 @@
 #include "util/thread_pool.hpp"
 
 namespace decycle::congest {
-
-/// Which delivery implementation a run uses. kArena is the production path
-/// described above; kLegacy is the straightforward per-receiver-vector loop
-/// (binary-search port lookup, per-inbox sort, allocating containers) kept
-/// as a semantics oracle and as the baseline that bench/m2_simulator_micro
-/// measures speedups against.
-enum class DeliveryMode : std::uint8_t { kArena, kLegacy };
 
 class Simulator {
  public:
@@ -85,7 +78,6 @@ class Simulator {
     util::ThreadPool* pool = nullptr;      ///< optional parallel stepping/delivery
     std::size_t parallel_threshold = 256;  ///< min active nodes / messages to go parallel
     DropFilter drop;                       ///< optional message-loss adversary
-    DeliveryMode delivery = DeliveryMode::kArena;
 
     Options& with_max_rounds(std::uint64_t v) {
       max_rounds = v;
@@ -105,10 +97,6 @@ class Simulator {
     }
     Options& with_drop(DropFilter f) {
       drop = std::move(f);
-      return *this;
-    }
-    Options& with_delivery(DeliveryMode m) {
-      delivery = m;
       return *this;
     }
   };
@@ -148,6 +136,14 @@ class Simulator {
   RunStats run(const Options& options);
   RunStats run() { return run(Options{}); }
 
+  /// The semantics oracle: the straightforward loop this simulator shipped
+  /// with (per-receiver vector inboxes sorted after the fact, binary-search
+  /// port lookup, a std::map wake-up schedule, fresh containers every
+  /// round). Same contract as run() and bit-identical to it — the tests
+  /// compare the two, and bench/m2_simulator_micro measures run() against
+  /// it. Nothing else should call it.
+  RunStats run_reference(const Options& options);
+
   /// Access to per-node programs after (or between) runs.
   [[nodiscard]] NodeProgram& program(Vertex v) { return *programs_[v]; }
   [[nodiscard]] const NodeProgram& program(Vertex v) const { return *programs_[v]; }
@@ -172,8 +168,7 @@ class Simulator {
   }
 
  private:
-  RunStats run_arena(const Options& options);
-  RunStats run_legacy(const Options& options);
+  void check_programmed() const;
 
   const graph::Graph* graph_;
   const graph::IdAssignment* ids_;

@@ -1,6 +1,7 @@
 #include "core/census.hpp"
 
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace decycle::core {
 
@@ -11,15 +12,20 @@ CensusResult cycle_census(const graph::Graph& g, const graph::IdAssignment& ids,
 
   CensusResult out;
   out.entries.reserve(options.k_max - options.k_min + 1);
+  const Detector& tester = DetectorRegistry::builtin().require("tester");
+  congest::Simulator sim(g, ids);  // reset per k (the reuse contract)
   for (unsigned k = options.k_min; k <= options.k_max; ++k) {
-    TesterOptions topt;
+    DetectorOptions topt;
     topt.k = k;
     topt.epsilon = options.epsilon;
     topt.repetitions = options.repetitions;
-    topt.detect = options.detect;
+    topt.pruning = options.detect.pruning;
+    topt.fake_ids = options.detect.fake_ids;
+    topt.naive_cap = options.detect.naive_cap;
+    topt.trace = options.detect.trace;
     topt.pool = options.pool;
     topt.seed = util::splitmix64(options.seed ^ util::splitmix64(k));
-    const TestVerdict verdict = test_ck_freeness(g, ids, topt);
+    const Verdict verdict = tester.run(sim, topt);
 
     CensusEntry entry;
     entry.k = k;

@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "core/tester.hpp"
+#include "core/detector.hpp"
 
 namespace decycle::core {
 

@@ -3,6 +3,7 @@
 #include "core/wire.hpp"
 #include "core/witness.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace decycle::core {
 
@@ -28,58 +29,78 @@ void EdgeCheckProgram::on_round(congest::Context& ctx, std::span<const congest::
   }
 }
 
-EdgeDetectionResult detect_cycle_through_edge(const graph::Graph& g,
-                                              const graph::IdAssignment& ids, graph::Edge e,
-                                              const EdgeDetectionOptions& options) {
-  // Validate before paying the O(m) reverse-port-table construction.
-  DECYCLE_CHECK_MSG(g.has_edge(e.first, e.second), "edge to check is not in the graph");
-  congest::Simulator sim(g, ids);
-  return detect_cycle_through_edge(sim, e, options);
-}
+namespace {
 
-EdgeDetectionResult detect_cycle_through_edge(congest::Simulator& sim, graph::Edge e,
-                                              const EdgeDetectionOptions& options) {
-  const graph::Graph& g = sim.graph();
-  const graph::IdAssignment& ids = sim.ids();
-  DECYCLE_CHECK_MSG(g.has_edge(e.first, e.second), "edge to check is not in the graph");
-  const NodeId u = ids.id_of(e.first);
-  const NodeId v = ids.id_of(e.second);
-  DetectParams params = options.detect;
+/// Seed-stream tag for the per-run target edge when DetectorOptions::edge is
+/// absent. Identical to the stream the lab runner historically used, so
+/// registry dispatch reproduces pre-registry edge_checker cells byte-for-byte.
+constexpr std::uint64_t kEdgeTag = 0x656467655f5f5f31ULL;  // "edge___1"
 
-  sim.reset([&](graph::Vertex vert) {
-    return std::make_unique<EdgeCheckProgram>(params, ids.id_of(vert), u, v);
-  });
+class EdgeCheckerDetector final : public Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "edge_checker"; }
 
-  congest::Simulator::Options sim_options;
-  sim_options.pool = options.pool;
-  sim_options.record_rounds = options.record_rounds;
-  sim_options.drop = options.drop;
-  sim_options.delivery = options.delivery;
-  sim_options.max_rounds = params.k + 2;  // ⌊k/2⌋+1 rounds suffice; margin for safety
-  EdgeDetectionResult result;
-  result.stats = sim.run(sim_options);
+  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override {
+    static constexpr DetectorCapabilities caps{
+        .min_k = 3,
+        .max_k = 64,
+        .has_repetitions = false,
+        .draws_edge = true,
+        .summary = "deterministic single-edge checker (Phase 2 in isolation): "
+                   "is there a Ck through the target edge?"};
+    return caps;
+  }
 
-  result.max_bundle_by_round.assign(params.k / 2 + 1, 0);
-  sim.for_each_program<EdgeCheckProgram>([&](graph::Vertex vert, const EdgeCheckProgram& prog) {
-    const EdgeDetectState& state = prog.state();
-    result.overflow = result.overflow || state.overflowed();
-    const auto counts = state.sent_counts();
-    for (std::size_t round = 0; round < counts.size(); ++round) {
-      result.max_bundle_sequences = std::max(result.max_bundle_sequences, counts[round]);
-      result.max_bundle_by_round[round] = std::max(result.max_bundle_by_round[round], counts[round]);
+  [[nodiscard]] Verdict run(congest::Simulator& sim,
+                            const DetectorOptions& options) const override {
+    const graph::Graph& g = sim.graph();
+    const graph::IdAssignment& ids = sim.ids();
+    graph::Edge target;
+    if (options.edge.has_value()) {
+      target = *options.edge;
+    } else {
+      DECYCLE_CHECK_MSG(g.num_edges() > 0,
+                        "edge_checker ran on an edgeless instance — nothing to draw a "
+                        "target edge from");
+      util::Rng erng(util::splitmix64(options.seed ^ kEdgeTag));
+      target = g.edge(static_cast<graph::EdgeId>(erng.next_below(g.num_edges())));
     }
-    if (!result.found && state.rejected()) {
-      result.found = true;
-      result.rejecting_vertex = vert;
-      const auto cycle_ids = state.witness_cycle_ids();
-      if (options.validate_witness) {
-        result.witness = validated_witness_vertices(g, ids, cycle_ids);
-      } else {
-        for (const NodeId id : cycle_ids) result.witness.push_back(ids.vertex_of(id));
+    DECYCLE_CHECK_MSG(g.has_edge(target.first, target.second),
+                      "edge to check is not in the graph");
+    const NodeId u = ids.id_of(target.first);
+    const NodeId v = ids.id_of(target.second);
+    const DetectParams params = detect_params(options);
+
+    sim.reset([&](graph::Vertex vert) {
+      return std::make_unique<EdgeCheckProgram>(params, ids.id_of(vert), u, v);
+    });
+    Verdict verdict;
+    // ⌊k/2⌋+1 rounds suffice; margin for safety.
+    verdict.stats = sim.run(simulator_options(options, params.k + 2));
+    verdict.truncated = !verdict.stats.halted;
+
+    sim.for_each_program<EdgeCheckProgram>([&](graph::Vertex, const EdgeCheckProgram& prog) {
+      const EdgeDetectState& state = prog.state();
+      verdict.overflow = verdict.overflow || state.overflowed();
+      for (const std::size_t count : state.sent_counts()) {
+        verdict.max_bundle_sequences = std::max(verdict.max_bundle_sequences, count);
       }
-    }
-  });
-  return result;
+      // One target edge, one answer: the first rejecting node speaks for it.
+      if (verdict.accepted && state.rejected()) {
+        verdict.accepted = false;
+        verdict.rejecting_nodes = 1;
+        verdict.witness =
+            witness_vertices(g, ids, state.witness_cycle_ids(), options.validate_witnesses);
+      }
+    });
+    return verdict;
+  }
+};
+
+}  // namespace
+
+std::unique_ptr<Detector> make_edge_checker_detector() {
+  return std::make_unique<EdgeCheckerDetector>();
 }
 
 }  // namespace decycle::core

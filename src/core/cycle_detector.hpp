@@ -9,12 +9,11 @@
 /// graphs.
 #pragma once
 
-#include <optional>
+#include <memory>
 
 #include "congest/simulator.hpp"
 #include "core/detect_state.hpp"
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
+#include "core/detector.hpp"
 
 namespace decycle::core {
 
@@ -34,38 +33,12 @@ class EdgeCheckProgram final : public congest::NodeProgram {
   EdgeDetectState state_;
 };
 
-struct EdgeDetectionResult {
-  bool found = false;
-  std::vector<graph::Vertex> witness;  ///< validated k-cycle (empty if !found)
-  graph::Vertex rejecting_vertex = graph::kInvalidVertex;
-  bool overflow = false;               ///< naive pruning hit its cap
-  std::size_t max_bundle_sequences = 0;  ///< max |S| in any broadcast (Lemma 3)
-  /// max |S| per phase round g (index 0 = seeds), across all nodes.
-  std::vector<std::size_t> max_bundle_by_round;
-  congest::RunStats stats;
-};
-
-struct EdgeDetectionOptions {
-  DetectParams detect;
-  util::ThreadPool* pool = nullptr;
-  bool record_rounds = false;
-  bool validate_witness = true;
-  congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
-};
-
-/// Runs the checker for edge \p e on the CONGEST simulator and aggregates
-/// the per-node verdicts. \p e must be an edge of \p g.
-[[nodiscard]] EdgeDetectionResult detect_cycle_through_edge(const graph::Graph& g,
-                                                            const graph::IdAssignment& ids,
-                                                            graph::Edge e,
-                                                            const EdgeDetectionOptions& options);
-
-/// Same, but on an existing Simulator for the topology: resets it with
-/// checker programs and runs. Sweeping many edges of one graph (T4-style
-/// scans, lab edge-checker cells) reuses the CSR table and arenas; the
-/// result is bit-identical to the fresh-build overload.
-[[nodiscard]] EdgeDetectionResult detect_cycle_through_edge(congest::Simulator& sim, graph::Edge e,
-                                                            const EdgeDetectionOptions& options);
+/// The registry's "edge_checker" (DetectorRegistry::builtin()): resets the
+/// simulator with EdgeCheckPrograms for DetectorOptions::edge — or, when
+/// absent, an edge drawn uniformly from a stream derived from the seed — and
+/// reports whether any node rejected. The programs stay on the simulator
+/// after run(), so callers can read per-node state (e.g. the per-round
+/// bundle sizes of EdgeDetectState::sent_counts).
+[[nodiscard]] std::unique_ptr<Detector> make_edge_checker_detector();
 
 }  // namespace decycle::core

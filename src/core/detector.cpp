@@ -10,351 +10,26 @@
 #include "core/tester.hpp"
 #include "core/threshold/threshold_tester.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace decycle::core {
 
-namespace {
+DetectParams detect_params(const DetectorOptions& options) {
+  return DetectParams{.k = options.k,
+                      .pruning = options.pruning,
+                      .fake_ids = options.fake_ids,
+                      .naive_cap = options.naive_cap,
+                      .trace = options.trace};
+}
 
-/// Seed-stream tag for the per-run target edge of draws_edge detectors.
-/// Identical to the stream the lab runner historically used, so registry
-/// dispatch reproduces pre-registry edge_checker cells byte-for-byte.
-constexpr std::uint64_t kEdgeTag = 0x656467655f5f5f31ULL;  // "edge___1"
-
-// --- FO17 tester (Theorem 1) ----------------------------------------------
-
-class TesterDetector final : public Detector {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "tester"; }
-
-  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override {
-    // max_k = 64 is the historical scenario-axis bound (wire-format IdSeqs
-    // and Phase-2 state grow with k; 64 keeps them comfortably bounded),
-    // not an algorithmic limit — the same cap the k axis always enforced.
-    static constexpr DetectorCapabilities caps{
-        .min_k = 3,
-        .max_k = 64,
-        .uses_epsilon = true,
-        .summary = "Theorem-1 amplified property tester (FO17): ⌈e²·ln3/ε⌉ "
-                   "prioritized Phase-2 repetitions"};
-    return caps;
-  }
-
-  [[nodiscard]] std::span<const CounterDef> counters() const noexcept override {
-    // Aggregated but not emitted: pre-registry tester cells carry no
-    // counter fields and their JSONL bytes are pinned by golden CI.
-    static constexpr CounterDef defs[] = {
-        {"switches_total", CounterKind::kSum, /*emit=*/false},
-        {"discarded_total", CounterKind::kSum, /*emit=*/false},
-    };
-    return defs;
-  }
-
-  [[nodiscard]] Verdict run(congest::Simulator& sim,
-                            const DetectorOptions& options) const override {
-    TesterOptions topt;
-    topt.k = options.k;
-    topt.epsilon = options.epsilon;
-    topt.seed = options.seed;
-    topt.repetitions = options.repetitions;
-    topt.validate_witnesses = options.validate_witnesses;
-    topt.pool = options.pool;
-    topt.drop = options.drop;
-    topt.delivery = options.delivery;
-    TestVerdict tv = test_ck_freeness(sim, topt);
-    Verdict v;
-    v.accepted = tv.accepted;
-    v.rejecting_nodes = tv.rejecting_nodes;
-    v.witness = std::move(tv.witness);
-    v.repetitions = tv.repetitions;
-    v.overflow = tv.overflow;
-    v.truncated = tv.truncated;
-    v.max_bundle_sequences = tv.max_bundle_sequences;
-    v.stats = std::move(tv.stats);
-    v.counters = {tv.total_switches, tv.total_discarded};
-    return v;
-  }
-};
-
-// --- Deterministic single-edge checker (Phase 2 in isolation) -------------
-
-class EdgeCheckerDetector final : public Detector {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "edge_checker"; }
-
-  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override {
-    static constexpr DetectorCapabilities caps{
-        .min_k = 3,
-        .max_k = 64,
-        .has_repetitions = false,
-        .draws_edge = true,
-        .summary = "deterministic single-edge checker (Phase 2 in isolation): "
-                   "is there a Ck through the target edge?"};
-    return caps;
-  }
-
-  [[nodiscard]] Verdict run(congest::Simulator& sim,
-                            const DetectorOptions& options) const override {
-    const graph::Graph& g = sim.graph();
-    graph::Edge target;
-    if (options.edge.has_value()) {
-      target = *options.edge;
-    } else {
-      DECYCLE_CHECK_MSG(g.num_edges() > 0,
-                        "edge_checker ran on an edgeless instance — nothing to draw a "
-                        "target edge from");
-      util::Rng erng(util::splitmix64(options.seed ^ kEdgeTag));
-      target = g.edge(static_cast<graph::EdgeId>(erng.next_below(g.num_edges())));
-    }
-    EdgeDetectionOptions eopt;
-    eopt.detect.k = options.k;
-    eopt.validate_witness = options.validate_witnesses;
-    eopt.pool = options.pool;
-    eopt.drop = options.drop;
-    eopt.delivery = options.delivery;
-    EdgeDetectionResult result = detect_cycle_through_edge(sim, target, eopt);
-    Verdict v;
-    v.accepted = !result.found;
-    v.rejecting_nodes = result.rejecting_vertex != graph::kInvalidVertex ? 1 : 0;
-    v.witness = std::move(result.witness);
-    v.overflow = result.overflow;
-    v.truncated = !result.stats.halted;
-    v.max_bundle_sequences = result.max_bundle_sequences;
-    v.stats = std::move(result.stats);
-    return v;
-  }
-};
-
-// --- Threshold family (all edges at once, explicit congestion caps) -------
-
-class ThresholdDetector final : public Detector {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "threshold"; }
-
-  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override {
-    static constexpr DetectorCapabilities caps{
-        .min_k = 3,
-        .max_k = 64,
-        .uses_threshold_knobs = true,
-        .summary = "threshold family: Phase 2 for every edge in one sweep, congestion "
-                   "bounded by budget/track caps"};
-    return caps;
-  }
-
-  [[nodiscard]] std::span<const CounterDef> counters() const noexcept override {
-    // Names and order are the JSONL contract for algo=threshold cells.
-    static constexpr CounterDef defs[] = {
-        {"seeded_total", CounterKind::kSum},
-        {"seed_capped_total", CounterKind::kSum},
-        {"evictions_total", CounterKind::kSum},
-        {"discarded_seqs_total", CounterKind::kSum},
-        {"budget_truncated_total", CounterKind::kSum},
-        {"peak_tracked", CounterKind::kMax},
-    };
-    return defs;
-  }
-
-  [[nodiscard]] Verdict run(congest::Simulator& sim,
-                            const DetectorOptions& options) const override {
-    threshold::ThresholdOptions topt;
-    topt.k = options.k;
-    topt.seed = options.seed;
-    topt.sweeps = options.repetitions != 0 ? options.repetitions : 1;
-    topt.budget = options.budget;
-    topt.max_tracked = options.max_tracked;
-    topt.validate_witnesses = options.validate_witnesses;
-    topt.pool = options.pool;
-    topt.drop = options.drop;
-    topt.delivery = options.delivery;
-    threshold::ThresholdVerdict tv = threshold::test_ck_freeness_threshold(sim, topt);
-    Verdict v;
-    v.accepted = tv.verdict.accepted;
-    v.rejecting_nodes = tv.verdict.rejecting_nodes;
-    v.witness = std::move(tv.verdict.witness);
-    v.repetitions = tv.verdict.repetitions;
-    v.overflow = tv.verdict.overflow;
-    v.truncated = tv.verdict.truncated;
-    v.max_bundle_sequences = tv.verdict.max_bundle_sequences;
-    v.stats = std::move(tv.verdict.stats);
-    v.counters = {tv.threshold.seeded_executions, tv.threshold.seed_capped,
-                  tv.threshold.evictions,         tv.threshold.discarded_sequences,
-                  tv.threshold.budget_truncated,  tv.threshold.peak_tracked};
-    return v;
-  }
-};
-
-// --- FRST-style C4 tester (DISC 2016, reference [20]) ---------------------
-
-class C4Detector final : public Detector {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "c4"; }
-
-  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override {
-    static constexpr DetectorCapabilities caps{
-        .min_k = 4,
-        .max_k = 4,
-        .summary = "FRST-style C4 tester [20]: random cherry sampling; the technique "
-                   "provably fails for k >= 5"};
-    return caps;
-  }
-
-  [[nodiscard]] Verdict run(congest::Simulator& sim,
-                            const DetectorOptions& options) const override {
-    DECYCLE_CHECK_MSG(options.k == 4,
-                      "detector 'c4' supports k=4 only, got k=" + std::to_string(options.k));
-    baselines::C4TesterOptions bopt;
-    bopt.iterations = options.repetitions != 0 ? options.repetitions : bopt.iterations;
-    bopt.seed = options.seed;
-    bopt.validate_witnesses = options.validate_witnesses;
-    bopt.drop = options.drop;
-    bopt.delivery = options.delivery;
-    baselines::C4Verdict bv = baselines::test_c4_freeness_frst(sim, bopt);
-    Verdict v;
-    v.accepted = bv.accepted;
-    v.rejecting_nodes = bv.rejecting_nodes;
-    v.witness = std::move(bv.witness);
-    v.repetitions = bopt.iterations;
-    v.stats = std::move(bv.stats);
-    return v;
-  }
-};
-
-// --- CHS-style triangle tester (DISC 2016, reference [7]) -----------------
-
-class TriangleDetector final : public Detector {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "triangle"; }
-
-  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override {
-    static constexpr DetectorCapabilities caps{
-        .min_k = 3,
-        .max_k = 3,
-        .summary = "CHS-style triangle tester [7]: random neighbor-pair adjacency "
-                   "queries against the KT1 neighbor table"};
-    return caps;
-  }
-
-  [[nodiscard]] Verdict run(congest::Simulator& sim,
-                            const DetectorOptions& options) const override {
-    DECYCLE_CHECK_MSG(options.k == 3, "detector 'triangle' supports k=3 only, got k=" +
-                                          std::to_string(options.k));
-    baselines::TriangleTesterOptions bopt;
-    bopt.iterations = options.repetitions != 0 ? options.repetitions : bopt.iterations;
-    bopt.seed = options.seed;
-    bopt.validate_witnesses = options.validate_witnesses;
-    bopt.drop = options.drop;
-    bopt.delivery = options.delivery;
-    baselines::TriangleVerdict bv = baselines::test_triangle_freeness_chs(sim, bopt);
-    Verdict v;
-    v.accepted = bv.accepted;
-    v.rejecting_nodes = bv.rejecting_nodes;
-    v.witness = std::move(bv.witness);
-    v.repetitions = bopt.iterations;
-    v.stats = std::move(bv.stats);
-    return v;
-  }
-};
-
-// --- Centralized color coding (Alon–Yuster–Zwick) -------------------------
-
-class ColorCodingDetector final : public Detector {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "color_coding"; }
-
-  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override {
-    // max_k is a lab-practicality bound: auto iteration counts grow like
-    // e^k, so k=8 already means ~3000 colorings of an O(m·2^k) DP.
-    static constexpr DetectorCapabilities caps{
-        .min_k = 3,
-        .max_k = 8,
-        .distributed = false,
-        // Reads sim.graph() only, so any communication model is fine.
-        .models = congest::kModelAll,
-        .summary = "centralized color-coding reference (Alon–Yuster–Zwick): ⌈e^k·ln3⌉ "
-                   "random colorings, colorful-cycle DP"};
-    return caps;
-  }
-
-  [[nodiscard]] std::span<const CounterDef> counters() const noexcept override {
-    static constexpr CounterDef defs[] = {
-        {"iterations_total", CounterKind::kSum},
-    };
-    return defs;
-  }
-
-  [[nodiscard]] Verdict run(congest::Simulator& sim,
-                            const DetectorOptions& options) const override {
-    baselines::ColorCodingOptions copt;
-    copt.iterations = options.repetitions;
-    copt.seed = options.seed;
-    baselines::ColorCodingResult result =
-        baselines::find_cycle_color_coding(sim.graph(), options.k, copt);
-    Verdict v;
-    v.accepted = !result.found;
-    v.rejecting_nodes = result.found ? 1 : 0;
-    v.witness = std::move(result.witness);
-    v.repetitions = result.iterations_budget;
-    v.counters = {result.iterations_used};
-    return v;
-  }
-};
-
-// --- Cycle-count-adaptive clique h-cycle detector (arXiv 2408.15132) ------
-
-class CliqueHCycleDetector final : public Detector {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "clique_hcycle"; }
-
-  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override {
-    // max_k = 16 is a lab-practicality bound on the collector's exact
-    // search over sampled subgraphs, not an algorithmic limit.
-    static constexpr DetectorCapabilities caps{
-        .min_k = 3,
-        .max_k = 16,
-        .has_repetitions = false,
-        .models = congest::kModelClique,
-        .exact_when_lossless = true,
-        .summary = "cycle-count-adaptive Congested-Clique h-cycle detection (CEW): "
-                   "doubling vertex samples to a collector, exact subgraph search, "
-                   "early exit when copies abound"};
-    return caps;
-  }
-
-  [[nodiscard]] std::span<const CounterDef> counters() const noexcept override {
-    // Names and order are the JSONL contract for algo=clique_hcycle cells.
-    static constexpr CounterDef defs[] = {
-        {"phases_total", CounterKind::kSum},
-        {"sampled_vertices_total", CounterKind::kSum},
-        {"sampled_edges_total", CounterKind::kSum},
-        {"early_exit_trials", CounterKind::kSum},
-        {"rounds_saved_total", CounterKind::kSum},
-    };
-    return defs;
-  }
-
-  [[nodiscard]] Verdict run(congest::Simulator& sim,
-                            const DetectorOptions& options) const override {
-    baselines::CliqueHCycleOptions bopt;
-    bopt.k = options.k;
-    bopt.seed = options.seed;
-    bopt.validate_witnesses = options.validate_witnesses;
-    bopt.pool = options.pool;
-    bopt.drop = options.drop;
-    bopt.delivery = options.delivery;
-    baselines::CliqueHCycleVerdict bv = baselines::detect_hcycle_clique(sim, bopt);
-    Verdict v;
-    v.accepted = bv.accepted;
-    v.rejecting_nodes = bv.rejecting_nodes;
-    v.witness = std::move(bv.witness);
-    v.truncated = !bv.stats.halted;
-    v.stats = std::move(bv.stats);
-    v.counters = {bv.phases, bv.sampled_vertices, bv.sampled_edges,
-                  bv.early_exit ? std::uint64_t{1} : std::uint64_t{0}, bv.rounds_saved};
-    return v;
-  }
-};
-
-}  // namespace
+congest::Simulator::Options simulator_options(const DetectorOptions& options,
+                                              std::uint64_t max_rounds) {
+  congest::Simulator::Options out;
+  out.max_rounds = max_rounds;
+  out.pool = options.pool;
+  out.drop = options.drop;
+  out.record_rounds = options.record_rounds;
+  return out;
+}
 
 const congest::CommModel& default_comm_model(const DetectorCapabilities& caps) {
   // Congest first: the historical default, and the choice that keeps every
@@ -370,6 +45,15 @@ Verdict Detector::run_fresh(const graph::Graph& g, const graph::IdAssignment& id
   return run(sim, options);
 }
 
+std::uint64_t counter_value(const Detector& d, std::span<const std::uint64_t> values,
+                            std::string_view name) {
+  const std::span<const CounterDef> defs = d.counters();
+  for (std::size_t c = 0; c < defs.size() && c < values.size(); ++c) {
+    if (defs[c].name == name) return values[c];
+  }
+  return 0;
+}
+
 std::string capability_line(const Detector& d) {
   const DetectorCapabilities& caps = d.capabilities();
   std::string out(d.name());
@@ -381,7 +65,6 @@ std::string capability_line(const Detector& d) {
   out += "; knobs: " + knobs;
   if (caps.draws_edge) out += "; draws one target edge per run";
   out += caps.distributed ? "; distributed" : "; centralized";
-  if (caps.distributed && caps.simulator_reuse) out += ", simulator-reuse";
   out += "; models: " + congest::model_mask_names(caps.models);
   out += " — ";
   out += caps.summary;
@@ -395,13 +78,13 @@ const DetectorRegistry& DetectorRegistry::builtin() {
   // translation unit.
   static const DetectorRegistry registry = [] {
     DetectorRegistry r;
-    r.add(std::make_unique<TesterDetector>());
-    r.add(std::make_unique<EdgeCheckerDetector>());
-    r.add(std::make_unique<ThresholdDetector>());
-    r.add(std::make_unique<C4Detector>());
-    r.add(std::make_unique<TriangleDetector>());
-    r.add(std::make_unique<ColorCodingDetector>());
-    r.add(std::make_unique<CliqueHCycleDetector>());
+    r.add(make_tester_detector());
+    r.add(make_edge_checker_detector());
+    r.add(threshold::make_threshold_detector());
+    r.add(baselines::make_c4_detector());
+    r.add(baselines::make_triangle_detector());
+    r.add(baselines::make_color_coding_detector());
+    r.add(baselines::make_clique_hcycle_detector());
     return r;
   }();
   return registry;

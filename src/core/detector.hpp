@@ -4,19 +4,15 @@
 /// The paper's experiments are head-to-head comparisons: Theorem 1's tester
 /// against the specialized baselines it generalizes (the FRST C4 tester
 /// whose technique fails for k >= 5, the CHS triangle tester), against the
-/// threshold family, and against centralized references. Historically every
-/// algorithm exposed a bespoke entry point with its own Options/Verdict
-/// structs, so each consumer (lab runner, harness, benches, cross-tests)
-/// grew an if-chain per algorithm and the baselines were unreachable from
-/// the scenario matrix entirely.
-///
-/// This module makes every algorithm a first-class citizen behind one
-/// interface:
+/// threshold family, and against centralized references. Every one of them
+/// is a `Detector`, implemented in its own source file:
 ///
 ///   * `Detector` — name(), capabilities() (supported k range, which knobs
-///     apply, whether it is distributed and honors the Simulator-reuse
-///     contract), a typed counter table for algo-specific instrumentation,
-///     and run(Simulator&, DetectorOptions) -> Verdict;
+///     apply, whether it is distributed, which communication models it runs
+///     under), a typed counter table for algo-specific instrumentation, and
+///     run(Simulator&, DetectorOptions) -> Verdict;
+///   * `DetectorOptions` — the one options struct: every knob of every
+///     algorithm, each settable in exactly one place;
 ///   * `Verdict` — one result surface: accepted/witness/truncated/RunStats
 ///     plus the counter values aligned with the detector's counter table.
 ///     The witness is always a validated cycle in *topology vertices*
@@ -25,13 +21,13 @@
 ///   * `DetectorRegistry` — the fixed-order collection of built-in
 ///     detectors (tester, edge_checker, threshold, c4, triangle,
 ///     color_coding, clique_hcycle) that consumers iterate or look up by
-///     name. Adding an algorithm is one registration, not edits to five
-///     layers.
+///     name. Adding an algorithm is one class and one registration.
 ///
 /// Determinism contract: run() must be a pure function of (topology, ids,
-/// options) — bit-identical across thread counts and across the
-/// fresh-build/reset reuse paths — because the lab's golden-file CI diffs
-/// byte-level JSONL built from these verdicts.
+/// options) — bit-identical across thread counts, and on a simulator that
+/// already ran anything else (the reset-reuse contract every session cache
+/// relies on) — because the lab's golden-file CI diffs byte-level JSONL
+/// built from these verdicts.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +40,7 @@
 
 #include "congest/comm_model.hpp"
 #include "congest/simulator.hpp"
+#include "core/detect_state.hpp"
 #include "core/threshold/budget.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
@@ -72,9 +69,6 @@ struct DetectorCapabilities {
   /// (reads the topology only; RunStats stay zero, drop adversaries are
   /// vacuous).
   bool distributed = true;
-  /// Honors the Simulator::reset reuse contract: run() on a reused
-  /// simulator is bit-identical to a fresh build.
-  bool simulator_reuse = true;
   /// Bitmask of congest::model_bit(CommModelKind) values naming the
   /// communication models this detector runs under. run() must be handed a
   /// Simulator built with a model in this mask (the lab refuses
@@ -131,11 +125,27 @@ struct DetectorOptions {
   /// Target edge for draws_edge detectors; when absent one is drawn
   /// uniformly from a stream derived from \p seed.
   std::optional<graph::Edge> edge;
+  /// Phase-2 ablation knobs (tester, edge_checker, threshold): the pruning
+  /// rule, Instruction 14's fake IDs, the naive pruner's family cap, and an
+  /// optional execution trace — see detect_state.hpp.
+  PruningMode pruning = PruningMode::kRepresentative;
+  bool fake_ids = true;
+  std::size_t naive_cap = 1u << 18;
+  TraceSink* trace = nullptr;
   bool validate_witnesses = true;  ///< 1-sided-error enforcement (witness.hpp)
-  util::ThreadPool* pool = nullptr;
+  util::ThreadPool* pool = nullptr;  ///< parallel stepping/delivery (distributed detectors)
   congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
+  /// Keep per-round stats in Verdict::stats (RunStats::normalized_rounds).
+  bool record_rounds = false;
 };
+
+/// k plus the Phase-2 ablation knobs, as the node programs take them.
+[[nodiscard]] DetectParams detect_params(const DetectorOptions& options);
+
+/// What every distributed detector hands Simulator::run: the caller's pool,
+/// drop adversary and record_rounds under the detector's own round cap.
+[[nodiscard]] congest::Simulator::Options simulator_options(const DetectorOptions& options,
+                                                            std::uint64_t max_rounds);
 
 /// The unified verdict every detector returns. Aggregate fields that an
 /// algorithm does not produce stay at their zero defaults, so downstream
@@ -173,7 +183,8 @@ class Detector {
   [[nodiscard]] virtual std::span<const CounterDef> counters() const noexcept { return {}; }
 
   /// Runs the algorithm on \p sim's topology. Distributed detectors reset
-  /// the simulator with their programs (the reuse contract); centralized
+  /// the simulator with their programs (the reuse contract) and leave them
+  /// there, so callers may inspect per-node state afterwards; centralized
   /// ones read sim.graph()/sim.ids() only.
   [[nodiscard]] virtual Verdict run(congest::Simulator& sim,
                                     const DetectorOptions& options) const = 0;
@@ -183,6 +194,12 @@ class Detector {
   [[nodiscard]] Verdict run_fresh(const graph::Graph& g, const graph::IdAssignment& ids,
                                   const DetectorOptions& options) const;
 };
+
+/// The value of counter \p name among \p values (aligned with \p d's
+/// counters(), as in Verdict::counters); 0 when \p d declares no such
+/// counter.
+[[nodiscard]] std::uint64_t counter_value(const Detector& d, std::span<const std::uint64_t> values,
+                                          std::string_view name);
 
 /// One human-readable capability line for \p d: k range, knobs, execution
 /// model — what `decycle_lab --list-algos` prints, so the CLI can never lie

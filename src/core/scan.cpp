@@ -10,17 +10,28 @@ ScanResult exhaustive_ck_scan(const graph::Graph& g, const graph::IdAssignment& 
   ScanResult out;
   const std::uint64_t rounds_per_edge = options.detect.k / 2 + 1;
 
-  EdgeDetectionOptions edge_opt;
-  edge_opt.detect = options.detect;
+  const Detector& checker = DetectorRegistry::builtin().require("edge_checker");
+  DetectorOptions base;
+  base.k = options.detect.k;
+  base.pruning = options.detect.pruning;
+  base.fake_ids = options.detect.fake_ids;
+  base.naive_cap = options.detect.naive_cap;
+  base.trace = options.detect.trace;
+  const auto check_edge = [&](congest::Simulator& sim, graph::EdgeId e) {
+    DetectorOptions opt = base;
+    opt.edge = g.edge(e);
+    return checker.run(sim, opt);
+  };
 
   if (options.pool == nullptr || options.stop_at_first) {
+    congest::Simulator sim(g, ids);  // reset per edge (the reuse contract)
     for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      const auto result = detect_cycle_through_edge(g, ids, g.edge(e), edge_opt);
+      const Verdict result = check_edge(sim, e);
       ++out.edges_checked;
       out.schedule_rounds += rounds_per_edge;
       out.total_messages += result.stats.total_messages;
       out.total_bits += result.stats.total_bits;
-      if (result.found) {
+      if (!result.accepted) {
         if (!out.found) out.witness = result.witness;  // keep the first edge's witness
         out.found = true;
         if (options.stop_at_first) return out;
@@ -37,11 +48,11 @@ ScanResult exhaustive_ck_scan(const graph::Graph& g, const graph::IdAssignment& 
   graph::EdgeId best_edge = graph::kInvalidEdge;
   std::vector<graph::Vertex> witness;
   options.pool->parallel_for(g.num_edges(), [&](std::size_t e) {
-    const auto result =
-        detect_cycle_through_edge(g, ids, g.edge(static_cast<graph::EdgeId>(e)), edge_opt);
+    congest::Simulator sim(g, ids);
+    const Verdict result = check_edge(sim, static_cast<graph::EdgeId>(e));
     messages.fetch_add(result.stats.total_messages, std::memory_order_relaxed);
     bits.fetch_add(result.stats.total_bits, std::memory_order_relaxed);
-    if (result.found) {
+    if (!result.accepted) {
       const std::lock_guard lock(witness_mutex);
       // Deterministic tie-break: keep the smallest edge id's witness.
       if (static_cast<graph::EdgeId>(e) < best_edge) {

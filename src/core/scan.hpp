@@ -11,7 +11,7 @@
 /// (m·(⌊k/2⌋+1))).
 #pragma once
 
-#include "core/cycle_detector.hpp"
+#include "core/detector.hpp"
 
 namespace decycle::core {
 
@@ -32,7 +32,7 @@ struct ScanResult {
   std::uint64_t total_bits = 0;
 };
 
-/// Runs the single-edge checker on every edge (in index order). Exact: finds
+/// Runs the registry's single-edge checker on every edge (in index order). Exact: finds
 /// a Ck iff one exists. The per-edge executions are independent, so the
 /// harness may evaluate them concurrently without changing the result; the
 /// reported schedule_rounds always reflects the sequential distributed

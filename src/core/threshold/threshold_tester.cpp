@@ -223,74 +223,94 @@ void ThresholdProgram::broadcast_bundles(
   ctx.send_all(w.finish());
 }
 
-ThresholdVerdict test_ck_freeness_threshold(const graph::Graph& g,
-                                            const graph::IdAssignment& ids,
-                                            const ThresholdOptions& options) {
-  DECYCLE_CHECK_MSG(options.k >= 3, "k must be at least 3");  // before the O(m) table build
-  congest::Simulator sim(g, ids);
-  return test_ck_freeness_threshold(sim, options);
-}
+namespace {
 
-ThresholdVerdict test_ck_freeness_threshold(congest::Simulator& sim,
-                                            const ThresholdOptions& options) {
-  DECYCLE_CHECK_MSG(options.k >= 3, "k must be at least 3");
-  DECYCLE_CHECK_MSG(options.sweeps >= 1, "threshold tester needs at least one sweep");
-  const graph::Graph& g = sim.graph();
-  const graph::IdAssignment& ids = sim.ids();
+class ThresholdDetector final : public Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "threshold"; }
 
-  ThresholdVerdict out;
-  TestVerdict& v = out.verdict;
-  v.repetitions = options.sweeps;
+  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override {
+    static constexpr DetectorCapabilities caps{
+        .min_k = 3,
+        .max_k = 64,
+        .uses_threshold_knobs = true,
+        .summary = "threshold family: Phase 2 for every edge in one sweep, congestion "
+                   "bounded by budget/track caps"};
+    return caps;
+  }
 
-  DetectParams params = options.detect;
-  params.k = options.k;
+  [[nodiscard]] std::span<const CounterDef> counters() const noexcept override {
+    // Names and order are the JSONL contract for algo=threshold cells.
+    static constexpr CounterDef defs[] = {
+        {"seeded_total", CounterKind::kSum},
+        {"seed_capped_total", CounterKind::kSum},
+        {"evictions_total", CounterKind::kSum},
+        {"discarded_seqs_total", CounterKind::kSum},
+        {"budget_truncated_total", CounterKind::kSum},
+        {"peak_tracked", CounterKind::kMax},
+    };
+    return defs;
+  }
 
-  sim.reset([&](graph::Vertex vert) {
-    return std::make_unique<ThresholdProgram>(params, options.budget, options.max_tracked,
-                                              options.sweeps, options.seed, g.num_vertices(),
-                                              ids.id_of(vert));
-  });
+  [[nodiscard]] Verdict run(congest::Simulator& sim,
+                            const DetectorOptions& options) const override {
+    DECYCLE_CHECK_MSG(options.k >= 3, "k must be at least 3");
+    const graph::Graph& g = sim.graph();
+    const graph::IdAssignment& ids = sim.ids();
+    // Independent sweeps with fresh ranks; priorities reshuffle which
+    // executions survive the thresholds, so extra sweeps buy completeness
+    // back when the budgets bite. 1 is exhaustive when budgets are off.
+    const std::size_t sweeps = options.repetitions != 0 ? options.repetitions : 1;
+    Verdict verdict;
+    verdict.repetitions = sweeps;
+    const DetectParams params = detect_params(options);
 
-  congest::Simulator::Options sim_options;
-  sim_options.pool = options.pool;
-  sim_options.record_rounds = options.record_rounds;
-  sim_options.drop = options.drop;
-  sim_options.delivery = options.delivery;
-  // Same shape as the tester's bound: sweeps full windows of ⌊k/2⌋+2
-  // rounds (the last activity is the final-check round at offset
-  // sweep_len-1), plus delivery slack.
-  sim_options.max_rounds =
-      options.sweeps * (static_cast<std::uint64_t>(options.k / 2) + 2) + 4;
-  v.stats = sim.run(sim_options);
-  v.truncated = !v.stats.halted;
+    sim.reset([&](graph::Vertex vert) {
+      return std::make_unique<ThresholdProgram>(params, options.budget, options.max_tracked,
+                                                sweeps, options.seed, g.num_vertices(),
+                                                ids.id_of(vert));
+    });
 
-  sim.for_each_program<ThresholdProgram>([&](graph::Vertex vert, const ThresholdProgram& prog) {
-    v.overflow = v.overflow || prog.overflowed();
-    v.total_switches += prog.stats().evictions;
-    v.total_discarded += prog.stats().discarded_sequences;
-    for (const std::size_t count : prog.max_sent_by_round()) {
-      v.max_bundle_sequences = std::max(v.max_bundle_sequences, count);
-    }
-    out.threshold.seeded_executions += prog.stats().seeded_executions;
-    out.threshold.seed_capped += prog.stats().seed_capped;
-    out.threshold.evictions += prog.stats().evictions;
-    out.threshold.discarded_sequences += prog.stats().discarded_sequences;
-    out.threshold.budget_truncated += prog.stats().budget_truncated;
-    out.threshold.peak_tracked = std::max(out.threshold.peak_tracked, prog.stats().peak_tracked);
-    if (prog.rejected()) {
-      v.accepted = false;
-      v.rejecting_nodes += 1;
-      if (v.witness.empty()) {
-        if (options.validate_witnesses) {
-          v.witness = validated_witness_vertices(g, ids, prog.witness_ids());
-        } else {
-          for (const NodeId id : prog.witness_ids()) v.witness.push_back(ids.vertex_of(id));
+    // Same shape as the tester's bound: sweeps full windows of ⌊k/2⌋+2
+    // rounds (the last activity is the final-check round at offset
+    // sweep_len-1), plus delivery slack.
+    verdict.stats = sim.run(
+        simulator_options(options, sweeps * (static_cast<std::uint64_t>(options.k / 2) + 2) + 4));
+    verdict.truncated = !verdict.stats.halted;
+
+    ThresholdStats total;
+    sim.for_each_program<ThresholdProgram>([&](graph::Vertex, const ThresholdProgram& prog) {
+      verdict.overflow = verdict.overflow || prog.overflowed();
+      for (const std::size_t count : prog.max_sent_by_round()) {
+        verdict.max_bundle_sequences = std::max(verdict.max_bundle_sequences, count);
+      }
+      const ThresholdStats& s = prog.stats();
+      total.seeded_executions += s.seeded_executions;
+      total.seed_capped += s.seed_capped;
+      total.evictions += s.evictions;
+      total.discarded_sequences += s.discarded_sequences;
+      total.budget_truncated += s.budget_truncated;
+      total.peak_tracked = std::max(total.peak_tracked, s.peak_tracked);
+      if (prog.rejected()) {
+        verdict.accepted = false;
+        verdict.rejecting_nodes += 1;
+        if (verdict.witness.empty()) {
+          verdict.witness =
+              witness_vertices(g, ids, prog.witness_ids(), options.validate_witnesses);
         }
       }
-    }
-    (void)vert;
-  });
-  return out;
+    });
+    verdict.counters = {total.seeded_executions, total.seed_capped,
+                        total.evictions,         total.discarded_sequences,
+                        total.budget_truncated,  total.peak_tracked};
+    return verdict;
+  }
+};
+
+}  // namespace
+
+std::unique_ptr<Detector> make_threshold_detector() {
+  return std::make_unique<ThresholdDetector>();
 }
 
 }  // namespace decycle::core::threshold

@@ -30,36 +30,18 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "congest/simulator.hpp"
 #include "core/detect_state.hpp"
+#include "core/detector.hpp"
 #include "core/phase1.hpp"
-#include "core/tester.hpp"
 #include "core/threshold/budget.hpp"
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
 
 namespace decycle::core::threshold {
 
-struct ThresholdOptions {
-  unsigned k = 5;
-  std::uint64_t seed = 1;
-  /// Independent sweeps with fresh ranks; priorities reshuffle which
-  /// executions survive the thresholds, so extra sweeps buy completeness
-  /// back when the budgets bite. 1 is exhaustive when budgets are off.
-  std::size_t sweeps = 1;
-  BudgetSchedule budget = BudgetSchedule::constant(16);
-  std::size_t max_tracked = 8;  ///< executions tracked per node; 0 = unlimited
-  DetectParams detect;          ///< k field is overwritten with ThresholdOptions::k
-  bool validate_witnesses = true;
-  bool record_rounds = false;
-  util::ThreadPool* pool = nullptr;
-  congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
-};
-
-/// Budget/threshold instrumentation aggregated over all nodes and sweeps.
+/// One node's budget/threshold instrumentation, accumulated over its sweeps.
 struct ThresholdStats {
   std::uint64_t seeded_executions = 0;   ///< executions seeded at an endpoint
   std::uint64_t seed_capped = 0;         ///< incident edges not seeded (tracking cap)
@@ -67,15 +49,6 @@ struct ThresholdStats {
   std::uint64_t discarded_sequences = 0; ///< traffic for untracked executions
   std::uint64_t budget_truncated = 0;    ///< sequences cut by the link budget
   std::size_t peak_tracked = 0;          ///< max concurrent executions at any node
-};
-
-/// The family's verdict: the same surface test_ck_freeness reports (witness
-/// extraction, Lemma-3 bundle instrumentation, run stats — `repetitions`
-/// holds the sweep count, `total_switches` the evictions and
-/// `total_discarded` the discarded sequences), plus the threshold counters.
-struct ThresholdVerdict {
-  TestVerdict verdict;
-  ThresholdStats threshold;
 };
 
 /// The per-node program. One instance per vertex; drives one EdgeDetectState
@@ -142,14 +115,11 @@ class ThresholdProgram final : public congest::NodeProgram {
   std::vector<std::size_t> max_sent_by_round_;
 };
 
-/// Runs the threshold family on a fresh simulator for \p g.
-[[nodiscard]] ThresholdVerdict test_ck_freeness_threshold(const graph::Graph& g,
-                                                          const graph::IdAssignment& ids,
-                                                          const ThresholdOptions& options);
-
-/// Same, but on an existing Simulator for the topology (reset(factory)
-/// reuse contract — bit-identical to the fresh-build overload).
-[[nodiscard]] ThresholdVerdict test_ck_freeness_threshold(congest::Simulator& sim,
-                                                          const ThresholdOptions& options);
+/// The registry's "threshold" (DetectorRegistry::builtin()): resets the
+/// simulator with ThresholdPrograms for DetectorOptions::repetitions sweeps
+/// (0 = one sweep) under DetectorOptions::budget and max_tracked. Counters:
+/// seeded_total, seed_capped_total, evictions_total, discarded_seqs_total,
+/// budget_truncated_total (sums over nodes) and peak_tracked (max).
+[[nodiscard]] std::unique_ptr<Detector> make_threshold_detector();
 
 }  // namespace decycle::core::threshold

@@ -22,4 +22,12 @@ namespace decycle::core {
 [[nodiscard]] std::vector<graph::Vertex> validated_witness_vertices(
     const graph::Graph& g, const graph::IdAssignment& ids, std::span<const graph::NodeId> cycle_ids);
 
+/// The witness a detector reports for a rejecting node's \p cycle_ids:
+/// validated_witness_vertices when \p validate is set (the default every
+/// caller keeps), the unchecked ID-to-vertex mapping otherwise.
+[[nodiscard]] std::vector<graph::Vertex> witness_vertices(const graph::Graph& g,
+                                                          const graph::IdAssignment& ids,
+                                                          std::span<const graph::NodeId> cycle_ids,
+                                                          bool validate);
+
 }  // namespace decycle::core

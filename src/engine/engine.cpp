@@ -10,32 +10,17 @@ namespace decycle::engine {
 DetectionEngine::DetectionEngine(const EngineOptions& options)
     : options_(options), sessions_(options.session_capacity) {}
 
-core::Verdict DetectionEngine::run_uncached(const graph::Graph& g, const graph::IdAssignment& ids,
-                                            const Query& q) {
-  DECYCLE_CHECK_MSG(q.detector != nullptr, "engine: query has no detector");
-  congest::Simulator sim(g, ids, *q.model);
-  return q.detector->run(sim, q.options);
-}
-
 core::Verdict DetectionEngine::run_leased(SessionPool::Lease& lease, const PinnedGraphPtr& graph,
                                           const Query& q) const {
   DECYCLE_CHECK_MSG(q.detector != nullptr, "engine: query has no detector");
-  const core::DetectorCapabilities& caps = q.detector->capabilities();
-  DECYCLE_CHECK_MSG(core::supports_model(caps, q.model->kind()),
+  DECYCLE_CHECK_MSG(core::supports_model(q.detector->capabilities(), q.model->kind()),
                     "engine: detector '" + std::string(q.detector->name()) +
                         "' does not run under model '" + std::string(q.model->name()) + "'");
-  if (!options_.cache_sessions || !caps.simulator_reuse) {
-    // A detector that disclaims the reset-reuse contract must never see a
-    // second-hand simulator; with caching off, a fresh build per query is
-    // the measurement mode the lab's --reuse=0 axis asks for.
-    lease.release();
-    return run_uncached(graph->graph, graph->ids, q);
-  }
   const SessionKey want{graph->hash, graph->epoch.load(std::memory_order_acquire),
-                        q.model->kind(), q.options.delivery};
+                        q.model->kind()};
   if (!lease || !(lease.key() == want)) {
     lease.release();
-    lease = sessions_.lease(graph, *q.model, q.options.delivery);
+    lease = sessions_.lease(graph, *q.model);
   }
   return q.detector->run(lease.sim(), q.options);
 }

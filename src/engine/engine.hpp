@@ -40,7 +40,7 @@
 namespace decycle::engine {
 
 /// One typed detection query: a single detector run. `options` must be
-/// fully resolved by the caller — seed, drop filter, delivery, every knob —
+/// fully resolved by the caller — seed, drop filter, every knob —
 /// and a pure function of the query's content identity, so that execution
 /// order can never leak into results.
 struct Query {
@@ -60,11 +60,6 @@ struct EngineOptions {
   util::ThreadPool* pool = nullptr;  ///< query-level parallelism (lanes)
   /// Idle-session cache capacity (SessionPool). 0 caches nothing.
   std::size_t session_capacity = SessionPool::kDefaultCapacity;
-  /// Reuse cached sessions across queries/batches. Off = a fresh Simulator
-  /// per query (the lab's --reuse=0 measurement mode); detectors whose
-  /// capabilities disclaim simulator_reuse always get a fresh build
-  /// regardless.
-  bool cache_sessions = true;
 };
 
 class DetectionEngine {
@@ -83,21 +78,14 @@ class DetectionEngine {
   /// submission order (per-query indexed slots — the byte-identity
   /// contract). Lanes are contiguous and cost-weighted by Query::weight;
   /// each lane holds one leased session at a time and re-leases when the
-  /// session key changes (model/delivery switches mid-batch are legal but
-  /// cost a lease each).
+  /// session key changes (model switches mid-batch are legal but cost a
+  /// lease each).
   [[nodiscard]] std::vector<core::Verdict> run_batch(const PinnedGraphPtr& graph,
                                                      std::span<const Query> queries) const;
 
-  /// One query through a leased (or fresh) session — run_batch's inner step,
-  /// exposed for callers with their own loop structure.
+  /// One query through a leased session — run_batch's inner step, exposed
+  /// for callers with their own loop structure.
   [[nodiscard]] core::Verdict run_one(const PinnedGraphPtr& graph, const Query& q) const;
-
-  /// One query on a caller-owned topology, always on a fresh Simulator,
-  /// bypassing the session cache — the fresh-graph lab mode, where every
-  /// trial's topology is unique and caching it would only churn the LRU.
-  [[nodiscard]] static core::Verdict run_uncached(const graph::Graph& g,
-                                                  const graph::IdAssignment& ids,
-                                                  const Query& q);
 
  private:
   [[nodiscard]] core::Verdict run_leased(SessionPool::Lease& lease, const PinnedGraphPtr& graph,

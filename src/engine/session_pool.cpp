@@ -10,7 +10,6 @@ std::size_t SessionPool::KeyHash::operator()(const SessionKey& k) const noexcept
   std::uint64_t h = util::splitmix64(k.graph_hash);
   h = util::hash_combine(h, k.epoch);
   h = util::hash_combine(h, static_cast<std::uint64_t>(k.model));
-  h = util::hash_combine(h, static_cast<std::uint64_t>(k.delivery));
   return static_cast<std::size_t>(h);
 }
 
@@ -22,10 +21,9 @@ void SessionPool::Lease::release() {
 }
 
 SessionPool::Lease SessionPool::lease(const PinnedGraphPtr& graph,
-                                      const congest::CommModel& model,
-                                      congest::DeliveryMode delivery) {
+                                      const congest::CommModel& model) {
   const SessionKey key{graph->hash, graph->epoch.load(std::memory_order_acquire),
-                       model.kind(), delivery};
+                       model.kind()};
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = idle_.find(key);

@@ -7,7 +7,7 @@
 /// hand-roll that amortization. The SessionPool is the shared generalization:
 /// a capacity-bounded LRU cache of sessions keyed on
 ///
-///   (graph structural hash, graph epoch, communication model, delivery mode)
+///   (graph structural hash, graph epoch, communication model)
 ///
 /// handed out as RAII leases. While leased, a session is owned by exactly
 /// one lane — the pool forgets it entirely, so concurrent lanes can never
@@ -43,7 +43,6 @@ struct SessionKey {
   std::uint64_t graph_hash = 0;
   std::uint64_t epoch = 0;
   congest::CommModelKind model = congest::CommModelKind::kCongest;
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
 
   [[nodiscard]] bool operator==(const SessionKey&) const noexcept = default;
 };
@@ -120,14 +119,14 @@ class SessionPool {
   SessionPool(const SessionPool&) = delete;
   SessionPool& operator=(const SessionPool&) = delete;
 
-  /// Leases a session for \p graph under (\p model, \p delivery): a cached
-  /// idle session for the key when one exists (hit), otherwise a freshly
-  /// built one (miss). Safe to call concurrently from lanes. The lease must
-  /// not outlive the pool.
-  [[nodiscard]] Lease lease(const PinnedGraphPtr& graph, const congest::CommModel& model,
-                            congest::DeliveryMode delivery = congest::DeliveryMode::kArena);
+  /// Leases a session for \p graph under \p model: a cached idle session for
+  /// the key when one exists (hit), otherwise a freshly built one (miss).
+  /// Every detector leaves a session reusable by any other (the reset-reuse
+  /// contract of core/detector.hpp), so the key names no detector. Safe to
+  /// call concurrently from lanes. The lease must not outlive the pool.
+  [[nodiscard]] Lease lease(const PinnedGraphPtr& graph, const congest::CommModel& model);
 
-  /// Drops every idle session of \p graph_hash (any epoch, model, delivery).
+  /// Drops every idle session of \p graph_hash (any epoch, model).
   /// Counted as purges/purged_sessions (distinct from capacity evictions, so
   /// mutation-driven retirement is visible in stats on its own — see
   /// `decycle_lab --engine-stats`). Leased sessions are unaffected — they die on

@@ -69,7 +69,7 @@ LaneFactory detector_lanes(const core::Detector& detector, const graph::Graph& g
     // std::function wrapper; release on lane teardown returns the session
     // to the cache.
     auto lease = std::make_shared<engine::SessionPool::Lease>(
-        eng.sessions().lease(pinned, model, base.delivery));
+        eng.sessions().lease(pinned, model));
     return [&detector, base, lease, pinned](std::size_t, std::uint64_t seed) {
       core::DetectorOptions options = base;
       options.seed = seed;

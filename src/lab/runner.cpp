@@ -21,10 +21,14 @@ namespace {
 // derived from (cell key, trial index, purpose tag), so outcomes are pure
 // functions of the cell content — independent of lanes, threads, and the
 // rest of the matrix. (The per-trial target edge of draws_edge detectors
-// uses its own tag inside core/detector.cpp, derived from the same trial
-// seed.)
+// uses its own tag inside core/cycle_detector.cpp, derived from the same
+// trial seed.)
 constexpr std::uint64_t kGraphTag = 0x67726170685f5f31ULL;  // "graph__1"
 constexpr std::uint64_t kDropTag = 0x64726f705f5f5f31ULL;   // "drop___1"
+
+/// The records' "delivery" field: constant since the simulator has one
+/// delivery path, kept so the golden JSONL bytes stay stable.
+constexpr const char* kDeliveryTag = "arena";
 
 struct TrialOutcome {
   bool rejected = false;
@@ -58,7 +62,6 @@ engine::Query trial_query(const ScenarioCell& cell, std::uint64_t trial_seed) {
   q.options.budget = cell.budget;
   q.options.max_tracked = cell.track;
   q.options.drop = make_drop_filter(cell.adversary, util::splitmix64(trial_seed ^ kDropTag));
-  q.options.delivery = cell.delivery;
   return q;
 }
 
@@ -129,8 +132,8 @@ CellResult LabRunner::run_cell(const ScenarioCell& cell) const {
     }
   } else {
     // Fresh-graph policy: every trial draws its own topology from the trial
-    // seed, so sessions cannot be shared — each query runs on an uncached
-    // engine build, lanes via the same for_lanes dispatch as the batch path.
+    // seed, so sessions cannot be shared — each query runs on its own
+    // Simulator, lanes via the same for_lanes dispatch as the batch path.
     res.description = cell.family;
     engine::for_lanes(options_.pool, cell.trials, nullptr,
                       [&](std::size_t /*lane*/, std::size_t begin, std::size_t end) {
@@ -140,8 +143,9 @@ CellResult LabRunner::run_cell(const ScenarioCell& cell) const {
                           const BuiltTopology topo = build_topology(cell, trng);
                           const graph::IdAssignment ids =
                               graph::IdAssignment::identity(topo.graph.num_vertices());
-                          core::Verdict verdict = engine::DetectionEngine::run_uncached(
-                              topo.graph, ids, trial_query(cell, tseed));
+                          congest::Simulator sim(topo.graph, ids, *cell.model);
+                          core::Verdict verdict =
+                              cell.algo->run(sim, trial_query(cell, tseed).options);
                           outcomes[i] = trial_outcome(cell, topo.truth, topo.certified_epsilon,
                                                       topo.graph.num_vertices(),
                                                       topo.graph.num_edges(), std::move(verdict));
@@ -213,11 +217,7 @@ std::vector<CellResult> LabRunner::run_matrix(std::span<const ScenarioCell> cell
 }
 
 std::uint64_t CellResult::counter(std::string_view name) const {
-  const std::span<const core::CounterDef> defs = cell.algo->counters();
-  for (std::size_t c = 0; c < defs.size() && c < counters.size(); ++c) {
-    if (defs[c].name == name) return counters[c];
-  }
-  return 0;
+  return core::counter_value(*cell.algo, counters, name);
 }
 
 std::string CellResult::to_json(bool include_timing) const {
@@ -234,8 +234,7 @@ std::string CellResult::to_json(bool include_timing) const {
       .field("adversary", cell.adversary.name())
       .field("algo", cell.algo->name())
       .field("seed_mode", seed_mode_name(cell.seed_mode))
-      .field("delivery",
-             cell.delivery == congest::DeliveryMode::kArena ? "arena" : "legacy")
+      .field("delivery", kDeliveryTag)
       .field("model", cell.model->name())
       .field("trials", trials)
       .field("cell_seed", cell.cell_seed());
@@ -293,8 +292,7 @@ std::string meta_record(const ScenarioSpec& spec, std::size_t num_cells) {
       .field("budget", spec.budget.name())
       .field("track", spec.track)
       .field("seed_mode", seed_mode_name(spec.seed_mode))
-      .field("delivery",
-             spec.delivery == congest::DeliveryMode::kArena ? "arena" : "legacy")
+      .field("delivery", kDeliveryTag)
       .field("cells", num_cells);
   w.key("axes").begin_object();
   w.key("family").begin_array();

@@ -30,10 +30,6 @@ namespace decycle::lab {
 
 struct LabOptions {
   util::ThreadPool* pool = nullptr;  ///< trial-level parallelism (lanes)
-  /// Reuse one Simulator per lane via Simulator::reset (shared-graph cells
-  /// only). Off = rebuild per trial; kept togglable so bench/m4_lab_micro
-  /// can measure the reuse win and tests can assert reuse equivalence.
-  bool reuse_simulators = true;
   /// Adds wall-clock fields to the JSON. Off by default: timing would break
   /// the byte-identical golden-output contract.
   bool include_timing = false;
@@ -98,8 +94,8 @@ class LabRunner {
  public:
   explicit LabRunner(const LabOptions& options = {})
       : options_(options),
-        engine_(std::make_unique<engine::DetectionEngine>(engine::EngineOptions{
-            options.pool, engine::SessionPool::kDefaultCapacity, options.reuse_simulators})) {}
+        engine_(std::make_unique<engine::DetectionEngine>(
+            engine::EngineOptions{.pool = options.pool})) {}
 
   /// Runs one cell's trials: one engine query per trial, lanes across the
   /// pool, leased-session Simulator reuse within a lane.

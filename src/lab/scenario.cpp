@@ -540,18 +540,10 @@ ScenarioSpec ScenarioSpec::parse(std::span<const std::pair<std::string, std::str
       } else {
         fail("scenario key 'seed_mode': expected shared or fresh, got '" + value + "'");
       }
-    } else if (key == "delivery") {
-      if (value == "arena") {
-        spec.delivery = congest::DeliveryMode::kArena;
-      } else if (value == "legacy") {
-        spec.delivery = congest::DeliveryMode::kLegacy;
-      } else {
-        fail("scenario key 'delivery': expected arena or legacy, got '" + value + "'");
-      }
     } else {
       fail("unknown scenario key '" + key +
            "' (axes: family, k, eps, n, adversary, model, algo; scalars: trials, seed, reps, "
-           "seed_mode, delivery, budget, track)");
+           "seed_mode, budget, track)");
     }
   }
   return spec;
@@ -601,7 +593,6 @@ std::vector<ScenarioCell> ScenarioSpec::expand() const {
                 cell.model = model;
                 cell.algo = algo;
                 cell.seed_mode = seed_mode;
-                cell.delivery = delivery;
                 cell.trials = trials;
                 cell.base_seed = seed;
                 cell.repetitions = repetitions;

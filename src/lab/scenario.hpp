@@ -73,7 +73,6 @@ struct ScenarioCell {
 
   // Shared scalars, copied from the spec for self-contained execution.
   SeedMode seed_mode = SeedMode::kSharedGraph;
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
   std::size_t trials = 32;
   std::uint64_t base_seed = 1;
   std::size_t repetitions = 0;  ///< 0 = recommended_repetitions(epsilon); threshold: sweeps (0 = 1)
@@ -105,7 +104,6 @@ struct ScenarioSpec {
   std::vector<const core::Detector*> algos = {core::DetectorRegistry::builtin().find("tester")};
 
   SeedMode seed_mode = SeedMode::kSharedGraph;
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
   std::size_t trials = 32;
   std::uint64_t seed = 1;
   std::size_t repetitions = 0;
@@ -113,8 +111,8 @@ struct ScenarioSpec {
   std::uint64_t track = 8;
 
   /// Parses `key=value` pairs (axis keys: family, k, eps, n, adversary,
-  /// model, algo; scalar keys: trials, seed, reps, seed_mode, delivery,
-  /// budget, track). Throws CheckError naming the offending key/value and
+  /// model, algo; scalar keys: trials, seed, reps, seed_mode, budget,
+  /// track). Throws CheckError naming the offending key/value and
   /// the accepted options.
   [[nodiscard]] static ScenarioSpec parse(
       std::span<const std::pair<std::string, std::string>> pairs);

@@ -32,8 +32,7 @@ std::uint64_t edge_key(graph::Vertex u, graph::Vertex v) {
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       engine_(engine::EngineOptions{.pool = nullptr,
-                                    .session_capacity = options_.session_capacity,
-                                    .cache_sessions = true}) {
+                                    .session_capacity = options_.session_capacity}) {
   DECYCLE_CHECK_MSG(options_.workers > 0, "serve: need at least one worker");
   DECYCLE_CHECK_MSG(options_.queue_capacity > 0, "serve: queue capacity must be positive");
   DECYCLE_CHECK_MSG(options_.max_batch > 0, "serve: max_batch must be positive");

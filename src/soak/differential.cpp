@@ -3,7 +3,6 @@
 #include <optional>
 #include <utility>
 
-#include "engine/graph_store.hpp"
 #include "graph/ids.hpp"
 #include "graph/subgraph.hpp"
 #include "util/check.hpp"
@@ -152,22 +151,13 @@ OracleContext oracle_context(const graph::Graph& g, const SoakScenario& s) {
 }
 
 DifferentialReport run_differential(const graph::Graph& g, const SoakScenario& s,
-                                    const core::DetectorRegistry& registry,
-                                    engine::SessionPool* sessions) {
+                                    const core::DetectorRegistry& registry) {
   DifferentialReport report;
   report.oracle = oracle_context(g, s);
   const graph::IdAssignment ids = graph::IdAssignment::identity(g.num_vertices());
   // One congest simulator for the whole call, reset by every congest-model
-  // detector: leased from the caller's session pool when given (warm across
-  // repeated differentials on the same content), built locally otherwise.
-  engine::SessionPool::Lease lease;
-  std::optional<congest::Simulator> own_sim;
-  if (sessions != nullptr) {
-    lease = sessions->lease(engine::pin(g, ids), congest::CommModel::congest());
-  } else {
-    own_sim.emplace(g, ids);
-  }
-  congest::Simulator& sim = sessions != nullptr ? lease.sim() : *own_sim;
+  // detector.
+  congest::Simulator sim(g, ids);
   // Detectors whose mask excludes congest get a lazily built simulator under
   // their default model — capped by instance size, because the clique model
   // materializes K_n (n = 512 is ~131k links; the soak's instances are far

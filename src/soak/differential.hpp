@@ -39,7 +39,6 @@
 
 #include "congest/simulator.hpp"
 #include "core/detector.hpp"
-#include "engine/session_pool.hpp"
 #include "graph/graph.hpp"
 #include "soak/space.hpp"
 
@@ -90,16 +89,10 @@ struct DifferentialReport {
 /// Simulator per call, reset by each congest-model detector (the reuse
 /// contract), plus a lazily built dense-model simulator for detectors whose
 /// mask excludes congest — and classifies every verdict. Defaults to the
-/// built-in registry. When \p sessions is non-null the congest simulator is
-/// leased from that engine::SessionPool instead of built locally, so
-/// repeated differentials on the same topology content (replays, shrink
-/// probes, fixed-corpus sweeps) start from a warm session; nullptr keeps
-/// the historical build-per-call behaviour. Verdicts are bit-identical
-/// either way (the reuse contract).
+/// built-in registry.
 [[nodiscard]] DifferentialReport run_differential(
     const graph::Graph& g, const SoakScenario& s,
-    const core::DetectorRegistry& registry = core::DetectorRegistry::builtin(),
-    engine::SessionPool* sessions = nullptr);
+    const core::DetectorRegistry& registry = core::DetectorRegistry::builtin());
 
 /// Re-checks a single detector on (g, scenario): the primitive the shrinker
 /// probes and `decycle_soak --repro` replays. Pure function of its inputs.

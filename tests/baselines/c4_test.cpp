@@ -13,12 +13,18 @@ namespace {
 using graph::Graph;
 using graph::IdAssignment;
 
+core::Verdict run_c4(const Graph& g, std::size_t iterations, std::uint64_t seed = 1) {
+  core::DetectorOptions opt;
+  opt.k = 4;
+  opt.repetitions = iterations;
+  opt.seed = seed;
+  return core::DetectorRegistry::builtin().require("c4").run_fresh(
+      g, IdAssignment::identity(g.num_vertices()), opt);
+}
+
 TEST(C4Frst, FindsC4InFourCycle) {
   const Graph g = graph::cycle(4);
-  const IdAssignment ids = IdAssignment::identity(4);
-  C4TesterOptions opt;
-  opt.iterations = 16;
-  const auto verdict = test_c4_freeness_frst(g, ids, opt);
+  const auto verdict = run_c4(g, 16);
   EXPECT_FALSE(verdict.accepted);
   EXPECT_EQ(verdict.witness.size(), 4u);
   EXPECT_TRUE(graph::validate_cycle(g, verdict.witness));
@@ -28,20 +34,13 @@ TEST(C4Frst, SoundOnC4FreeGraphs) {
   util::Rng rng(3);
   for (int trial = 0; trial < 5; ++trial) {
     const Graph g = graph::high_girth_graph(40, 60, 4, rng);  // girth > 4
-    const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-    C4TesterOptions opt;
-    opt.iterations = 64;
-    opt.seed = 50 + static_cast<std::uint64_t>(trial);
-    EXPECT_TRUE(test_c4_freeness_frst(g, ids, opt).accepted);
+    EXPECT_TRUE(run_c4(g, 64, 50 + static_cast<std::uint64_t>(trial)).accepted);
   }
 }
 
 TEST(C4Frst, TriangleFreeButC4RichDetected) {
   const Graph g = graph::complete_bipartite(6, 6);  // many C4s, no triangles
-  const IdAssignment ids = IdAssignment::identity(12);
-  C4TesterOptions opt;
-  opt.iterations = 64;
-  const auto verdict = test_c4_freeness_frst(g, ids, opt);
+  const auto verdict = run_c4(g, 64);
   EXPECT_FALSE(verdict.accepted);
 }
 
@@ -51,20 +50,14 @@ TEST(C4Frst, DetectsPlantedC4s) {
   popt.k = 4;
   popt.num_cycles = 8;
   const auto inst = graph::planted_cycles_instance(popt, rng);
-  const IdAssignment ids = IdAssignment::identity(inst.graph.num_vertices());
-  C4TesterOptions opt;
-  opt.iterations = 128;
-  const auto verdict = test_c4_freeness_frst(inst.graph, ids, opt);
+  const auto verdict = run_c4(inst.graph, 128);
   EXPECT_FALSE(verdict.accepted);
   EXPECT_TRUE(graph::validate_cycle(inst.graph, verdict.witness));
 }
 
 TEST(C4Frst, OneRoundPerIteration) {
   const Graph g = graph::cycle(4);
-  const IdAssignment ids = IdAssignment::identity(4);
-  C4TesterOptions opt;
-  opt.iterations = 10;
-  const auto verdict = test_c4_freeness_frst(g, ids, opt);
+  const auto verdict = run_c4(g, 10);
   EXPECT_LE(verdict.stats.rounds_executed, 12u);
 }
 

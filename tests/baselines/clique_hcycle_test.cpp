@@ -1,8 +1,7 @@
 /// \file clique_hcycle_test.cpp
 /// \brief Congested-Clique adaptive h-cycle detector: exactness against the
 /// DFS oracle, witness validity, early-exit instrumentation, one-sidedness
-/// under drops, the fresh-vs-reuse bit-identity contract, and the loud
-/// model-mismatch guard.
+/// under drops, and the loud model-mismatch guard.
 #include "baselines/clique_hcycle.hpp"
 
 #include <gtest/gtest.h>
@@ -17,17 +16,25 @@
 namespace decycle::baselines {
 namespace {
 
+using core::DetectorOptions;
 using graph::Graph;
 using graph::IdAssignment;
 using graph::Vertex;
+
+const core::Detector& kDetector = core::DetectorRegistry::builtin().require("clique_hcycle");
+
+/// The named adaptivity counter of \p v.
+std::uint64_t counter(const core::Verdict& v, std::string_view name) {
+  return core::counter_value(kDetector, v.counters, name);
+}
 
 TEST(CliqueHCycle, RejectsCkWithValidatedWitness) {
   for (unsigned k = 3; k <= 8; ++k) {
     const Graph g = graph::cycle(k);
     const IdAssignment ids = IdAssignment::identity(k);
-    CliqueHCycleOptions opt;
+    DetectorOptions opt;
     opt.k = k;
-    const auto v = detect_hcycle_clique(g, ids, opt);
+    const auto v = kDetector.run_fresh(g, ids, opt);
     EXPECT_FALSE(v.accepted) << "k=" << k;
     ASSERT_EQ(v.witness.size(), k) << "k=" << k;
     EXPECT_TRUE(graph::validate_cycle(g, v.witness)) << "k=" << k;
@@ -37,21 +44,22 @@ TEST(CliqueHCycle, RejectsCkWithValidatedWitness) {
 }
 
 TEST(CliqueHCycle, AcceptsAcyclicAndShortCycleInputs) {
-  CliqueHCycleOptions opt;
+  DetectorOptions opt;
   opt.k = 5;
   {
     const Graph g = graph::path(17);
-    const auto v = detect_hcycle_clique(g, IdAssignment::identity(17), opt);
+    const auto v = kDetector.run_fresh(g, IdAssignment::identity(17), opt);
     EXPECT_TRUE(v.accepted);
     EXPECT_TRUE(v.witness.empty());
     EXPECT_EQ(v.rejecting_nodes, 0u);
-    EXPECT_FALSE(v.early_exit);
-    EXPECT_EQ(v.sampled_vertices, 17u);  // accept = the full graph was searched
+    EXPECT_EQ(counter(v, "early_exit_trials"), 0u);
+    // Accept = the full graph was searched.
+    EXPECT_EQ(counter(v, "sampled_vertices_total"), 17u);
   }
   {
     // A C4 is not a C5: exactness is for the target length, not "any cycle".
     const Graph g = graph::cycle(4);
-    EXPECT_TRUE(detect_hcycle_clique(g, IdAssignment::identity(4), opt).accepted);
+    EXPECT_TRUE(kDetector.run_fresh(g, IdAssignment::identity(4), opt).accepted);
   }
 }
 
@@ -60,10 +68,10 @@ TEST(CliqueHCycle, AgreesWithDfsOracleOnRandomGraphs) {
   for (int trial = 0; trial < 25; ++trial) {
     const Graph g = graph::erdos_renyi_gnp(32, 0.08, rng);
     const IdAssignment ids = IdAssignment::identity(32);
-    CliqueHCycleOptions opt;
+    DetectorOptions opt;
     opt.k = 5;
     opt.seed = 1000 + static_cast<std::uint64_t>(trial);
-    const auto v = detect_hcycle_clique(g, ids, opt);
+    const auto v = kDetector.run_fresh(g, ids, opt);
     const bool has_c5 = graph::find_cycle(g, 5).has_value();
     EXPECT_EQ(v.accepted, !has_c5) << "trial " << trial;
     if (!v.accepted) {
@@ -77,23 +85,24 @@ TEST(CliqueHCycle, CycleRichInputsExitEarlyWithFewerSampledVertices) {
   // sample already induces one; the schedule exits phases early.
   const Graph rich = graph::complete(40);
   const IdAssignment ids = IdAssignment::identity(40);
-  CliqueHCycleOptions opt;
+  DetectorOptions opt;
   opt.k = 5;
-  const auto fast = detect_hcycle_clique(rich, ids, opt);
+  const auto fast = kDetector.run_fresh(rich, ids, opt);
   EXPECT_FALSE(fast.accepted);
-  EXPECT_TRUE(fast.early_exit);
-  EXPECT_GT(fast.rounds_saved, 0u);
-  EXPECT_LT(fast.sampled_vertices, 40u);
-  EXPECT_EQ(fast.phases, 1u);  // s0 = 8 vertices of K_40 already hold a C_5
+  EXPECT_EQ(counter(fast, "early_exit_trials"), 1u);
+  EXPECT_GT(counter(fast, "rounds_saved_total"), 0u);
+  EXPECT_LT(counter(fast, "sampled_vertices_total"), 40u);
+  // s0 = 8 vertices of K_40 already hold a C_5.
+  EXPECT_EQ(counter(fast, "phases_total"), 1u);
 
   // Cycle-free input: the schedule must run to the full graph.
   const Graph poor = graph::star(40);
-  const auto slow = detect_hcycle_clique(poor, IdAssignment::identity(40), opt);
+  const auto slow = kDetector.run_fresh(poor, IdAssignment::identity(40), opt);
   EXPECT_TRUE(slow.accepted);
-  EXPECT_FALSE(slow.early_exit);
-  EXPECT_EQ(slow.rounds_saved, 0u);
-  EXPECT_EQ(slow.sampled_vertices, 40u);
-  EXPECT_GT(slow.phases, fast.phases);
+  EXPECT_EQ(counter(slow, "early_exit_trials"), 0u);
+  EXPECT_EQ(counter(slow, "rounds_saved_total"), 0u);
+  EXPECT_EQ(counter(slow, "sampled_vertices_total"), 40u);
+  EXPECT_GT(counter(slow, "phases_total"), counter(fast, "phases_total"));
   EXPECT_GT(slow.stats.rounds_executed, fast.stats.rounds_executed);
 }
 
@@ -102,10 +111,10 @@ TEST(CliqueHCycle, DropsLoseDetectionsButNeverFabricate) {
   // must accept (a lost detection), never invent a witness.
   const Graph g = graph::cycle(6);
   const IdAssignment ids = IdAssignment::identity(6);
-  CliqueHCycleOptions opt;
+  DetectorOptions opt;
   opt.k = 6;
   opt.drop = [](std::uint64_t, Vertex from, Vertex to) { return to == 0 && from != 0; };
-  const auto v = detect_hcycle_clique(g, ids, opt);
+  const auto v = kDetector.run_fresh(g, ids, opt);
   EXPECT_TRUE(v.accepted);
   EXPECT_TRUE(v.witness.empty());
   EXPECT_TRUE(v.stats.halted) << "collector self-wakeups must keep the schedule alive";
@@ -113,39 +122,17 @@ TEST(CliqueHCycle, DropsLoseDetectionsButNeverFabricate) {
   // Acyclic input under arbitrary drops: still accepts (1-sided).
   const Graph tree = graph::star(12);
   opt.drop = [](std::uint64_t r, Vertex, Vertex) { return r % 2 == 0; };
-  EXPECT_TRUE(detect_hcycle_clique(tree, IdAssignment::identity(12), opt).accepted);
-}
-
-TEST(CliqueHCycle, ReuseOverloadMatchesFreshBuildBitForBit) {
-  util::Rng rng(7);
-  const Graph g = graph::erdos_renyi_gnp(24, 0.12, rng);
-  const IdAssignment ids = IdAssignment::identity(24);
-  congest::Simulator sim(g, ids, congest::CommModel::clique());
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    CliqueHCycleOptions opt;
-    opt.k = 4;
-    opt.seed = seed;
-    const auto fresh = detect_hcycle_clique(g, ids, opt);
-    const auto reused = detect_hcycle_clique(sim, opt);
-    EXPECT_EQ(fresh.accepted, reused.accepted) << seed;
-    EXPECT_EQ(fresh.witness, reused.witness) << seed;
-    EXPECT_EQ(fresh.phases, reused.phases) << seed;
-    EXPECT_EQ(fresh.sampled_vertices, reused.sampled_vertices) << seed;
-    EXPECT_EQ(fresh.sampled_edges, reused.sampled_edges) << seed;
-    EXPECT_EQ(fresh.stats.rounds_executed, reused.stats.rounds_executed) << seed;
-    EXPECT_EQ(fresh.stats.total_messages, reused.stats.total_messages) << seed;
-    EXPECT_EQ(fresh.stats.total_bits, reused.stats.total_bits) << seed;
-  }
+  EXPECT_TRUE(kDetector.run_fresh(tree, IdAssignment::identity(12), opt).accepted);
 }
 
 TEST(CliqueHCycle, ThrowsLoudlyOnANonCliqueSimulator) {
   const Graph g = graph::cycle(5);
   const IdAssignment ids = IdAssignment::identity(5);
   congest::Simulator congest_sim(g, ids, congest::CommModel::congest());
-  CliqueHCycleOptions opt;
+  DetectorOptions opt;
   opt.k = 5;
   try {
-    (void)detect_hcycle_clique(congest_sim, opt);
+    (void)kDetector.run(congest_sim, opt);
     FAIL() << "expected CheckError";
   } catch (const util::CheckError& e) {
     const std::string msg = e.what();
@@ -155,20 +142,20 @@ TEST(CliqueHCycle, ThrowsLoudlyOnANonCliqueSimulator) {
 }
 
 TEST(CliqueHCycle, TinyGraphsAndEdgeCases) {
-  CliqueHCycleOptions opt;
+  DetectorOptions opt;
   opt.k = 3;
   {
     const Graph g = Graph::from_edges(1, {});
-    const auto v = detect_hcycle_clique(g, IdAssignment::identity(1), opt);
+    const auto v = kDetector.run_fresh(g, IdAssignment::identity(1), opt);
     EXPECT_TRUE(v.accepted);
   }
   {
     const Graph g = Graph::from_edges(0, {});
-    EXPECT_TRUE(detect_hcycle_clique(g, IdAssignment::identity(0), opt).accepted);
+    EXPECT_TRUE(kDetector.run_fresh(g, IdAssignment::identity(0), opt).accepted);
   }
   {
     const Graph g = graph::complete(3);
-    const auto v = detect_hcycle_clique(g, IdAssignment::identity(3), opt);
+    const auto v = kDetector.run_fresh(g, IdAssignment::identity(3), opt);
     EXPECT_FALSE(v.accepted);
     EXPECT_TRUE(graph::validate_cycle(g, v.witness));
   }

@@ -12,16 +12,24 @@ namespace {
 
 using graph::Graph;
 
+const core::Detector& kColorCoding = core::DetectorRegistry::builtin().require("color_coding");
+
+core::Verdict run_color_coding(const Graph& g, unsigned k, std::size_t iterations,
+                               std::uint64_t seed = 1) {
+  core::DetectorOptions opt;
+  opt.k = k;
+  opt.repetitions = iterations;
+  opt.seed = seed;
+  return kColorCoding.run_fresh(g, graph::IdAssignment::identity(g.num_vertices()), opt);
+}
+
 TEST(ColorCoding, FindsPureCycles) {
   for (unsigned k = 3; k <= 9; ++k) {
     const Graph g = graph::cycle(k);
-    ColorCodingOptions opt;
-    opt.seed = k;
     // The default iteration count targets δ = 1/3 (the property-testing
     // guarantee); for a deterministic test drive the failure odds to 1e-6.
-    opt.iterations = color_coding_iterations(k, 1e-6);
-    const auto result = find_cycle_color_coding(g, k, opt);
-    EXPECT_TRUE(result.found) << "k=" << k;
+    const auto result = run_color_coding(g, k, color_coding_iterations(k, 1e-6), k);
+    EXPECT_FALSE(result.accepted) << "k=" << k;
     EXPECT_EQ(result.witness.size(), k);
     EXPECT_TRUE(graph::validate_cycle(g, result.witness));
   }
@@ -31,18 +39,14 @@ TEST(ColorCoding, NeverFindsInForests) {
   util::Rng rng(2);
   const Graph g = graph::random_tree(60, rng);
   for (const unsigned k : {3u, 5u, 7u}) {
-    ColorCodingOptions opt;
-    opt.iterations = 50;
-    EXPECT_FALSE(find_cycle_color_coding(g, k, opt).found);
+    EXPECT_TRUE(run_color_coding(g, k, 50).accepted);
   }
 }
 
 TEST(ColorCoding, ExactLengthOnly) {
   const Graph g = graph::cycle(8);
-  ColorCodingOptions opt;
-  opt.iterations = 200;
-  EXPECT_FALSE(find_cycle_color_coding(g, 5, opt).found);
-  EXPECT_FALSE(find_cycle_color_coding(g, 7, opt).found);
+  EXPECT_TRUE(run_color_coding(g, 5, 200).accepted);
+  EXPECT_TRUE(run_color_coding(g, 7, 200).accepted);
 }
 
 TEST(ColorCoding, AgreesWithExactOracleOnRandomGraphs) {
@@ -51,15 +55,14 @@ TEST(ColorCoding, AgreesWithExactOracleOnRandomGraphs) {
     const Graph g = graph::erdos_renyi_gnm(16, 28, rng);
     for (const unsigned k : {4u, 5u, 6u}) {
       const bool exact = graph::has_cycle(g, k);
-      ColorCodingOptions opt;
-      opt.iterations = exact ? 400 : 30;  // enough to make misses unlikely
-      opt.seed = 1000 + static_cast<std::uint64_t>(trial);
-      const auto result = find_cycle_color_coding(g, k, opt);
-      if (result.found) {
+      const std::size_t iterations = exact ? 400 : 30;  // enough to make misses unlikely
+      const auto result =
+          run_color_coding(g, k, iterations, 1000 + static_cast<std::uint64_t>(trial));
+      if (!result.accepted) {
         EXPECT_TRUE(exact);  // one-sided: found implies real
         EXPECT_TRUE(graph::validate_cycle(g, result.witness));
       } else {
-        EXPECT_FALSE(exact) << "missed a C" << k << " in " << opt.iterations << " iterations";
+        EXPECT_FALSE(exact) << "missed a C" << k << " in " << iterations << " iterations";
       }
     }
   }
@@ -73,17 +76,17 @@ TEST(ColorCoding, IterationFormula) {
 
 TEST(ColorCoding, IterationsUsedReported) {
   const Graph g = graph::complete(8);
-  ColorCodingOptions opt;
-  opt.iterations = 100;
-  const auto result = find_cycle_color_coding(g, 4, opt);
-  EXPECT_TRUE(result.found);
-  EXPECT_GE(result.iterations_used, 1u);
-  EXPECT_LE(result.iterations_used, 100u);
+  const auto result = run_color_coding(g, 4, 100);
+  EXPECT_FALSE(result.accepted);
+  EXPECT_EQ(result.repetitions, 100u);
+  const std::uint64_t used = core::counter_value(kColorCoding, result.counters, "iterations_total");
+  EXPECT_GE(used, 1u);
+  EXPECT_LE(used, 100u);
 }
 
 TEST(ColorCoding, RejectsBadK) {
   const Graph g = graph::complete(4);
-  EXPECT_THROW((void)find_cycle_color_coding(g, 2, {}), util::CheckError);
+  EXPECT_THROW((void)run_color_coding(g, 2, 0), util::CheckError);
 }
 
 }  // namespace

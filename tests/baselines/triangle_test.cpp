@@ -13,12 +13,18 @@ namespace {
 using graph::Graph;
 using graph::IdAssignment;
 
+core::Verdict run_triangle(const Graph& g, std::size_t iterations, std::uint64_t seed = 1) {
+  core::DetectorOptions opt;
+  opt.k = 3;
+  opt.repetitions = iterations;
+  opt.seed = seed;
+  return core::DetectorRegistry::builtin().require("triangle").run_fresh(
+      g, IdAssignment::identity(g.num_vertices()), opt);
+}
+
 TEST(TriangleChs, FindsTriangleInK3) {
   const Graph g = graph::complete(3);
-  const IdAssignment ids = IdAssignment::identity(3);
-  TriangleTesterOptions opt;
-  opt.iterations = 8;
-  const auto verdict = test_triangle_freeness_chs(g, ids, opt);
+  const auto verdict = run_triangle(g, 8);
   EXPECT_FALSE(verdict.accepted);
   EXPECT_EQ(verdict.witness.size(), 3u);
   EXPECT_TRUE(graph::validate_cycle(g, verdict.witness));
@@ -28,20 +34,13 @@ TEST(TriangleChs, SoundOnTriangleFreeGraphs) {
   util::Rng rng(2);
   for (int trial = 0; trial < 5; ++trial) {
     const Graph g = graph::random_bipartite(15, 15, 60, rng);  // bipartite: no triangles
-    const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-    TriangleTesterOptions opt;
-    opt.iterations = 64;
-    opt.seed = 100 + static_cast<std::uint64_t>(trial);
-    EXPECT_TRUE(test_triangle_freeness_chs(g, ids, opt).accepted);
+    EXPECT_TRUE(run_triangle(g, 64, 100 + static_cast<std::uint64_t>(trial)).accepted);
   }
 }
 
 TEST(TriangleChs, DetectsDenseTriangleInstances) {
   const Graph g = graph::complete(12);
-  const IdAssignment ids = IdAssignment::identity(12);
-  TriangleTesterOptions opt;
-  opt.iterations = 32;
-  const auto verdict = test_triangle_freeness_chs(g, ids, opt);
+  const auto verdict = run_triangle(g, 32);
   EXPECT_FALSE(verdict.accepted);
 }
 
@@ -51,29 +50,21 @@ TEST(TriangleChs, DetectsPlantedTrianglesWithEnoughIterations) {
   popt.k = 3;
   popt.num_cycles = 10;
   const auto inst = graph::planted_cycles_instance(popt, rng);
-  const IdAssignment ids = IdAssignment::identity(inst.graph.num_vertices());
-  TriangleTesterOptions opt;
-  opt.iterations = 128;  // planted nodes have degree <= 3: detection is easy
-  const auto verdict = test_triangle_freeness_chs(inst.graph, ids, opt);
+  // Planted nodes have degree <= 3: 128 iterations make detection easy.
+  const auto verdict = run_triangle(inst.graph, 128);
   EXPECT_FALSE(verdict.accepted);
   EXPECT_TRUE(graph::validate_cycle(inst.graph, verdict.witness));
 }
 
 TEST(TriangleChs, RoundsScaleWithIterations) {
   const Graph g = graph::complete(4);
-  const IdAssignment ids = IdAssignment::identity(4);
-  TriangleTesterOptions opt;
-  opt.iterations = 10;
-  const auto verdict = test_triangle_freeness_chs(g, ids, opt);
+  const auto verdict = run_triangle(g, 10);
   EXPECT_LE(verdict.stats.rounds_executed, 12u);
 }
 
 TEST(TriangleChs, HandlesLowDegreeGraphs) {
   const Graph g = graph::path(6);  // degrees < 2 at the ends
-  const IdAssignment ids = IdAssignment::identity(6);
-  TriangleTesterOptions opt;
-  opt.iterations = 16;
-  EXPECT_TRUE(test_triangle_freeness_chs(g, ids, opt).accepted);
+  EXPECT_TRUE(run_triangle(g, 16).accepted);
 }
 
 }  // namespace

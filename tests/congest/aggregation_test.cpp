@@ -62,21 +62,15 @@ TEST(OrFlood, ComposesWithTesterForGlobalVerdict) {
   util::Rng rng(4);
   const Graph g = graph::wheel(12);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  core::TesterOptions topt;
+  core::DetectorOptions topt;
   topt.k = 5;
   topt.repetitions = 6;
   topt.seed = 2;
 
-  // Stage 1: the tester (harness view of per-node outputs).
-  congest::Simulator tester_sim(g, ids, [&](Vertex v) {
-    core::DetectParams params;
-    params.k = topt.k;
-    return std::make_unique<core::TesterProgram>(params, topt.repetitions, topt.seed,
-                                                 g.num_vertices(), ids.id_of(v));
-  });
-  congest::Simulator::Options sim_opt;
-  sim_opt.max_rounds = topt.repetitions * (5 / 2 + 2) + 4;
-  (void)tester_sim.run(sim_opt);
+  // Stage 1: the tester; its programs stay on the simulator after the run
+  // (the harness view of per-node outputs).
+  congest::Simulator tester_sim(g, ids);
+  (void)core::DetectorRegistry::builtin().require("tester").run(tester_sim, topt);
   std::vector<bool> rejected(g.num_vertices(), false);
   bool any = false;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <utility>
 
+#include "core/tester.hpp"
+#include "core/threshold/threshold_tester.hpp"
+#include "graph/far_generators.hpp"
 #include "graph/generators.hpp"
 #include "support/alloc_probe.hpp"
 #include "util/check.hpp"
@@ -265,38 +270,53 @@ bool same_round_stats(const RoundStats& a, const RoundStats& b) {
          a.bits == b.bits && a.max_link_bits == b.max_link_bits;
 }
 
-void expect_identical(const RunOutcome& a, const RunOutcome& b, const std::string& label) {
-  EXPECT_EQ(a.stats.rounds_executed, b.stats.rounds_executed) << label;
-  EXPECT_EQ(a.stats.total_messages, b.stats.total_messages) << label;
-  EXPECT_EQ(a.stats.total_bits, b.stats.total_bits) << label;
-  EXPECT_EQ(a.stats.max_link_bits, b.stats.max_link_bits) << label;
-  EXPECT_EQ(a.stats.max_active_nodes, b.stats.max_active_nodes) << label;
-  EXPECT_EQ(a.stats.dropped_messages, b.stats.dropped_messages) << label;
-  EXPECT_EQ(a.stats.halted, b.stats.halted) << label;
-  ASSERT_EQ(a.stats.per_round.size(), b.stats.per_round.size()) << label;
-  for (std::size_t i = 0; i < a.stats.per_round.size(); ++i) {
-    EXPECT_TRUE(same_round_stats(a.stats.per_round[i], b.stats.per_round[i]))
-        << label << " round " << i;
+void expect_same_stats(const RunStats& a, const RunStats& b, const std::string& label) {
+  EXPECT_EQ(a.rounds_executed, b.rounds_executed) << label;
+  EXPECT_EQ(a.total_messages, b.total_messages) << label;
+  EXPECT_EQ(a.total_bits, b.total_bits) << label;
+  EXPECT_EQ(a.max_link_bits, b.max_link_bits) << label;
+  EXPECT_EQ(a.max_active_nodes, b.max_active_nodes) << label;
+  EXPECT_EQ(a.dropped_messages, b.dropped_messages) << label;
+  EXPECT_EQ(a.halted, b.halted) << label;
+  ASSERT_EQ(a.per_round.size(), b.per_round.size()) << label;
+  for (std::size_t i = 0; i < a.per_round.size(); ++i) {
+    EXPECT_TRUE(same_round_stats(a.per_round[i], b.per_round[i])) << label << " round " << i;
   }
+}
+
+void expect_identical(const RunOutcome& a, const RunOutcome& b, const std::string& label) {
+  expect_same_stats(a.stats, b.stats, label);
   EXPECT_EQ(a.transcripts, b.transcripts) << label;
 }
 
-RunOutcome run_gossip(const Graph& g, const IdAssignment& ids, util::ThreadPool* pool,
-                      DeliveryMode mode, bool with_drops) {
-  Simulator sim(g, ids, [](Vertex) { return std::make_unique<GossipProgram>(); });
+/// Which loop a run goes through: Simulator::run, or the run_reference
+/// oracle.
+constexpr bool kRun = false;
+constexpr bool kReference = true;
+
+/// Run options with every parallel path forced whenever a pool is given,
+/// per-round records on, and (optionally) a deterministic ~20% drop
+/// adversary.
+Simulator::Options test_options(const Graph& g, util::ThreadPool* pool, bool with_drops) {
   Simulator::Options opt;
   opt.pool = pool;
-  opt.parallel_threshold = 1;  // force the parallel paths whenever a pool is given
+  opt.parallel_threshold = 1;
   opt.record_rounds = true;
-  opt.delivery = mode;
   if (with_drops) {
     const Vertex n = g.num_vertices();
     opt.drop = [n](std::uint64_t round, Vertex from, Vertex to) {
       return util::splitmix64(round * n + from * 31 + to) % 5 == 0;
     };
   }
+  return opt;
+}
+
+RunOutcome run_gossip(const Graph& g, const IdAssignment& ids, util::ThreadPool* pool,
+                      bool reference, bool with_drops) {
+  Simulator sim(g, ids, [](Vertex) { return std::make_unique<GossipProgram>(); });
+  const Simulator::Options opt = test_options(g, pool, with_drops);
   RunOutcome out;
-  out.stats = sim.run(opt);
+  out.stats = reference ? sim.run_reference(opt) : sim.run(opt);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     out.transcripts.push_back(static_cast<const GossipProgram&>(sim.program(v)).transcript_);
   }
@@ -306,8 +326,7 @@ RunOutcome run_gossip(const Graph& g, const IdAssignment& ids, util::ThreadPool*
 /// The determinism contract (DESIGN.md §3.2), property-tested: identical
 /// RunStats (including per-round records) and bit-identical inbox
 /// transcripts on 1, 4 and 8 threads, with and without the drop-filter
-/// adversary — and the parallel arena path agrees with the serial legacy
-/// oracle.
+/// adversary — and run() agrees with the run_reference() oracle.
 TEST(Simulator, DeterminismAcrossThreadCountsAndAdversary) {
   util::Rng rng(7);
   const Graph graphs[] = {graph::grid(9, 9), graph::wheel(40),
@@ -321,17 +340,98 @@ TEST(Simulator, DeterminismAcrossThreadCountsAndAdversary) {
     for (const bool drops : {false, true}) {
       const std::string label =
           "graph " + std::to_string(gi) + (drops ? " with drops" : " no drops");
-      const RunOutcome oracle = run_gossip(g, ids, nullptr, DeliveryMode::kLegacy, drops);
-      const RunOutcome serial = run_gossip(g, ids, nullptr, DeliveryMode::kArena, drops);
-      const RunOutcome par4 = run_gossip(g, ids, &pool4, DeliveryMode::kArena, drops);
-      const RunOutcome par8 = run_gossip(g, ids, &pool8, DeliveryMode::kArena, drops);
-      const RunOutcome legacy4 = run_gossip(g, ids, &pool4, DeliveryMode::kLegacy, drops);
-      expect_identical(serial, oracle, label + ": arena vs legacy oracle");
+      const RunOutcome oracle = run_gossip(g, ids, nullptr, kReference, drops);
+      const RunOutcome serial = run_gossip(g, ids, nullptr, kRun, drops);
+      const RunOutcome par4 = run_gossip(g, ids, &pool4, kRun, drops);
+      const RunOutcome par8 = run_gossip(g, ids, &pool8, kRun, drops);
+      const RunOutcome reference4 = run_gossip(g, ids, &pool4, kReference, drops);
+      expect_identical(serial, oracle, label + ": run vs reference oracle");
       expect_identical(par4, serial, label + ": 4 threads vs serial");
       expect_identical(par8, serial, label + ": 8 threads vs serial");
-      expect_identical(legacy4, oracle, label + ": legacy 4 threads vs serial");
+      expect_identical(reference4, oracle, label + ": reference 4 threads vs serial");
     }
   }
+}
+
+/// One detector-program run: the stats plus each node's reject flag and
+/// witness IDs.
+struct DetectorRun {
+  RunStats stats;
+  std::vector<std::pair<bool, std::vector<NodeId>>> nodes;
+};
+
+template <typename Program>
+DetectorRun run_programs(Simulator& sim, const Simulator::ProgramFactory& factory,
+                         util::ThreadPool* pool, bool reference, bool with_drops) {
+  sim.reset(factory);
+  const Simulator::Options opt = test_options(sim.graph(), pool, with_drops);
+  DetectorRun out;
+  out.stats = reference ? sim.run_reference(opt) : sim.run(opt);
+  sim.for_each_program<Program>([&](Vertex, const Program& prog) {
+    out.nodes.emplace_back(prog.rejected(), prog.witness_ids());
+  });
+  return out;
+}
+
+template <typename Program>
+void expect_loops_agree(Simulator& sim, const Simulator::ProgramFactory& factory,
+                        const std::string& name) {
+  util::ThreadPool pool4(4);
+  for (const bool drops : {false, true}) {
+    const std::string label = name + (drops ? " with drops" : " no drops");
+    const DetectorRun oracle = run_programs<Program>(sim, factory, nullptr, kReference, drops);
+    if (!drops) {
+      // The planted instance must make the comparison cover witness traffic.
+      EXPECT_TRUE(std::any_of(oracle.nodes.begin(), oracle.nodes.end(),
+                              [](const auto& node) { return node.first; }))
+          << label << ": no node rejected";
+    }
+    for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &pool4}) {
+      for (const bool reference : {kRun, kReference}) {
+        const std::string run_label = label + (reference ? ", reference" : ", run") +
+                                      (pool != nullptr ? " 4 threads" : " serial");
+        const DetectorRun got = run_programs<Program>(sim, factory, pool, reference, drops);
+        expect_same_stats(got.stats, oracle.stats, run_label);
+        EXPECT_EQ(got.nodes, oracle.nodes) << run_label;
+      }
+    }
+  }
+}
+
+/// The reference oracle on real detector traffic, not just gossip: the
+/// tester's prioritized Phase-2 bundles and the threshold family's merged
+/// per-link bundles agree between run() and run_reference(), serially and on
+/// 4 threads, with and without drops — RunStats, every node's reject flag
+/// and its witness IDs.
+TEST(Simulator, ReferenceLoopAgreesOnDetectorTraffic) {
+  util::Rng rng(5);
+  graph::PlantedOptions popt;
+  popt.k = 5;
+  popt.num_cycles = 6;
+  popt.padding_leaves = 20;
+  const graph::FarInstance inst = graph::planted_cycles_instance(popt, rng);
+  const Graph& g = inst.graph;
+  util::Rng id_rng(9);
+  const IdAssignment ids = IdAssignment::shuffled(g.num_vertices(), id_rng);
+  const std::uint64_t n = g.num_vertices();
+  const core::DetectParams params{.k = 5};
+  Simulator sim(g, ids);
+
+  expect_loops_agree<core::TesterProgram>(
+      sim,
+      [&](Vertex v) {
+        return std::make_unique<core::TesterProgram>(params, /*repetitions=*/4, /*seed=*/17, n,
+                                                     ids.id_of(v));
+      },
+      "tester");
+  expect_loops_agree<core::threshold::ThresholdProgram>(
+      sim,
+      [&](Vertex v) {
+        return std::make_unique<core::threshold::ThresholdProgram>(
+            params, core::threshold::BudgetSchedule::constant(4), /*max_tracked=*/2,
+            /*sweeps=*/2, /*seed=*/17, n, ids.id_of(v));
+      },
+      "threshold");
 }
 
 /// Messages that fit the inline buffer (every legal CONGEST payload) must
@@ -432,22 +532,12 @@ TEST(Simulator, NullProgramRejected) {
 
 // --- Simulator reuse (reset) -----------------------------------------------
 
-RunOutcome run_gossip_on(Simulator& sim, const Graph& g, util::ThreadPool* pool,
-                         DeliveryMode mode, bool with_drops) {
+RunOutcome run_gossip_on(Simulator& sim, const Graph& g, util::ThreadPool* pool, bool reference,
+                         bool with_drops) {
   sim.reset([](Vertex) { return std::make_unique<GossipProgram>(); });
-  Simulator::Options opt;
-  opt.pool = pool;
-  opt.parallel_threshold = 1;
-  opt.record_rounds = true;
-  opt.delivery = mode;
-  if (with_drops) {
-    const Vertex n = g.num_vertices();
-    opt.drop = [n](std::uint64_t round, Vertex from, Vertex to) {
-      return util::splitmix64(round * n + from * 31 + to) % 5 == 0;
-    };
-  }
+  const Simulator::Options opt = test_options(g, pool, with_drops);
   RunOutcome out;
-  out.stats = sim.run(opt);
+  out.stats = reference ? sim.run_reference(opt) : sim.run(opt);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     out.transcripts.push_back(static_cast<const GossipProgram&>(sim.program(v)).transcript_);
   }
@@ -457,7 +547,7 @@ RunOutcome run_gossip_on(Simulator& sim, const Graph& g, util::ThreadPool* pool,
 /// The Simulator::reset contract (DESIGN.md §6): a reset-then-run on a
 /// reused simulator is bit-identical to a fresh-build run — same RunStats
 /// (incl. per-round records) and inbox transcripts — across thread counts,
-/// delivery modes, and the drop adversary, even when the reused simulator
+/// both loops, and the drop adversary, even when the reused simulator
 /// previously ran a *different* configuration (stale arenas, stale wheel).
 TEST(Simulator, ResetRunMatchesFreshBuild) {
   util::Rng rng(7);  // same stream as DeterminismAcrossThreadCountsAndAdversary
@@ -472,13 +562,12 @@ TEST(Simulator, ResetRunMatchesFreshBuild) {
   (void)reused.run();
 
   for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &pool8}) {
-    for (const DeliveryMode mode : {DeliveryMode::kArena, DeliveryMode::kLegacy}) {
+    for (const bool reference : {kRun, kReference}) {
       for (const bool drops : {false, true}) {
         const std::string label = std::string(pool ? "8 threads" : "1 thread") +
-                                  (mode == DeliveryMode::kArena ? " arena" : " legacy") +
-                                  (drops ? " drops" : "");
-        const RunOutcome fresh = run_gossip(g, ids, pool, mode, drops);
-        const RunOutcome reset_run = run_gossip_on(reused, g, pool, mode, drops);
+                                  (reference ? " reference" : " run") + (drops ? " drops" : "");
+        const RunOutcome fresh = run_gossip(g, ids, pool, reference, drops);
+        const RunOutcome reset_run = run_gossip_on(reused, g, pool, reference, drops);
         expect_identical(reset_run, fresh, label);
       }
     }
@@ -491,9 +580,9 @@ TEST(Simulator, RepeatedResetTrialsAreIndependent) {
   const Graph g = graph::grid(7, 7);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
   Simulator sim(g, ids);
-  const RunOutcome first = run_gossip_on(sim, g, nullptr, DeliveryMode::kArena, false);
+  const RunOutcome first = run_gossip_on(sim, g, nullptr, kRun, false);
   for (int i = 0; i < 3; ++i) {
-    const RunOutcome again = run_gossip_on(sim, g, nullptr, DeliveryMode::kArena, false);
+    const RunOutcome again = run_gossip_on(sim, g, nullptr, kRun, false);
     expect_identical(again, first, "repeat " + std::to_string(i));
   }
 }
@@ -516,9 +605,9 @@ TEST(Simulator, WorkStealDeterminismAtSixteenThreads) {
     const std::string rep = mode == graph::AdjacencyMode::kBitset ? " (bitset)" : " (vector)";
     for (const bool drops : {false, true}) {
       const std::string label = (drops ? "with drops" : "no drops") + rep;
-      const RunOutcome serial = run_gossip(g, ids, nullptr, DeliveryMode::kArena, drops);
-      const RunOutcome par4 = run_gossip(g, ids, &pool4, DeliveryMode::kArena, drops);
-      const RunOutcome par16 = run_gossip(g, ids, &pool16, DeliveryMode::kArena, drops);
+      const RunOutcome serial = run_gossip(g, ids, nullptr, kRun, drops);
+      const RunOutcome par4 = run_gossip(g, ids, &pool4, kRun, drops);
+      const RunOutcome par16 = run_gossip(g, ids, &pool16, kRun, drops);
       expect_identical(par4, serial, label + ": 4 threads vs serial");
       expect_identical(par16, serial, label + ": 16 threads vs serial");
     }

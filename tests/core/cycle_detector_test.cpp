@@ -14,12 +14,15 @@ using graph::Graph;
 using graph::IdAssignment;
 using graph::Vertex;
 
-EdgeDetectionResult run_detector(const Graph& g, const IdAssignment& ids, unsigned k,
-                                 graph::Edge e, PruningMode mode = PruningMode::kRepresentative) {
-  EdgeDetectionOptions opt;
-  opt.detect.k = k;
-  opt.detect.pruning = mode;
-  return detect_cycle_through_edge(g, ids, e, opt);
+const Detector& kChecker = DetectorRegistry::builtin().require("edge_checker");
+
+Verdict run_detector(const Graph& g, const IdAssignment& ids, unsigned k, graph::Edge e,
+                     PruningMode mode = PruningMode::kRepresentative) {
+  DetectorOptions opt;
+  opt.k = k;
+  opt.pruning = mode;
+  opt.edge = e;
+  return kChecker.run_fresh(g, ids, opt);
 }
 
 TEST(EdgeChecker, DetectsPureCyclesAllK) {
@@ -28,7 +31,7 @@ TEST(EdgeChecker, DetectsPureCyclesAllK) {
     const IdAssignment ids = IdAssignment::identity(k);
     for (const auto& e : g.edges()) {
       const auto result = run_detector(g, ids, k, e);
-      ASSERT_TRUE(result.found) << "k=" << k;
+      ASSERT_FALSE(result.accepted) << "k=" << k;
       EXPECT_EQ(result.witness.size(), k);
       EXPECT_TRUE(graph::validate_cycle(g, result.witness));
       EXPECT_FALSE(result.overflow);
@@ -41,7 +44,7 @@ TEST(EdgeChecker, NoFalsePositivesOnPaths) {
   const IdAssignment ids = IdAssignment::identity(12);
   for (unsigned k = 3; k <= 8; ++k) {
     for (const auto& e : g.edges()) {
-      EXPECT_FALSE(run_detector(g, ids, k, e).found);
+      EXPECT_TRUE(run_detector(g, ids, k, e).accepted);
     }
   }
 }
@@ -50,7 +53,7 @@ TEST(EdgeChecker, WrongLengthCycleNotReported) {
   const Graph g = graph::cycle(8);
   const IdAssignment ids = IdAssignment::identity(8);
   for (const unsigned k : {3u, 4u, 5u, 6u, 7u, 9u, 10u}) {
-    EXPECT_FALSE(run_detector(g, ids, k, {0, 1}).found) << "k=" << k;
+    EXPECT_TRUE(run_detector(g, ids, k, {0, 1}).accepted) << "k=" << k;
   }
 }
 
@@ -78,11 +81,11 @@ TEST(EdgeChecker, SingleCycleNoFarnessNeeded) {
   const Graph g = b.build();
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
   const auto result = run_detector(g, ids, 7, {100, 300});
-  ASSERT_TRUE(result.found);
+  ASSERT_FALSE(result.accepted);
   EXPECT_TRUE(graph::validate_cycle(g, result.witness));
   // Edges far from the cycle stay clean.
-  EXPECT_FALSE(run_detector(g, ids, 7, g.edge(0)).found ||
-               graph::has_cycle_through_edge(g, 7, g.edge(0).first, g.edge(0).second));
+  EXPECT_TRUE(run_detector(g, ids, 7, g.edge(0)).accepted &&
+              !graph::has_cycle_through_edge(g, 7, g.edge(0).first, g.edge(0).second));
 }
 
 struct ExactnessCase {
@@ -104,9 +107,9 @@ TEST_P(EdgeCheckerExactness, MatchesExactOracleOnEveryEdge) {
   for (const auto& e : g.edges()) {
     const bool expected = graph::has_cycle_through_edge(g, k, e.first, e.second);
     const auto result = run_detector(g, ids, k, e);
-    ASSERT_EQ(result.found, expected)
+    ASSERT_EQ(!result.accepted, expected)
         << "k=" << k << " edge=(" << e.first << "," << e.second << ") seed=" << seed;
-    if (result.found) {
+    if (!result.accepted) {
       EXPECT_EQ(result.witness.size(), k);
       EXPECT_TRUE(graph::validate_cycle(g, result.witness));
     }
@@ -129,9 +132,9 @@ TEST(EdgeChecker, PruningModesAgreeOnVerdict) {
     const IdAssignment ids = IdAssignment::identity(11);
     for (const unsigned k : {4u, 5u, 6u}) {
       for (const auto& e : g.edges()) {
-        const bool fast = run_detector(g, ids, k, e, PruningMode::kRepresentative).found;
-        const bool ref = run_detector(g, ids, k, e, PruningMode::kReference).found;
-        const bool naive = run_detector(g, ids, k, e, PruningMode::kNaive).found;
+        const bool fast = !run_detector(g, ids, k, e, PruningMode::kRepresentative).accepted;
+        const bool ref = !run_detector(g, ids, k, e, PruningMode::kReference).accepted;
+        const bool naive = !run_detector(g, ids, k, e, PruningMode::kNaive).accepted;
         EXPECT_EQ(fast, ref) << "k=" << k;
         EXPECT_EQ(fast, naive) << "k=" << k;
       }
@@ -157,7 +160,7 @@ TEST(EdgeChecker, DenseGraphHighK) {
   const IdAssignment ids = IdAssignment::identity(12);
   for (const unsigned k : {5u, 8u, 11u}) {
     const auto result = run_detector(g, ids, k, {0, 1});
-    ASSERT_TRUE(result.found) << "k=" << k;
+    ASSERT_FALSE(result.accepted) << "k=" << k;
     EXPECT_TRUE(graph::validate_cycle(g, result.witness));
   }
 }
@@ -179,7 +182,7 @@ TEST(EdgeChecker, PlantedFarInstanceEveryPlantedEdgeDetects) {
   for (const auto& cyc : inst.planted) {
     for (std::size_t i = 0; i < cyc.size(); ++i) {
       const graph::Edge e{cyc[i], cyc[(i + 1) % cyc.size()]};
-      EXPECT_TRUE(run_detector(inst.graph, ids, 6, e).found);
+      EXPECT_FALSE(run_detector(inst.graph, ids, 6, e).accepted);
     }
   }
 }

@@ -25,11 +25,12 @@ using graph::Graph;
 using graph::GraphBuilder;
 using graph::IdAssignment;
 
-EdgeDetectionResult run_detector(const Graph& g, unsigned k, graph::Edge e) {
+Verdict run_detector(const Graph& g, unsigned k, graph::Edge e) {
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  EdgeDetectionOptions opt;
-  opt.detect.k = k;
-  return detect_cycle_through_edge(g, ids, e, opt);
+  DetectorOptions opt;
+  opt.k = k;
+  opt.edge = e;
+  return DetectorRegistry::builtin().require("edge_checker").run_fresh(g, ids, opt);
 }
 
 TEST(ErratumEA, EvenCyclesAreDetectedAtAll) {
@@ -37,7 +38,7 @@ TEST(ErratumEA, EvenCyclesAreDetectedAtAll) {
   for (const unsigned k : {4u, 6u, 8u, 10u}) {
     const Graph g = graph::cycle(k);
     const auto result = run_detector(g, k, {0, 1});
-    EXPECT_TRUE(result.found) << "k=" << k;
+    EXPECT_FALSE(result.accepted) << "k=" << k;
     EXPECT_EQ(result.witness.size(), k);
   }
 }
@@ -77,7 +78,7 @@ TEST(ErratumEB, MyidInteriorSequenceMustNotFire) {
   // ...but the implementation stays sound on every edge.
   for (const auto& [x, y] : g.edges()) {
     const auto result = run_detector(g, 6, {x, y});
-    EXPECT_FALSE(result.found) << "false C6 through edge (" << x << "," << y << ")";
+    EXPECT_TRUE(result.accepted) << "false C6 through edge (" << x << "," << y << ")";
   }
 }
 
@@ -106,7 +107,7 @@ TEST(ErratumEB, SharedInteriorHalvesMustNotFire) {
 
   for (const auto& [x, y] : g.edges()) {
     const auto result = run_detector(g, 6, {x, y});
-    EXPECT_FALSE(result.found) << "false C6 through edge (" << x << "," << y << ")";
+    EXPECT_TRUE(result.accepted) << "false C6 through edge (" << x << "," << y << ")";
   }
 }
 
@@ -132,7 +133,7 @@ TEST(ErratumEB, GenuineC6StillDetected) {
   for (unsigned i = 0; i < 6; ++i) {
     const auto result =
         run_detector(g, 6, {static_cast<graph::Vertex>(i), static_cast<graph::Vertex>((i + 1) % 6)});
-    EXPECT_TRUE(result.found) << "edge " << i;
+    EXPECT_FALSE(result.accepted) << "edge " << i;
     EXPECT_TRUE(graph::validate_cycle(g, result.witness));
   }
 }

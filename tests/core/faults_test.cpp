@@ -7,8 +7,7 @@
 /// rate, while detection degrades gracefully.
 #include <gtest/gtest.h>
 
-#include "core/cycle_detector.hpp"
-#include "core/tester.hpp"
+#include "core/detector.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
@@ -19,6 +18,9 @@ namespace {
 
 using graph::Graph;
 using graph::IdAssignment;
+
+const Detector& kTester = DetectorRegistry::builtin().require("tester");
+const Detector& kChecker = DetectorRegistry::builtin().require("edge_checker");
 
 congest::Simulator::DropFilter random_drops(double rate, std::uint64_t seed) {
   // Stateless per-(round, from, to) coin so the filter is deterministic and
@@ -39,12 +41,12 @@ TEST(Faults, SoundnessSurvivesAnyDropRate) {
     const Graph g = graph::ck_free_instance(graph::CkFreeFamily::kHighGirth, k, 40, rng);
     const IdAssignment ids = IdAssignment::identity(g.num_vertices());
     for (const double rate : {0.1, 0.5, 0.9}) {
-      TesterOptions opt;
+      DetectorOptions opt;
       opt.k = k;
       opt.repetitions = 5;
       opt.seed = 3;
       opt.drop = random_drops(rate, 77);
-      const auto verdict = test_ck_freeness(g, ids, opt);
+      const auto verdict = kTester.run_fresh(g, ids, opt);
       EXPECT_TRUE(verdict.accepted) << "k=" << k << " rate=" << rate;
     }
   }
@@ -56,12 +58,12 @@ TEST(Faults, RejectionsUnderLossAreStillGenuine) {
   const Graph g = graph::complete(9);
   const IdAssignment ids = IdAssignment::identity(9);
   for (const double rate : {0.05, 0.2, 0.4}) {
-    TesterOptions opt;
+    DetectorOptions opt;
     opt.k = 5;
     opt.repetitions = 4;
     opt.seed = 11;
     opt.drop = random_drops(rate, 99);
-    const auto verdict = test_ck_freeness(g, ids, opt);
+    const auto verdict = kTester.run_fresh(g, ids, opt);
     if (!verdict.accepted) {
       EXPECT_TRUE(graph::validate_cycle(g, verdict.witness)) << "rate=" << rate;
     }
@@ -75,15 +77,15 @@ TEST(Faults, DetectionDegradesMonotonicallyOnAverage) {
   const Graph g = graph::cycle(6);
   const IdAssignment ids = IdAssignment::identity(6);
 
-  TesterOptions clean;
+  DetectorOptions clean;
   clean.k = 6;
   clean.repetitions = 1;
   clean.seed = 5;
-  EXPECT_FALSE(test_ck_freeness(g, ids, clean).accepted);
+  EXPECT_FALSE(kTester.run_fresh(g, ids, clean).accepted);
 
-  TesterOptions dead = clean;
+  DetectorOptions dead = clean;
   dead.drop = [](std::uint64_t, graph::Vertex, graph::Vertex) { return true; };
-  const auto verdict = test_ck_freeness(g, ids, dead);
+  const auto verdict = kTester.run_fresh(g, ids, dead);
   EXPECT_TRUE(verdict.accepted);
   EXPECT_GT(verdict.stats.dropped_messages, 0u);
 }
@@ -91,8 +93,9 @@ TEST(Faults, DetectionDegradesMonotonicallyOnAverage) {
 TEST(Faults, DropCounterTallies) {
   const Graph g = graph::cycle(5);
   const IdAssignment ids = IdAssignment::identity(5);
-  EdgeDetectionOptions opt;
-  opt.detect.k = 5;
+  DetectorOptions opt;
+  opt.k = 5;
+  opt.edge = graph::Edge{0, 1};
   std::size_t filter_calls_dropped = 0;
   opt.drop = [&](std::uint64_t, graph::Vertex from, graph::Vertex) {
     if (from == 2) {
@@ -101,7 +104,7 @@ TEST(Faults, DropCounterTallies) {
     }
     return false;
   };
-  const auto result = detect_cycle_through_edge(g, ids, {0, 1}, opt);
+  const auto result = kChecker.run_fresh(g, ids, opt);
   EXPECT_EQ(result.stats.dropped_messages, filter_calls_dropped);
   EXPECT_GT(result.stats.dropped_messages, 0u);
 }
@@ -112,17 +115,16 @@ TEST(Faults, TargetedDropSuppressesTheOnlyWitnessPath) {
   // pairs up; cut both candidates to be sure.
   const Graph g = graph::cycle(6);
   const IdAssignment ids = IdAssignment::identity(6);
-  EdgeDetectionOptions opt;
-  opt.detect.k = 6;
+  DetectorOptions opt;
+  opt.k = 6;
+  opt.edge = graph::Edge{0, 1};
   opt.drop = [](std::uint64_t, graph::Vertex from, graph::Vertex) {
     return from == 3 || from == 4;  // sever the far side both ways
   };
-  const auto result = detect_cycle_through_edge(g, ids, {0, 1}, opt);
-  EXPECT_FALSE(result.found);
+  EXPECT_TRUE(kChecker.run_fresh(g, ids, opt).accepted);
   // Sanity: without drops the same edge detects.
-  EdgeDetectionOptions clean;
-  clean.detect.k = 6;
-  EXPECT_TRUE(detect_cycle_through_edge(g, ids, {0, 1}, clean).found);
+  opt.drop = nullptr;
+  EXPECT_FALSE(kChecker.run_fresh(g, ids, opt).accepted);
 }
 
 }  // namespace

@@ -13,13 +13,15 @@ namespace {
 using graph::Graph;
 using graph::IdAssignment;
 
-TestVerdict run_tester(const Graph& g, const IdAssignment& ids, unsigned k, std::size_t reps,
-                       std::uint64_t seed = 1) {
-  TesterOptions opt;
+const Detector& kTester = DetectorRegistry::builtin().require("tester");
+
+Verdict run_tester(const Graph& g, const IdAssignment& ids, unsigned k, std::size_t reps,
+                   std::uint64_t seed = 1) {
+  DetectorOptions opt;
   opt.k = k;
   opt.repetitions = reps;
   opt.seed = seed;
-  return test_ck_freeness(g, ids, opt);
+  return kTester.run_fresh(g, ids, opt);
 }
 
 TEST(Tester, PureCycleAlwaysRejectedInOneRepetition) {
@@ -81,11 +83,11 @@ TEST(Tester, DetectsPlantedInstances) {
     // With certified ε ≈ 6/m, the recommended repetitions give >= 2/3
     // detection; with a fixed seed and this many cycles it is effectively
     // certain. Use the recommended count (repetitions = 0).
-    TesterOptions topt;
+    DetectorOptions topt;
     topt.k = k;
     topt.epsilon = inst.certified_epsilon();
     topt.seed = 11 * k;
-    const auto verdict = test_ck_freeness(inst.graph, ids, topt);
+    const auto verdict = kTester.run_fresh(inst.graph, ids, topt);
     EXPECT_FALSE(verdict.accepted) << "k=" << k;
     EXPECT_TRUE(graph::validate_cycle(inst.graph, verdict.witness));
   }
@@ -94,10 +96,10 @@ TEST(Tester, DetectsPlantedInstances) {
 TEST(Tester, RepetitionCountDefaultsToFormula) {
   const Graph g = graph::path(4);
   const IdAssignment ids = IdAssignment::identity(4);
-  TesterOptions opt;
+  DetectorOptions opt;
   opt.k = 5;
   opt.epsilon = 0.25;
-  const auto verdict = test_ck_freeness(g, ids, opt);
+  const auto verdict = kTester.run_fresh(g, ids, opt);
   EXPECT_EQ(verdict.repetitions, recommended_repetitions(0.25));
   EXPECT_TRUE(verdict.accepted);
 }
@@ -179,14 +181,14 @@ TEST(Tester, ParallelSimulationMatchesSerial) {
   util::Rng rng(10);
   const Graph g = graph::random_connected(60, 110, rng);
   const IdAssignment ids = IdAssignment::identity(60);
-  TesterOptions opt;
+  DetectorOptions opt;
   opt.k = 5;
   opt.repetitions = 8;
   opt.seed = 3;
-  const auto serial = test_ck_freeness(g, ids, opt);
+  const auto serial = kTester.run_fresh(g, ids, opt);
   util::ThreadPool pool(4);
   opt.pool = &pool;
-  const auto parallel = test_ck_freeness(g, ids, opt);
+  const auto parallel = kTester.run_fresh(g, ids, opt);
   EXPECT_EQ(serial.accepted, parallel.accepted);
   EXPECT_EQ(serial.rejecting_nodes, parallel.rejecting_nodes);
   EXPECT_EQ(serial.stats.total_bits, parallel.stats.total_bits);
@@ -210,7 +212,9 @@ TEST(Tester, PrioritySwitchesHappenOnDenseGraphs) {
   const auto verdict = run_tester(g, ids, 4, 6);
   // With 66 edges and 12 nodes, most nodes must discard or switch at least
   // once across 6 repetitions.
-  EXPECT_GT(verdict.total_discarded + verdict.total_switches, 0u);
+  EXPECT_GT(counter_value(kTester, verdict.counters, "discarded_total") +
+                counter_value(kTester, verdict.counters, "switches_total"),
+            0u);
 }
 
 TEST(Tester, HandlesDisconnectedGraphsAndIsolatedVertices) {
@@ -229,13 +233,13 @@ TEST(Tester, NaivePruningModeAgreesOnSmallGraphs) {
   util::Rng rng(13);
   const Graph g = graph::random_connected(20, 30, rng);
   const IdAssignment ids = IdAssignment::identity(20);
-  TesterOptions opt;
+  DetectorOptions opt;
   opt.k = 5;
   opt.repetitions = 6;
   opt.seed = 5;
-  const auto fast = test_ck_freeness(g, ids, opt);
-  opt.detect.pruning = PruningMode::kNaive;
-  const auto naive = test_ck_freeness(g, ids, opt);
+  const auto fast = kTester.run_fresh(g, ids, opt);
+  opt.pruning = PruningMode::kNaive;
+  const auto naive = kTester.run_fresh(g, ids, opt);
   EXPECT_EQ(fast.accepted, naive.accepted);
 }
 
@@ -243,11 +247,11 @@ TEST(Tester, FakeIdAblationStaysSoundOnFreeGraphs) {
   util::Rng rng(14);
   const Graph g = graph::ck_free_instance(graph::CkFreeFamily::kHighGirth, 7, 40, rng);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  TesterOptions opt;
+  DetectorOptions opt;
   opt.k = 7;
   opt.repetitions = 6;
-  opt.detect.fake_ids = false;
-  const auto verdict = test_ck_freeness(g, ids, opt);
+  opt.fake_ids = false;
+  const auto verdict = kTester.run_fresh(g, ids, opt);
   EXPECT_TRUE(verdict.accepted);  // dropping fake IDs can only lose detections
 }
 
@@ -256,24 +260,24 @@ TEST(Tester, FakeIdAblationMissesLongCycle) {
   // IDs, nothing propagates past round 2, and the cycle escapes.
   const Graph g = graph::cycle(9);
   const IdAssignment ids = IdAssignment::identity(9);
-  TesterOptions opt;
+  DetectorOptions opt;
   opt.k = 9;
   opt.repetitions = 3;
-  opt.detect.fake_ids = false;
-  const auto without = test_ck_freeness(g, ids, opt);
+  opt.fake_ids = false;
+  const auto without = kTester.run_fresh(g, ids, opt);
   EXPECT_TRUE(without.accepted);  // detection lost
 
-  opt.detect.fake_ids = true;
-  const auto with = test_ck_freeness(g, ids, opt);
+  opt.fake_ids = true;
+  const auto with = kTester.run_fresh(g, ids, opt);
   EXPECT_FALSE(with.accepted);  // restored
 }
 
 TEST(Tester, RejectsBadK) {
   const Graph g = graph::path(3);
   const IdAssignment ids = IdAssignment::identity(3);
-  TesterOptions opt;
+  DetectorOptions opt;
   opt.k = 2;
-  EXPECT_THROW((void)test_ck_freeness(g, ids, opt), util::CheckError);
+  EXPECT_THROW((void)kTester.run_fresh(g, ids, opt), util::CheckError);
 }
 
 TEST(Tester, MessageBoundInstrumentationPopulated) {

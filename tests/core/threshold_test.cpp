@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/tester.hpp"
 #include "core/threshold/budget.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/generators.hpp"
@@ -17,8 +16,15 @@ namespace {
 using graph::Graph;
 using graph::IdAssignment;
 
-ThresholdOptions unlimited(unsigned k, std::uint64_t seed) {
-  ThresholdOptions opt;
+const Detector& kThreshold = DetectorRegistry::builtin().require("threshold");
+
+/// The named threshold counter of \p v.
+std::uint64_t counter(const Verdict& v, std::string_view name) {
+  return counter_value(kThreshold, v.counters, name);
+}
+
+DetectorOptions unlimited(unsigned k, std::uint64_t seed) {
+  DetectorOptions opt;
   opt.k = k;
   opt.seed = seed;
   opt.budget = BudgetSchedule::none();
@@ -61,16 +67,16 @@ TEST(ThresholdTester, DetectsPlantedCyclesInOneSweep) {
   const auto inst = graph::planted_cycles_instance(popt, rng);
   const IdAssignment ids = IdAssignment::identity(inst.graph.num_vertices());
 
-  const ThresholdVerdict tv = test_ck_freeness_threshold(inst.graph, ids, unlimited(5, 7));
-  EXPECT_FALSE(tv.verdict.accepted);
-  EXPECT_GE(tv.verdict.rejecting_nodes, 1u);
-  ASSERT_EQ(tv.verdict.witness.size(), 5u);  // validated k-cycle
-  EXPECT_EQ(tv.verdict.repetitions, 1u);     // a single sweep suffices
-  EXPECT_FALSE(tv.verdict.truncated);
-  EXPECT_GT(tv.threshold.seeded_executions, 0u);
+  const Verdict tv = kThreshold.run_fresh(inst.graph, ids, unlimited(5, 7));
+  EXPECT_FALSE(tv.accepted);
+  EXPECT_GE(tv.rejecting_nodes, 1u);
+  ASSERT_EQ(tv.witness.size(), 5u);  // validated k-cycle
+  EXPECT_EQ(tv.repetitions, 1u);     // a single sweep suffices
+  EXPECT_FALSE(tv.truncated);
+  EXPECT_GT(counter(tv, "seeded_total"), 0u);
   // One sweep is ⌊k/2⌋+2 rounds plus the final delivery — two orders of
   // magnitude below the amplified tester.
-  EXPECT_LE(tv.verdict.stats.rounds_executed, 5u);
+  EXPECT_LE(tv.stats.rounds_executed, 5u);
 }
 
 TEST(ThresholdTester, SoundOnCkFreeFamilies) {
@@ -78,9 +84,9 @@ TEST(ThresholdTester, SoundOnCkFreeFamilies) {
   const Graph forest = graph::random_tree(40, rng);
   const IdAssignment ids = IdAssignment::identity(forest.num_vertices());
   for (const unsigned k : {4u, 5u, 6u}) {
-    const ThresholdVerdict tv = test_ck_freeness_threshold(forest, ids, unlimited(k, 3));
-    EXPECT_TRUE(tv.verdict.accepted) << "k=" << k;
-    EXPECT_TRUE(tv.verdict.witness.empty());
+    const Verdict tv = kThreshold.run_fresh(forest, ids, unlimited(k, 3));
+    EXPECT_TRUE(tv.accepted) << "k=" << k;
+    EXPECT_TRUE(tv.witness.empty());
   }
 }
 
@@ -94,9 +100,8 @@ TEST(ThresholdTester, UnlimitedBudgetsMatchExactOracle) {
     const IdAssignment ids = IdAssignment::identity(g.num_vertices());
     for (const unsigned k : {4u, 5u, 6u}) {
       const bool exact = graph::has_cycle(g, k);
-      const ThresholdVerdict tv =
-          test_ck_freeness_threshold(g, ids, unlimited(k, 100 + trial));
-      EXPECT_EQ(!tv.verdict.accepted, exact) << "trial=" << trial << " k=" << k;
+      const Verdict tv = kThreshold.run_fresh(g, ids, unlimited(k, 100 + trial));
+      EXPECT_EQ(!tv.accepted, exact) << "trial=" << trial << " k=" << k;
     }
   }
 }
@@ -105,20 +110,20 @@ TEST(ThresholdTester, TightThresholdsStaySoundAndCountTheSqueeze) {
   util::Rng rng(5);
   const Graph g = graph::erdos_renyi_gnm(24, 48, rng);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  ThresholdOptions opt;
+  DetectorOptions opt;
   opt.k = 5;
   opt.seed = 9;
   opt.budget = BudgetSchedule::constant(1);
   opt.max_tracked = 1;
-  const ThresholdVerdict tv = test_ck_freeness_threshold(g, ids, opt);
+  const Verdict tv = kThreshold.run_fresh(g, ids, opt);
   // The squeeze must be visible in the counters...
-  EXPECT_GT(tv.threshold.seed_capped + tv.threshold.evictions + tv.threshold.budget_truncated +
-                tv.threshold.discarded_sequences,
+  EXPECT_GT(counter(tv, "seed_capped_total") + counter(tv, "evictions_total") +
+                counter(tv, "budget_truncated_total") + counter(tv, "discarded_seqs_total"),
             0u);
-  EXPECT_EQ(tv.threshold.peak_tracked, 1u);
+  EXPECT_EQ(counter(tv, "peak_tracked"), 1u);
   // ...and a rejection under any squeeze still carries a validated witness.
-  if (!tv.verdict.accepted) {
-    EXPECT_EQ(tv.verdict.witness.size(), 5u);
+  if (!tv.accepted) {
+    EXPECT_EQ(tv.witness.size(), 5u);
     EXPECT_TRUE(graph::has_cycle(g, 5));
   }
 }
@@ -128,38 +133,14 @@ TEST(ThresholdTester, BudgetOnlyLosesDetectionsNeverFabricates) {
   // structural property (witness validation), not a budget property.
   const Graph g = graph::grid(5, 5);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  ThresholdOptions opt;
+  DetectorOptions opt;
   opt.k = 5;  // odd cycles cannot exist in a bipartite grid
   opt.budget = BudgetSchedule::parse("1,2");
   opt.max_tracked = 2;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     opt.seed = seed;
-    const ThresholdVerdict tv = test_ck_freeness_threshold(g, ids, opt);
-    EXPECT_TRUE(tv.verdict.accepted) << "seed=" << seed;
-  }
-}
-
-TEST(ThresholdTester, SimulatorReuseIsBitIdentical) {
-  util::Rng rng(77);
-  const Graph g = graph::erdos_renyi_gnm(20, 40, rng);
-  const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  ThresholdOptions opt;
-  opt.k = 5;
-  opt.seed = 31;
-
-  const ThresholdVerdict fresh = test_ck_freeness_threshold(g, ids, opt);
-  congest::Simulator sim(g, ids);
-  // Two consecutive reused runs: both must equal the fresh-build verdict.
-  for (int round = 0; round < 2; ++round) {
-    const ThresholdVerdict reused = test_ck_freeness_threshold(sim, opt);
-    EXPECT_EQ(reused.verdict.accepted, fresh.verdict.accepted);
-    EXPECT_EQ(reused.verdict.rejecting_nodes, fresh.verdict.rejecting_nodes);
-    EXPECT_EQ(reused.verdict.witness, fresh.verdict.witness);
-    EXPECT_EQ(reused.verdict.stats.total_messages, fresh.verdict.stats.total_messages);
-    EXPECT_EQ(reused.verdict.stats.total_bits, fresh.verdict.stats.total_bits);
-    EXPECT_EQ(reused.verdict.max_bundle_sequences, fresh.verdict.max_bundle_sequences);
-    EXPECT_EQ(reused.threshold.evictions, fresh.threshold.evictions);
-    EXPECT_EQ(reused.threshold.budget_truncated, fresh.threshold.budget_truncated);
+    const Verdict tv = kThreshold.run_fresh(g, ids, opt);
+    EXPECT_TRUE(tv.accepted) << "seed=" << seed;
   }
 }
 
@@ -170,39 +151,36 @@ TEST(ThresholdTester, TotalMessageLossSuppressesEverything) {
   popt.num_cycles = 3;
   const auto inst = graph::planted_cycles_instance(popt, rng);
   const IdAssignment ids = IdAssignment::identity(inst.graph.num_vertices());
-  ThresholdOptions opt = unlimited(4, 13);
+  DetectorOptions opt = unlimited(4, 13);
   opt.drop = [](std::uint64_t, graph::Vertex, graph::Vertex) { return true; };
-  const ThresholdVerdict tv = test_ck_freeness_threshold(inst.graph, ids, opt);
-  EXPECT_TRUE(tv.verdict.accepted);  // loss can only lose detections
-  EXPECT_GT(tv.verdict.stats.dropped_messages, 0u);
+  const Verdict tv = kThreshold.run_fresh(inst.graph, ids, opt);
+  EXPECT_TRUE(tv.accepted);  // loss can only lose detections
+  EXPECT_GT(tv.stats.dropped_messages, 0u);
 }
 
 TEST(ThresholdTester, MultiSweepReshufflesPriorities) {
   util::Rng rng(19);
   const Graph g = graph::erdos_renyi_gnm(16, 28, rng);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  ThresholdOptions opt;
+  DetectorOptions opt;
   opt.k = 4;
   opt.seed = 55;
-  opt.sweeps = 3;
+  opt.repetitions = 3;  // sweeps
   opt.budget = BudgetSchedule::constant(2);
   opt.max_tracked = 2;
-  const ThresholdVerdict tv = test_ck_freeness_threshold(g, ids, opt);
-  EXPECT_EQ(tv.verdict.repetitions, 3u);
-  EXPECT_FALSE(tv.verdict.truncated);
+  const Verdict tv = kThreshold.run_fresh(g, ids, opt);
+  EXPECT_EQ(tv.repetitions, 3u);
+  EXPECT_FALSE(tv.truncated);
   // Three sweeps seed three waves of executions.
-  EXPECT_GE(tv.threshold.seeded_executions, 3u * g.num_edges());
+  EXPECT_GE(counter(tv, "seeded_total"), 3u * g.num_edges());
 }
 
 TEST(ThresholdTester, RejectsBadParameters) {
   const Graph g = graph::cycle(6);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  ThresholdOptions opt;
+  DetectorOptions opt;
   opt.k = 2;
-  EXPECT_THROW((void)test_ck_freeness_threshold(g, ids, opt), util::CheckError);
-  opt.k = 4;
-  opt.sweeps = 0;
-  EXPECT_THROW((void)test_ck_freeness_threshold(g, ids, opt), util::CheckError);
+  EXPECT_THROW((void)kThreshold.run_fresh(g, ids, opt), util::CheckError);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cycle_detector.hpp"
+#include "core/detector.hpp"
 #include "graph/generators.hpp"
 
 namespace decycle::core {
@@ -11,15 +11,18 @@ namespace {
 using graph::Graph;
 using graph::IdAssignment;
 
-EdgeDetectionResult traced_run(const Graph& g, unsigned k, graph::Edge e, TraceSink& sink,
-                               PruningMode mode = PruningMode::kRepresentative,
-                               std::size_t naive_cap = 1u << 18) {
-  EdgeDetectionOptions opt;
-  opt.detect.k = k;
-  opt.detect.trace = &sink;
-  opt.detect.pruning = mode;
-  opt.detect.naive_cap = naive_cap;
-  return detect_cycle_through_edge(g, IdAssignment::identity(g.num_vertices()), e, opt);
+const Detector& kChecker = DetectorRegistry::builtin().require("edge_checker");
+
+Verdict traced_run(const Graph& g, unsigned k, graph::Edge e, TraceSink& sink,
+                   PruningMode mode = PruningMode::kRepresentative,
+                   std::size_t naive_cap = 1u << 18) {
+  DetectorOptions opt;
+  opt.k = k;
+  opt.edge = e;
+  opt.trace = &sink;
+  opt.pruning = mode;
+  opt.naive_cap = naive_cap;
+  return kChecker.run_fresh(g, IdAssignment::identity(g.num_vertices()), opt);
 }
 
 TEST(Trace, SeedsRecordedForBothEndpoints) {
@@ -34,7 +37,7 @@ TEST(Trace, SeedsRecordedForBothEndpoints) {
 TEST(Trace, RejectEventCarriesWitness) {
   TraceSink sink;
   const auto result = traced_run(graph::cycle(6), 6, {0, 1}, sink);
-  ASSERT_TRUE(result.found);
+  ASSERT_FALSE(result.accepted);
   // Both endpoints of the antipodal edge detect independently for even k.
   EXPECT_GE(sink.count(TraceEvent::Kind::kReject), 1u);
   EXPECT_LE(sink.count(TraceEvent::Kind::kReject), 2u);
@@ -66,7 +69,7 @@ TEST(Trace, SingleChoiceForwardingRecordsDrops) {
   }
   TraceSink sink;
   const auto result = traced_run(b.build(), 5, {0, 1}, sink, PruningMode::kNaive, 1);
-  EXPECT_FALSE(result.found);
+  EXPECT_TRUE(result.accepted);
   EXPECT_GE(sink.count(TraceEvent::Kind::kDrop), 2u);
 }
 
@@ -110,18 +113,19 @@ TEST(Trace, ClearEmptiesSink) {
 TEST(Trace, ParallelSteppingProducesSameEventMultiset) {
   const Graph g = graph::complete_bipartite(8, 8);
   TraceSink serial_sink;
-  EdgeDetectionOptions opt;
-  opt.detect.k = 6;
-  opt.detect.trace = &serial_sink;
+  DetectorOptions opt;
+  opt.k = 6;
+  opt.edge = g.edge(0);
+  opt.trace = &serial_sink;
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  (void)detect_cycle_through_edge(g, ids, g.edge(0), opt);
+  (void)kChecker.run_fresh(g, ids, opt);
 
   TraceSink parallel_sink;
   util::ThreadPool pool(4);
-  EdgeDetectionOptions popt = opt;
-  popt.detect.trace = &parallel_sink;
+  DetectorOptions popt = opt;
+  popt.trace = &parallel_sink;
   popt.pool = &pool;
-  (void)detect_cycle_through_edge(g, ids, g.edge(0), popt);
+  (void)kChecker.run_fresh(g, ids, popt);
 
   const auto a = serial_sink.events();
   const auto b = parallel_sink.events();

@@ -2,8 +2,8 @@
 ///
 /// The contract under test: run_batch returns verdicts in submission order,
 /// bit-identical to one-at-a-time execution on fresh simulators (run_fresh)
-/// for any thread count, any cost weighting, and with the session cache on
-/// or off. Plus the serial typed-counter reduction (reduce_counters) and
+/// for any thread count, any cost weighting, and any session-cache
+/// capacity. Plus the serial typed-counter reduction (reduce_counters) and
 /// the capability gates.
 #include <gtest/gtest.h>
 
@@ -89,14 +89,16 @@ TEST(DetectionEngine, ByteIdenticalAcrossThreadCountsWeightsAndCaching) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_TRUE(verdicts_equal(got[i], baseline[i])) << "weighted, query " << i;
   }
-  // Cache off: every query on a fresh build — same bytes (the reuse
-  // contract read backwards).
-  const DetectionEngine uncached{EngineOptions{.pool = nullptr, .cache_sessions = false}};
-  const std::vector<core::Verdict> cold = uncached.run_batch(g, queries);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_TRUE(verdicts_equal(cold[i], baseline[i])) << "uncached, query " << i;
+  // Capacity 0 caches nothing: every batch starts on a cold build — same
+  // bytes (the reuse contract read backwards).
+  const DetectionEngine uncached{EngineOptions{.pool = &pool, .session_capacity = 0}};
+  for (int batch = 0; batch < 2; ++batch) {
+    const std::vector<core::Verdict> cold = uncached.run_batch(g, queries);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_TRUE(verdicts_equal(cold[i], baseline[i])) << "uncached, query " << i;
+    }
   }
-  EXPECT_EQ(uncached.session_stats().misses, 0u);  // the cache was never consulted
+  EXPECT_EQ(uncached.session_stats().hits, 0u);
 }
 
 TEST(DetectionEngine, HomogeneousBatchLeasesOncePerLane) {
@@ -118,7 +120,7 @@ TEST(DetectionEngine, RunOneAndRunUncachedAgree) {
   Query q = tester_batch(tester, 1, 123)[0];
   const DetectionEngine eng;
   const core::Verdict a = eng.run_one(g, q);
-  const core::Verdict b = DetectionEngine::run_uncached(g->graph, g->ids, q);
+  const core::Verdict b = tester.run_fresh(g->graph, g->ids, q.options);
   EXPECT_TRUE(verdicts_equal(a, b));
 }
 

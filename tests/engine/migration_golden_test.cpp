@@ -3,10 +3,10 @@
 ///
 /// These are the same documents nightly CI diffs through the CLIs
 /// (ci/run_nightly_matrix.sh, decycle_soak) — regenerated here in-process so
-/// the refactor onto DetectionEngine/SessionPool is gated by `ctest` alone,
-/// at 1/3/8 threads and with simulator reuse on and off. Any divergence in
-/// lane partitioning, session reuse, or seed derivation shows up as a byte
-/// diff against ci/golden/.
+/// the engine-backed runners are gated by `ctest` alone, at 1/3/8 threads,
+/// with sessions shared across cells and with every cell on its own fresh
+/// sessions. Any divergence in lane partitioning, session reuse, or seed
+/// derivation shows up as a byte diff against ci/golden/.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -63,15 +63,23 @@ lab::ScenarioSpec nightly_spec() {
   });
 }
 
-std::string run_nightly(std::size_t threads, bool reuse) {
+/// \p runner_per_cell runs every cell on its own LabRunner, so no cell
+/// sees a session that a sibling cell on the same topology warmed.
+std::string run_nightly(std::size_t threads, bool runner_per_cell) {
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
   lab::LabOptions opts;
   opts.pool = pool.get();
-  opts.reuse_simulators = reuse;
-  const lab::LabRunner runner(opts);
   const lab::ScenarioSpec spec = nightly_spec();
-  const std::vector<lab::CellResult> results = runner.run_matrix(spec.expand());
+  const std::vector<lab::ScenarioCell> cells = spec.expand();
+  std::vector<lab::CellResult> results;
+  if (runner_per_cell) {
+    for (const lab::ScenarioCell& cell : cells) {
+      results.push_back(lab::LabRunner(opts).run_cell(cell));
+    }
+  } else {
+    results = lab::LabRunner(opts).run_matrix(cells);
+  }
   return lab::matrix_jsonl(spec, results, /*include_timing=*/false);
 }
 
@@ -88,13 +96,13 @@ class NightlyGolden : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(NightlyGolden, ByteIdenticalWithSessionReuse) {
   const std::string golden = read_file(DECYCLE_REPO_DIR "/ci/golden/nightly_matrix.jsonl");
-  const std::string got = run_nightly(GetParam(), /*reuse=*/true);
+  const std::string got = run_nightly(GetParam(), /*runner_per_cell=*/false);
   EXPECT_EQ(got, golden) << first_diff(got, golden);
 }
 
 TEST_P(NightlyGolden, ByteIdenticalWithFreshSimulators) {
   const std::string golden = read_file(DECYCLE_REPO_DIR "/ci/golden/nightly_matrix.jsonl");
-  const std::string got = run_nightly(GetParam(), /*reuse=*/false);
+  const std::string got = run_nightly(GetParam(), /*runner_per_cell=*/true);
   EXPECT_EQ(got, golden) << first_diff(got, golden);
 }
 

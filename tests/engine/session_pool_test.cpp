@@ -48,11 +48,9 @@ TEST(SessionPool, DistinctKeysNeverShareSessions) {
   SessionPool pool(8);
   const PinnedGraphPtr g = pinned_ring(12);
   { (void)pool.lease(g, congest::CommModel::congest()); }
-  // Different model and different delivery are different keys: all misses.
+  // Different models are different keys: all misses.
   { (void)pool.lease(g, congest::CommModel::clique()); }
-  {
-    (void)pool.lease(g, congest::CommModel::congest(), congest::DeliveryMode::kLegacy);
-  }
+  { (void)pool.lease(g, congest::CommModel::broadcast()); }
   const SessionStats s = pool.stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 3u);

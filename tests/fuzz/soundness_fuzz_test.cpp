@@ -13,9 +13,7 @@
 /// enumerate (odd combinations of modes, drops, shuffled IDs).
 #include <gtest/gtest.h>
 
-#include "core/cycle_detector.hpp"
 #include "core/detector.hpp"
-#include "core/tester.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
 #include "util/rng.hpp"
@@ -25,6 +23,8 @@ namespace {
 
 using graph::Graph;
 using graph::IdAssignment;
+
+const core::Detector& kTester = core::DetectorRegistry::builtin().require("tester");
 
 Graph random_instance(util::Rng& rng) {
   const auto shape = rng.next_below(5);
@@ -55,13 +55,13 @@ TEST(SoundnessFuzz, TesterNeverFabricatesCycles) {
     const IdAssignment ids = random_ids(g, rng);
     const auto k = static_cast<unsigned>(3 + rng.next_below(6));
 
-    core::TesterOptions opt;
+    core::DetectorOptions opt;
     opt.k = k;
     opt.repetitions = 1 + rng.next_below(4);
     opt.seed = rng();
-    opt.detect.pruning = rng.next_bool(0.2) ? core::PruningMode::kNaive
-                                            : core::PruningMode::kRepresentative;
-    opt.detect.fake_ids = !rng.next_bool(0.2);
+    opt.pruning =
+        rng.next_bool(0.2) ? core::PruningMode::kNaive : core::PruningMode::kRepresentative;
+    opt.fake_ids = !rng.next_bool(0.2);
     if (rng.next_bool(0.3)) {
       const std::uint64_t drop_seed = rng();
       opt.drop = [drop_seed](std::uint64_t round, graph::Vertex from, graph::Vertex to) {
@@ -72,7 +72,7 @@ TEST(SoundnessFuzz, TesterNeverFabricatesCycles) {
       };
     }
     // validate_witnesses is on by default: a fabricated cycle would throw.
-    const auto verdict = core::test_ck_freeness(g, ids, opt);
+    const auto verdict = kTester.run_fresh(g, ids, opt);
     if (!verdict.accepted) {
       EXPECT_TRUE(graph::has_cycle(g, k))
           << "trial=" << trial << " k=" << k << ": tester rejected a Ck-free graph";
@@ -90,10 +90,12 @@ TEST(SoundnessFuzz, EdgeCheckerExactInRepresentativeMode) {
     // Probe a handful of random edges per instance.
     for (int probe = 0; probe < 5; ++probe) {
       const auto e = g.edge(static_cast<graph::EdgeId>(rng.next_below(g.num_edges())));
-      core::EdgeDetectionOptions opt;
-      opt.detect.k = k;
-      const auto result = core::detect_cycle_through_edge(g, ids, e, opt);
-      EXPECT_EQ(result.found, graph::has_cycle_through_edge(g, k, e.first, e.second))
+      core::DetectorOptions opt;
+      opt.k = k;
+      opt.edge = e;
+      const auto result =
+          core::DetectorRegistry::builtin().require("edge_checker").run_fresh(g, ids, opt);
+      EXPECT_EQ(!result.accepted, graph::has_cycle_through_edge(g, k, e.first, e.second))
           << "trial=" << trial << " k=" << k << " edge=(" << e.first << "," << e.second << ")";
     }
   }
@@ -160,15 +162,15 @@ TEST(SoundnessFuzz, AblationsOnlyLoseDetections) {
     const Graph g = random_instance(rng);
     const IdAssignment ids = IdAssignment::identity(g.num_vertices());
     const auto k = static_cast<unsigned>(3 + rng.next_below(5));
-    core::TesterOptions pristine;
+    core::DetectorOptions pristine;
     pristine.k = k;
     pristine.repetitions = 2;
     pristine.seed = 42 + static_cast<std::uint64_t>(trial);
-    const bool pristine_rejects = !core::test_ck_freeness(g, ids, pristine).accepted;
+    const bool pristine_rejects = !kTester.run_fresh(g, ids, pristine).accepted;
 
-    core::TesterOptions degraded = pristine;
-    degraded.detect.fake_ids = false;
-    const bool degraded_rejects = !core::test_ck_freeness(g, ids, degraded).accepted;
+    core::DetectorOptions degraded = pristine;
+    degraded.fake_ids = false;
+    const bool degraded_rejects = !kTester.run_fresh(g, ids, degraded).accepted;
     if (degraded_rejects) {
       EXPECT_TRUE(pristine_rejects || graph::has_cycle(g, k)) << "trial=" << trial;
       // (Either way the rejection must be genuine; has_cycle re-checks.)

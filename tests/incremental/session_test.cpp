@@ -93,8 +93,8 @@ TEST(IncrementalSession, RunBatchEqualsAFreshRunOnTheSameGraph) {
   }
   const engine::Query q = exact_threshold_query(4);
   const std::vector<core::Verdict> bridged = session.run_batch({&q, 1});
-  const core::Verdict fresh = engine::DetectionEngine::run_uncached(
-      graph::Graph::from_edges(spec.n, edges), graph::IdAssignment::identity(spec.n), q);
+  const core::Verdict fresh = q.detector->run_fresh(
+      graph::Graph::from_edges(spec.n, edges), graph::IdAssignment::identity(spec.n), q.options);
   ASSERT_EQ(bridged.size(), 1u);
   EXPECT_EQ(bridged[0].accepted, fresh.accepted);
   EXPECT_EQ(bridged[0].counters, fresh.counters);

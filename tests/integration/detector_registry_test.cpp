@@ -3,11 +3,13 @@
 /// Detector interface and cross-checked against the exact DFS oracle on
 /// instances where its behaviour is (near-)deterministic. This generalizes
 /// the pairwise cross-tests: an algorithm added to the registry is pulled
-/// into the agreement harness automatically.
+/// into the agreement harness — and the reuse contract — automatically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/detector.hpp"
 #include "graph/far_generators.hpp"
@@ -175,6 +177,91 @@ TEST(DetectorRegistryCross, EdgeCheckerHonorsAnExplicitTargetEdge) {
         << "edge " << u << "-" << v;
   }
 }
+
+/// The reuse contract every session cache relies on, registry-wide: a
+/// detector's run() on a simulator that has just run every other detector
+/// compatible with its model (other seeds, other k) equals run_fresh field
+/// for field — verdict, witness, repetitions, flags, RunStats and counters.
+/// Sessions carry no detector in their key, so the daemon and the lab hand
+/// one detector's simulator to another all the time.
+class ReuseContract : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+DetectorOptions reuse_options(const Detector& d, std::uint64_t seed, bool drops) {
+  DetectorOptions opt;
+  opt.k = supported_k(d);
+  opt.seed = seed;
+  opt.repetitions = 3;
+  opt.budget = core::threshold::BudgetSchedule::constant(4);
+  opt.max_tracked = 2;
+  if (drops) {
+    // A stateless ~20% coin per (round, from, to), as the drop contract asks.
+    opt.drop = [seed](std::uint64_t round, graph::Vertex from, graph::Vertex to) {
+      const std::uint64_t h = util::splitmix64(round * 1000003 + from * 1009 + to);
+      return util::splitmix64(seed ^ h) % 5 == 0;
+    };
+  }
+  return opt;
+}
+
+void expect_same_verdict(const Verdict& a, const Verdict& b) {
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.rejecting_nodes, b.rejecting_nodes);
+  EXPECT_EQ(a.witness, b.witness);
+  EXPECT_EQ(a.repetitions, b.repetitions);
+  EXPECT_EQ(a.overflow, b.overflow);
+  EXPECT_EQ(a.truncated, b.truncated);
+  EXPECT_EQ(a.max_bundle_sequences, b.max_bundle_sequences);
+  EXPECT_EQ(a.stats.rounds_executed, b.stats.rounds_executed);
+  EXPECT_EQ(a.stats.total_messages, b.stats.total_messages);
+  EXPECT_EQ(a.stats.total_bits, b.stats.total_bits);
+  EXPECT_EQ(a.stats.max_link_bits, b.stats.max_link_bits);
+  EXPECT_EQ(a.stats.max_active_nodes, b.stats.max_active_nodes);
+  EXPECT_EQ(a.stats.dropped_messages, b.stats.dropped_messages);
+  EXPECT_EQ(a.stats.halted, b.stats.halted);
+  EXPECT_EQ(a.counters, b.counters);
+}
+
+TEST_P(ReuseContract, RunOnAUsedSimulatorEqualsRunFresh) {
+  const auto& [name, drops] = GetParam();
+  const DetectorRegistry& registry = DetectorRegistry::builtin();
+  const Detector& det = registry.require(name);
+  const congest::CommModel& model = core::default_comm_model(det.capabilities());
+
+  util::Rng rng(0x5E55);
+  graph::PlantedOptions popt;
+  popt.k = supported_k(det);
+  popt.num_cycles = 4;
+  popt.padding_leaves = 12;
+  const graph::FarInstance inst = graph::planted_cycles_instance(popt, rng);
+  const graph::IdAssignment ids = graph::IdAssignment::shuffled(inst.graph.num_vertices(), rng);
+
+  congest::Simulator sim(inst.graph, ids, model);
+  std::uint64_t other_seed = 100;
+  for (const Detector* other : registry.detectors()) {
+    if (other == &det || !core::supports_model(other->capabilities(), model.kind())) continue;
+    (void)other->run(sim, reuse_options(*other, other_seed++, drops));
+  }
+  const DetectorOptions opt = reuse_options(det, 7, drops);
+  const Verdict reused = det.run(sim, opt);
+  const Verdict fresh = det.run_fresh(inst.graph, ids, opt);
+  expect_same_verdict(reused, fresh);
+  // And once more on the same simulator, now dirtied by this detector too.
+  expect_same_verdict(det.run(sim, opt), fresh);
+}
+
+std::vector<std::string> builtin_names() {
+  std::vector<std::string> out;
+  for (const Detector* d : DetectorRegistry::builtin().detectors()) out.emplace_back(d->name());
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, ReuseContract,
+                         ::testing::Combine(::testing::ValuesIn(builtin_names()),
+                                            ::testing::Bool()),
+                         [](const auto& info) {
+                           return std::get<0>(info.param) +
+                                  (std::get<1>(info.param) ? "_drops" : "_lossless");
+                         });
 
 }  // namespace
 }  // namespace decycle

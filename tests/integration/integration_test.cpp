@@ -3,8 +3,7 @@
 /// larger than the per-module unit tests use.
 #include <gtest/gtest.h>
 
-#include "baselines/color_coding.hpp"
-#include "core/tester.hpp"
+#include "core/detector.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/generators.hpp"
 #include "graph/packing.hpp"
@@ -17,6 +16,8 @@ namespace {
 
 using graph::Graph;
 using graph::IdAssignment;
+
+const core::Detector& kTester = core::DetectorRegistry::builtin().require("tester");
 
 TEST(Integration, FullTesterPipelineOnNoisyFarInstance) {
   util::Rng rng(1);
@@ -32,18 +33,22 @@ TEST(Integration, FullTesterPipelineOnNoisyFarInstance) {
   EXPECT_GE(packing.size(), inst.planted.size());
 
   const IdAssignment ids = IdAssignment::random_quadratic(inst.graph.num_vertices(), rng);
-  core::TesterOptions topt;
+  core::DetectorOptions topt;
   topt.k = 5;
   topt.epsilon = inst.certified_epsilon();
   topt.seed = 77;
-  const auto verdict = core::test_ck_freeness(inst.graph, ids, topt);
+  const auto verdict = kTester.run_fresh(inst.graph, ids, topt);
   EXPECT_FALSE(verdict.accepted);
   EXPECT_TRUE(graph::validate_cycle(inst.graph, verdict.witness));
 
   // The distributed witness is corroborated by the centralized baseline.
-  baselines::ColorCodingOptions copt;
-  copt.iterations = 300;
-  EXPECT_TRUE(baselines::find_cycle_color_coding(inst.graph, 5, copt).found);
+  core::DetectorOptions copt;
+  copt.k = 5;
+  copt.repetitions = 300;
+  EXPECT_FALSE(core::DetectorRegistry::builtin()
+                   .require("color_coding")
+                   .run_fresh(inst.graph, ids, copt)
+                   .accepted);
 }
 
 TEST(Integration, DetectionRateClearsTwoThirdsOnFarInstance) {
@@ -61,11 +66,11 @@ TEST(Integration, DetectionRateClearsTwoThirdsOnFarInstance) {
   util::ThreadPool pool(4);
   const auto estimate = harness::estimate_rate(
       [&](std::size_t, std::uint64_t seed) {
-        core::TesterOptions topt;
+        core::DetectorOptions topt;
         topt.k = 4;
         topt.epsilon = eps;
         topt.seed = seed;
-        return !core::test_ck_freeness(inst.graph, ids, topt).accepted;
+        return !kTester.run_fresh(inst.graph, ids, topt).accepted;
       },
       60, 123, &pool);
   EXPECT_GE(estimate.interval.high, 2.0 / 3.0);
@@ -81,11 +86,11 @@ TEST(Integration, SoundnessSweepAcrossFamiliesAndIds) {
         const IdAssignment ids = idmode == 0
                                      ? IdAssignment::identity(g.num_vertices())
                                      : IdAssignment::shuffled(g.num_vertices(), rng);
-        core::TesterOptions topt;
+        core::DetectorOptions topt;
         topt.k = k;
         topt.repetitions = 5;
         topt.seed = 17 * k + static_cast<std::uint64_t>(idmode);
-        const auto verdict = core::test_ck_freeness(g, ids, topt);
+        const auto verdict = kTester.run_fresh(g, ids, topt);
         EXPECT_TRUE(verdict.accepted)
             << graph::family_name(family) << " k=" << k << " idmode=" << idmode;
       }
@@ -97,11 +102,11 @@ TEST(Integration, LayeredHardInstanceDetectedDespiteDensity) {
   util::Rng rng(4);
   const auto inst = graph::layered_instance(5, 13, 4, rng);
   const IdAssignment ids = IdAssignment::identity(inst.graph.num_vertices());
-  core::TesterOptions topt;
+  core::DetectorOptions topt;
   topt.k = 5;
   topt.repetitions = 8;  // every edge lies on a planted C5: one hit suffices
   topt.seed = 5;
-  const auto verdict = core::test_ck_freeness(inst.graph, ids, topt);
+  const auto verdict = kTester.run_fresh(inst.graph, ids, topt);
   EXPECT_FALSE(verdict.accepted);
   EXPECT_TRUE(graph::validate_cycle(inst.graph, verdict.witness));
   EXPECT_FALSE(verdict.overflow);
@@ -112,11 +117,11 @@ TEST(Integration, LargerSparseGraphRunsFast) {
   util::Rng rng(6);
   const Graph g = graph::random_connected(5000, 6000, rng);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  core::TesterOptions topt;
+  core::DetectorOptions topt;
   topt.k = 5;
   topt.repetitions = 3;
   topt.seed = 9;
-  const auto verdict = core::test_ck_freeness(g, ids, topt);
+  const auto verdict = kTester.run_fresh(g, ids, topt);
   // Whatever the verdict, it must be internally consistent and validated.
   if (!verdict.accepted) {
     EXPECT_TRUE(graph::validate_cycle(g, verdict.witness));

@@ -4,7 +4,7 @@
 /// triangulation the individual unit tests cannot provide.
 #include <gtest/gtest.h>
 
-#include "baselines/color_coding.hpp"
+#include "core/detector.hpp"
 #include "core/scan.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
@@ -29,15 +29,18 @@ TEST(OracleCross, ThreeWayAgreementOnRandomGraphs) {
               .found;
       EXPECT_EQ(distributed, exact) << "trial=" << trial << " k=" << k;
 
-      baselines::ColorCodingOptions copt;
-      copt.iterations = exact ? 600 : 40;
+      core::DetectorOptions copt;
+      copt.k = k;
+      copt.repetitions = exact ? 600 : 40;
       copt.seed = 17 * static_cast<std::uint64_t>(trial) + k;
-      const auto cc = baselines::find_cycle_color_coding(g, k, copt);
+      const core::Verdict cc =
+          core::DetectorRegistry::builtin().require("color_coding").run_fresh(
+              g, graph::IdAssignment::identity(g.num_vertices()), copt);
       if (exact) {
-        EXPECT_TRUE(cc.found) << "color coding missed (p_fail < 1e-4): trial=" << trial
-                              << " k=" << k;
+        EXPECT_FALSE(cc.accepted) << "color coding missed (p_fail < 1e-4): trial=" << trial
+                                  << " k=" << k;
       } else {
-        EXPECT_FALSE(cc.found) << "color coding fabricated a cycle";
+        EXPECT_TRUE(cc.accepted) << "color coding fabricated a cycle";
       }
     }
   }

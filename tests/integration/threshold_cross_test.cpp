@@ -9,8 +9,7 @@
 
 #include <string>
 
-#include "core/tester.hpp"
-#include "core/threshold/threshold_tester.hpp"
+#include "core/detector.hpp"
 #include "graph/ids.hpp"
 #include "graph/subgraph.hpp"
 #include "lab/scenario.hpp"
@@ -20,6 +19,9 @@ namespace decycle {
 namespace {
 
 constexpr unsigned kK = 5;
+
+const core::Detector& kTester = core::DetectorRegistry::builtin().require("tester");
+const core::Detector& kThreshold = core::DetectorRegistry::builtin().require("threshold");
 
 /// A buildable size parameter per family, small enough that the exact DFS
 /// oracle and a full FO17 run stay cheap.
@@ -64,17 +66,17 @@ TEST(ThresholdCross, ExhaustiveRegimeMatchesOracleOnEveryRegistryFamily) {
       EXPECT_TRUE(exact) << info.name;
     }
 
-    core::threshold::ThresholdOptions topt;
+    core::DetectorOptions topt;
     topt.k = kK;
     topt.seed = 17;
     topt.budget = core::threshold::BudgetSchedule::none();
     topt.max_tracked = 0;
-    const auto tv = core::threshold::test_ck_freeness_threshold(c.topo.graph, c.ids, topt);
-    EXPECT_EQ(!tv.verdict.accepted, exact) << "family=" << info.name;
-    if (!tv.verdict.accepted) {
-      EXPECT_EQ(tv.verdict.witness.size(), kK) << info.name;  // validated witness
+    const auto tv = kThreshold.run_fresh(c.topo.graph, c.ids, topt);
+    EXPECT_EQ(!tv.accepted, exact) << "family=" << info.name;
+    if (!tv.accepted) {
+      EXPECT_EQ(tv.witness.size(), kK) << info.name;  // validated witness
     }
-    EXPECT_FALSE(tv.verdict.truncated) << info.name;
+    EXPECT_FALSE(tv.truncated) << info.name;
   }
 }
 
@@ -82,28 +84,28 @@ TEST(ThresholdCross, AgreesWithFo17TesterSoundness) {
   for (const lab::FamilyInfo& info : lab::known_families()) {
     const BuiltCase c = build_case(info.name);
 
-    core::TesterOptions fopt;
+    core::DetectorOptions fopt;
     fopt.k = kK;
     fopt.epsilon = 0.125;
     fopt.seed = 23;
-    const core::TestVerdict fo = core::test_ck_freeness(c.topo.graph, c.ids, fopt);
+    const core::Verdict fo = kTester.run_fresh(c.topo.graph, c.ids, fopt);
 
-    core::threshold::ThresholdOptions topt;
+    core::DetectorOptions topt;
     topt.k = kK;
     topt.seed = 23;
     topt.budget = core::threshold::BudgetSchedule::none();
     topt.max_tracked = 0;
-    const auto tv = core::threshold::test_ck_freeness_threshold(c.topo.graph, c.ids, topt);
+    const auto tv = kThreshold.run_fresh(c.topo.graph, c.ids, topt);
 
     // Neither algorithm may reject a provably Ck-free instance...
     if (c.topo.truth == lab::GroundTruth::kCkFree) {
       EXPECT_TRUE(fo.accepted) << info.name;
-      EXPECT_TRUE(tv.verdict.accepted) << info.name;
+      EXPECT_TRUE(tv.accepted) << info.name;
     }
     // ...and whenever the amplified tester finds a cycle (its witness is
     // validated, so one exists), the exhaustive threshold sweep must too.
     if (!fo.accepted) {
-      EXPECT_FALSE(tv.verdict.accepted) << "family=" << info.name;
+      EXPECT_FALSE(tv.accepted) << "family=" << info.name;
     }
   }
 }
@@ -112,15 +114,15 @@ TEST(ThresholdCross, FiniteThresholdsNeverRejectCkFreeFamilies) {
   for (const lab::FamilyInfo& info : lab::known_families()) {
     const BuiltCase c = build_case(info.name);
     if (c.topo.truth != lab::GroundTruth::kCkFree) continue;
-    core::threshold::ThresholdOptions topt;
+    core::DetectorOptions topt;
     topt.k = kK;
     topt.budget = core::threshold::BudgetSchedule::parse("2");
     topt.max_tracked = 2;
-    topt.sweeps = 2;
+    topt.repetitions = 2;  // sweeps
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       topt.seed = seed;
-      const auto tv = core::threshold::test_ck_freeness_threshold(c.topo.graph, c.ids, topt);
-      EXPECT_TRUE(tv.verdict.accepted) << "family=" << info.name << " seed=" << seed;
+      const auto tv = kThreshold.run_fresh(c.topo.graph, c.ids, topt);
+      EXPECT_TRUE(tv.accepted) << "family=" << info.name << " seed=" << seed;
     }
   }
 }

@@ -13,12 +13,10 @@
 namespace decycle::lab {
 namespace {
 
-std::string run_matrix_jsonl(const std::vector<std::string>& tokens, util::ThreadPool* pool,
-                             bool reuse) {
+std::string run_matrix_jsonl(const std::vector<std::string>& tokens, util::ThreadPool* pool) {
   const ScenarioSpec spec = ScenarioSpec::parse_tokens(tokens);
   LabOptions opts;
   opts.pool = pool;
-  opts.reuse_simulators = reuse;
   const LabRunner runner(opts);
   const auto results = runner.run_matrix(spec.expand());
   return matrix_jsonl(spec, results, /*include_timing=*/false);
@@ -33,21 +31,19 @@ const std::vector<std::string> kMatrix = {
     "algo=tester,edge_checker,threshold,color_coding", "adversary=none,uniform:0.3"};
 
 /// The lab determinism contract: byte-identical JSON for the same matrix at
-/// 1 and 8 threads, and with simulator reuse on or off.
+/// 1, 3 and 8 threads — lane counts change which trials share a reused
+/// simulator, never the bytes.
 TEST(LabRunner, ByteIdenticalAcrossThreadsAndReuse) {
-  const std::string serial = run_matrix_jsonl(kMatrix, nullptr, true);
+  const std::string serial = run_matrix_jsonl(kMatrix, nullptr);
   util::ThreadPool pool8(8);
-  EXPECT_EQ(serial, run_matrix_jsonl(kMatrix, &pool8, true)) << "8 threads changed the bytes";
-  EXPECT_EQ(serial, run_matrix_jsonl(kMatrix, &pool8, false))
-      << "disabling Simulator reuse changed the bytes";
+  EXPECT_EQ(serial, run_matrix_jsonl(kMatrix, &pool8)) << "8 threads changed the bytes";
   util::ThreadPool pool3(3);
-  EXPECT_EQ(serial, run_matrix_jsonl(kMatrix, &pool3, true)) << "3 threads changed the bytes";
+  EXPECT_EQ(serial, run_matrix_jsonl(kMatrix, &pool3)) << "3 threads changed the bytes";
 }
 
 /// Registry dispatch determinism for the baseline algorithms at their fixed
-/// k: the same 1/3/8-thread and reuse-on/off byte-identity contract the
-/// core algorithms honor — c4 and triangle additionally exercise the
-/// Simulator&-reset overloads the registry routes them through.
+/// k: the same 1/3/8-thread byte-identity contract the core algorithms
+/// honor, with c4 and triangle resetting the lanes' reused simulators.
 TEST(LabRunner, BaselineAlgosByteIdenticalAcrossThreadsAndReuse) {
   const std::vector<std::vector<std::string>> matrices = {
       {"family=planted,ckfree_highgirth", "k=4", "n=20", "trials=10", "seed=44",
@@ -58,11 +54,9 @@ TEST(LabRunner, BaselineAlgosByteIdenticalAcrossThreadsAndReuse) {
   util::ThreadPool pool8(8);
   util::ThreadPool pool3(3);
   for (const auto& tokens : matrices) {
-    const std::string serial = run_matrix_jsonl(tokens, nullptr, true);
-    EXPECT_EQ(serial, run_matrix_jsonl(tokens, &pool8, true)) << "8 threads changed the bytes";
-    EXPECT_EQ(serial, run_matrix_jsonl(tokens, &pool8, false))
-        << "disabling Simulator reuse changed the bytes";
-    EXPECT_EQ(serial, run_matrix_jsonl(tokens, &pool3, true)) << "3 threads changed the bytes";
+    const std::string serial = run_matrix_jsonl(tokens, nullptr);
+    EXPECT_EQ(serial, run_matrix_jsonl(tokens, &pool8)) << "8 threads changed the bytes";
+    EXPECT_EQ(serial, run_matrix_jsonl(tokens, &pool3)) << "3 threads changed the bytes";
   }
 }
 
@@ -102,12 +96,10 @@ TEST(LabRunner, CliqueModelCellsRunExactAndTagTheModelColumn) {
   const std::vector<std::string> tokens = {
       "family=planted,ckfree_highgirth", "k=5", "n=24", "trials=6", "seed=12",
       "model=clique", "algo=clique_hcycle"};
-  const std::string serial = run_matrix_jsonl(tokens, nullptr, true);
+  const std::string serial = run_matrix_jsonl(tokens, nullptr);
   EXPECT_NE(serial.find("\"model\":\"clique\""), std::string::npos);
   util::ThreadPool pool8(8);
-  EXPECT_EQ(serial, run_matrix_jsonl(tokens, &pool8, true)) << "8 threads changed the bytes";
-  EXPECT_EQ(serial, run_matrix_jsonl(tokens, &pool8, false))
-      << "disabling Simulator reuse changed the bytes";
+  EXPECT_EQ(serial, run_matrix_jsonl(tokens, &pool8)) << "8 threads changed the bytes";
 
   const ScenarioSpec spec = ScenarioSpec::parse_tokens(tokens);
   const LabRunner runner{LabOptions{}};
@@ -127,7 +119,7 @@ TEST(LabRunner, CliqueModelCellsRunExactAndTagTheModelColumn) {
   // Default cells tag congest — the column is unconditional even though
   // key() (and thus cell seeds) only change for non-congest models.
   const std::string congest =
-      run_matrix_jsonl({"family=planted", "k=5", "n=16", "trials=2", "seed=3"}, nullptr, true);
+      run_matrix_jsonl({"family=planted", "k=5", "n=16", "trials=2", "seed=3"}, nullptr);
   EXPECT_NE(congest.find("\"model\":\"congest\""), std::string::npos);
 }
 
@@ -135,9 +127,9 @@ TEST(LabRunner, FreshGraphModeIsDeterministicToo) {
   const std::vector<std::string> tokens = {"family=planted", "k=5",       "n=20",
                                            "eps=0.15",       "trials=8",  "seed=5",
                                            "seed_mode=fresh"};
-  const std::string serial = run_matrix_jsonl(tokens, nullptr, true);
+  const std::string serial = run_matrix_jsonl(tokens, nullptr);
   util::ThreadPool pool8(8);
-  EXPECT_EQ(serial, run_matrix_jsonl(tokens, &pool8, true));
+  EXPECT_EQ(serial, run_matrix_jsonl(tokens, &pool8));
   EXPECT_NE(serial.find("\"seed_mode\":\"fresh\""), std::string::npos);
   EXPECT_NE(serial.find("mean_vertices"), std::string::npos);
 }
@@ -225,24 +217,6 @@ TEST(LabRunner, AdversaryDropsAreCountedAndSoundnessSurvives) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_GT(results[0].dropped_total, 0u);
   EXPECT_EQ(results[0].rejections, 0u);  // loss can only suppress detections
-}
-
-TEST(LabRunner, LegacyDeliveryAgreesWithArena) {
-  const std::vector<std::string> base = {"family=planted", "k=4", "n=16", "eps=0.2",
-                                         "trials=6",       "seed=21"};
-  std::vector<std::string> legacy = base;
-  legacy.push_back("delivery=legacy");
-  const std::string a = run_matrix_jsonl(base, nullptr, true);
-  const std::string b = run_matrix_jsonl(legacy, nullptr, true);
-  // Identical up to the delivery tag: swap it and compare bytes.
-  std::string b_normalized = b;
-  const std::string from = "\"delivery\":\"legacy\"";
-  const std::string to = "\"delivery\":\"arena\"";
-  for (std::size_t pos = 0; (pos = b_normalized.find(from, pos)) != std::string::npos;) {
-    b_normalized.replace(pos, from.size(), to);
-    pos += to.size();
-  }
-  EXPECT_EQ(a, b_normalized);
 }
 
 TEST(LabRunner, EdgeCheckerOnEdgelessInstanceFailsLoudly) {

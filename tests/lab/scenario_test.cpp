@@ -79,7 +79,20 @@ TEST(ScenarioSpec, BadValuesAreRejectedWithClearMessages) {
   EXPECT_NE(parse_error({"algo=quantum"}).find("unknown algorithm 'quantum'"),
             std::string::npos);
   EXPECT_NE(parse_error({"seed_mode=both"}).find("shared or fresh"), std::string::npos);
-  EXPECT_NE(parse_error({"delivery=warp"}).find("arena or legacy"), std::string::npos);
+}
+
+TEST(ScenarioSpec, RetiredExecutionKnobsAreUnknownKeys) {
+  // The simulator has one delivery path and the lab always reuses sessions:
+  // `delivery=` and decycle_lab's former `--reuse` flag (which the CLI now
+  // forwards to this parser) fail like any typo, listing the live keys.
+  const std::pair<std::string, std::string> retired[] = {{"delivery=legacy", "delivery"},
+                                                          {"reuse=0", "reuse"}};
+  for (const auto& [token, key] : retired) {
+    const std::string err = parse_error({token});
+    EXPECT_NE(err.find("unknown scenario key '" + key + "'"), std::string::npos) << err;
+    EXPECT_NE(err.find("seed_mode, budget, track"), std::string::npos) << err;
+    EXPECT_EQ(err.find("delivery", err.find("(axes:")), std::string::npos) << err;
+  }
 }
 
 TEST(ScenarioSpec, ThresholdAlgoAndKnobsParse) {

@@ -123,7 +123,8 @@ TEST(Differential, CliqueDetectorJoinsViaItsDefaultModelAndIsExact) {
   }
   {
     const graph::Graph g = graph::path(12);
-    const DetectorOutcome* chc = find_chc(run_differential(g, exact_scenario(5)));
+    const DifferentialReport report = run_differential(g, exact_scenario(5));
+    const DetectorOutcome* chc = find_chc(report);
     ASSERT_NE(chc, nullptr);
     EXPECT_TRUE(chc->ran);
     EXPECT_FALSE(chc->rejected);
@@ -134,7 +135,8 @@ TEST(Differential, CliqueDetectorJoinsViaItsDefaultModelAndIsExact) {
     SoakScenario lossy = exact_scenario(6);
     lossy.adversary = lab::parse_adversary("uniform:0.5");
     const graph::Graph g = graph::cycle(6);
-    const DetectorOutcome* chc = find_chc(run_differential(g, lossy));
+    const DifferentialReport report = run_differential(g, lossy);
+    const DetectorOutcome* chc = find_chc(report);
     ASSERT_NE(chc, nullptr);
     EXPECT_TRUE(chc->ran);
     EXPECT_FALSE(chc->exact_regime);

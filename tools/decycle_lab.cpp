@@ -16,7 +16,6 @@
 /// Runner flags (everything else is forwarded to the scenario parser):
 ///   --threads=N    trial-level worker threads (0 = serial, default)
 ///   --out=FILE     write JSONL to FILE instead of stdout
-///   --reuse=0|1    Simulator reuse across trials (default 1)
 ///   --timing=0|1   add wall-clock fields (breaks golden diffs; default 0)
 ///   --progress     per-cell progress lines on stderr
 ///   --engine-stats print the engine's session-cache counters (hits,
@@ -58,7 +57,6 @@ int main(int argc, char** argv) {
     }
     const std::uint64_t threads = args.get_u64("threads", 0);
     const std::string out_path = args.get_string("out", "");
-    const bool reuse = args.get_bool("reuse", true);
     const bool timing = args.get_bool("timing", false);
     const bool progress = args.get_bool("progress", false);
     const bool engine_stats = args.get_bool("engine-stats", false);
@@ -74,7 +72,6 @@ int main(int argc, char** argv) {
 
     lab::LabOptions opts;
     opts.pool = pool.get();
-    opts.reuse_simulators = reuse;
     opts.include_timing = timing;
     opts.progress = progress ? &std::cerr : nullptr;
 
