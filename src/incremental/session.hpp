@@ -24,9 +24,9 @@
 ///     the engine answers C_k-specific queries on demand.
 ///
 /// Determinism: everything is a pure function of the insert sequence and
-/// the queries, so differential replays (differential.hpp) pin the three
-/// systems — incremental verdicts, the DFS oracle, batch detectors —
-/// against each other at any prefix.
+/// the queries, so the soak prefix contract (soak/prefix_contract.hpp)
+/// pins the three systems — incremental verdicts, the DFS oracle, batch
+/// detectors — against each other at any prefix.
 #pragma once
 
 #include <cstdint>

@@ -166,7 +166,7 @@ struct Request {
 [[nodiscard]] Request parse_request(std::string_view payload, const ProtocolLimits& limits = {});
 
 /// Canonical request line for \p r — the loadgen's verdict-multiset tag and
-/// the serve-soak repro format. parse_request round-trips it.
+/// the soak serve contract's requests. parse_request round-trips it.
 [[nodiscard]] std::string format_request(const Request& r);
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ namespace decycle::soak {
 namespace {
 
 // Seed-stream tags: the probe edge and the drop coin draw from streams
-// derived from scenario.seed alone, so a repro file (scenario line + edge
+// derived from scenario.seed alone, so a repro file (scenario line + insert
 // list) replays the identical run without carrying either explicitly.
 constexpr std::uint64_t kProbeTag = 0x70726f62655f5f31ULL;  // "probe__1"
 constexpr std::uint64_t kDropTag = 0x64726f705f5f5f32ULL;   // "drop___2"
@@ -31,21 +31,19 @@ std::uint64_t run_seed(const SoakScenario& s, std::string_view detector) {
   return h;
 }
 
-/// Whether this run is in a regime where accept must equal the oracle:
-/// drop-free, and the detector advertises determinism through its
-/// capability flags — draws_edge (the single-edge checker is exact per
-/// Lemma 2) or threshold knobs with nothing capped (an unlimited sweep is an
-/// exhaustive parallel edge scan). Injected test detectors must not set
-/// these flags unless they honor the corresponding exactness.
-bool exact_regime(const core::DetectorCapabilities& caps, const SoakScenario& s) {
-  if (s.adversary.kind != lab::AdversarySpec::Kind::kNone && s.adversary.rate > 0.0) {
-    return false;
+/// The oracle facts for (g, scenario). The probe edge is drawn from a
+/// stream derived from scenario.seed, so replays and shrink probes agree on
+/// the target without carrying it in the repro file.
+OracleContext oracle_context(const graph::Graph& g, const SoakScenario& s) {
+  OracleContext out;
+  out.has_ck = graph::has_cycle(g, s.k);
+  if (g.num_edges() > 0) {
+    out.has_probe = true;
+    util::Rng prng(util::splitmix64(s.seed ^ kProbeTag));
+    out.probe = g.edge(static_cast<graph::EdgeId>(prng.next_below(g.num_edges())));
+    out.probe_has_ck = graph::has_cycle_through_edge(g, s.k, out.probe.first, out.probe.second);
   }
-  // Unconditionally exact when lossless (the clique h-cycle detector's final
-  // phase collects the whole graph), whatever the knobs.
-  if (caps.exact_when_lossless) return true;
-  if (caps.draws_edge) return true;
-  return caps.uses_threshold_knobs && s.budget.unlimited() && s.track == 0;
+  return out;
 }
 
 DetectorOutcome run_one(const graph::Graph& g, const SoakScenario& s,
@@ -63,20 +61,8 @@ DetectorOutcome run_one(const graph::Graph& g, const SoakScenario& s,
   out.ran = true;
   out.exact_regime = exact_regime(caps, s);
 
-  core::DetectorOptions opt;
-  opt.k = s.k;
-  opt.epsilon = s.epsilon;
-  opt.seed = run_seed(s, d.name());
-  opt.repetitions = s.repetitions;
-  // A centralized reference left on its own default would run ⌈e^k·ln3⌉
-  // colorings — thousands per instance. The soak caps it: accepts are never
-  // per-instance mismatches for probabilistic detectors, so a smaller
-  // iteration count only trades detection rate for throughput.
-  if (!caps.distributed && opt.repetitions == 0) opt.repetitions = 32;
-  opt.budget = s.budget;
-  opt.max_tracked = s.track;
+  core::DetectorOptions opt = detector_options(s, d);
   if (caps.draws_edge) opt.edge = oracle.probe;
-  opt.drop = lab::make_drop_filter(s.adversary, util::splitmix64(s.seed ^ kDropTag));
 
   core::Verdict verdict;
   try {
@@ -92,30 +78,14 @@ DetectorOutcome run_one(const graph::Graph& g, const SoakScenario& s,
   }
 
   out.rejected = !verdict.accepted;
-  if (out.rejected) {
-    if (verdict.witness.size() != s.k || !graph::validate_cycle(g, verdict.witness)) {
-      out.mismatch = MismatchKind::kUnsound;
-      out.detail = "rejected without a genuine C_" + std::to_string(s.k) +
-                   " witness (witness length " + std::to_string(verdict.witness.size()) + ")";
-    } else if (!oracle.has_ck) {
-      out.mismatch = MismatchKind::kUnsound;
-      out.detail = "rejected but the oracle finds no C_" + std::to_string(s.k);
-    }
-    return out;
+  Expectation expect;
+  expect.has_ck = oracle.has_ck;
+  expect.must_reject = out.exact_regime && (caps.draws_edge ? oracle.probe_has_ck : oracle.has_ck);
+  if (caps.draws_edge) {
+    expect.where = " through probe edge {" + std::to_string(oracle.probe.first) + "," +
+                   std::to_string(oracle.probe.second) + "}";
   }
-
-  if (out.exact_regime && !verdict.overflow && !verdict.truncated) {
-    const bool oracle_found = caps.draws_edge ? oracle.probe_has_ck : oracle.has_ck;
-    if (oracle_found) {
-      out.mismatch = MismatchKind::kMissedCycle;
-      out.detail = caps.draws_edge
-                       ? "accepted although the oracle finds a C_" + std::to_string(s.k) +
-                             " through probe edge {" + std::to_string(oracle.probe.first) +
-                             "," + std::to_string(oracle.probe.second) + "}"
-                       : "exact-regime accept although the oracle finds a C_" +
-                             std::to_string(s.k);
-    }
-  }
+  out.mismatch = classify_verdict(g, s.k, verdict, expect, out.detail);
   return out;
 }
 
@@ -126,28 +96,69 @@ std::string_view mismatch_kind_name(MismatchKind kind) noexcept {
     case MismatchKind::kNone: return "none";
     case MismatchKind::kUnsound: return "unsound";
     case MismatchKind::kMissedCycle: return "missed_cycle";
+    case MismatchKind::kClosure: return "closure";
+    case MismatchKind::kDiverged: return "diverged";
   }
   return "none";
 }
 
 MismatchKind parse_mismatch_kind(std::string_view token) {
-  if (token == "none") return MismatchKind::kNone;
-  if (token == "unsound") return MismatchKind::kUnsound;
-  if (token == "missed_cycle") return MismatchKind::kMissedCycle;
+  for (const MismatchKind kind : {MismatchKind::kNone, MismatchKind::kUnsound,
+                                  MismatchKind::kMissedCycle, MismatchKind::kClosure,
+                                  MismatchKind::kDiverged}) {
+    if (token == mismatch_kind_name(kind)) return kind;
+  }
   DECYCLE_CHECK_MSG(false, "unknown mismatch kind '" + std::string(token) +
-                               "' (known: none, unsound, missed_cycle)");
+                               "' (known: none, unsound, missed_cycle, closure, diverged)");
 }
 
-OracleContext oracle_context(const graph::Graph& g, const SoakScenario& s) {
-  OracleContext out;
-  out.has_ck = graph::has_cycle(g, s.k);
-  if (g.num_edges() > 0) {
-    out.has_probe = true;
-    util::Rng prng(util::splitmix64(s.seed ^ kProbeTag));
-    out.probe = g.edge(static_cast<graph::EdgeId>(prng.next_below(g.num_edges())));
-    out.probe_has_ck = graph::has_cycle_through_edge(g, s.k, out.probe.first, out.probe.second);
+bool exact_regime(const core::DetectorCapabilities& caps, const SoakScenario& s) {
+  if (s.adversary.kind != lab::AdversarySpec::Kind::kNone && s.adversary.rate > 0.0) {
+    return false;
   }
-  return out;
+  // Unconditionally exact when lossless (the clique h-cycle detector's final
+  // phase collects the whole graph), whatever the knobs.
+  if (caps.exact_when_lossless) return true;
+  if (caps.draws_edge) return true;
+  return caps.uses_threshold_knobs && s.budget.unlimited() && s.track == 0;
+}
+
+core::DetectorOptions detector_options(const SoakScenario& s, const core::Detector& d) {
+  core::DetectorOptions opt;
+  opt.k = s.k;
+  opt.epsilon = s.epsilon;
+  opt.seed = run_seed(s, d.name());
+  opt.repetitions = s.repetitions;
+  // A centralized reference left on its own default would run ⌈e^k·ln3⌉
+  // colorings — thousands per instance. The soak caps it: accepts are never
+  // per-instance mismatches for probabilistic detectors, so a smaller
+  // iteration count only trades detection rate for throughput.
+  if (!d.capabilities().distributed && opt.repetitions == 0) opt.repetitions = 32;
+  opt.budget = s.budget;
+  opt.max_tracked = s.track;
+  opt.drop = lab::make_drop_filter(s.adversary, util::splitmix64(s.seed ^ kDropTag));
+  return opt;
+}
+
+MismatchKind classify_verdict(const graph::Graph& g, unsigned k, const core::Verdict& verdict,
+                              const Expectation& e, std::string& detail) {
+  if (!verdict.accepted) {
+    if (verdict.witness.size() != k || !graph::validate_cycle(g, verdict.witness)) {
+      detail = "rejected without a genuine C_" + std::to_string(k) + " witness (witness length " +
+               std::to_string(verdict.witness.size()) + ")";
+      return MismatchKind::kUnsound;
+    }
+    if (!e.has_ck) {
+      detail = "rejected but the oracle finds no C_" + std::to_string(k);
+      return MismatchKind::kUnsound;
+    }
+    return MismatchKind::kNone;
+  }
+  if (e.must_reject && !verdict.overflow && !verdict.truncated) {
+    detail = "exact-regime accept although the oracle finds a C_" + std::to_string(k) + e.where;
+    return MismatchKind::kMissedCycle;
+  }
+  return MismatchKind::kNone;
 }
 
 DifferentialReport run_differential(const graph::Graph& g, const SoakScenario& s,
@@ -177,8 +188,11 @@ DifferentialReport run_differential(const graph::Graph& g, const SoakScenario& s
       }
       target = &*alt_sim;
     }
-    report.outcomes.push_back(run_one(g, s, *d, report.oracle, *target));
-    if (report.outcomes.back().mismatch != MismatchKind::kNone) ++report.mismatches;
+    const DetectorOutcome& o =
+        report.outcomes.emplace_back(run_one(g, s, *d, report.oracle, *target));
+    if (o.mismatch != MismatchKind::kNone) {
+      report.mismatches.push_back({std::string(d->name()), o.mismatch, o.detail});
+    }
   }
   return report;
 }

@@ -1,5 +1,6 @@
 /// \file differential.hpp
-/// \brief The differential contract: every detector vs the DFS oracle.
+/// \brief The oracle contract: every detector vs the DFS oracle, and the
+/// verdict classification all three soak contracts share.
 ///
 /// A soak instance is run through every capability-compatible detector of a
 /// registry, and every verdict is cross-checked:
@@ -48,13 +49,55 @@ enum class MismatchKind : std::uint8_t {
   kNone,         ///< verdict consistent with the contract
   kUnsound,      ///< rejected without a genuine C_k witness (or run threw)
   kMissedCycle,  ///< exact-regime accept although the oracle finds a cycle
+  kClosure,      ///< an incremental verdict, witness or session disagrees with the BFS/DFS oracle
+  kDiverged,     ///< a served reply or checkpoint hash differs from the direct run
 };
 
 [[nodiscard]] std::string_view mismatch_kind_name(MismatchKind kind) noexcept;
 
-/// Parses "none" / "unsound" / "missed_cycle"; throws CheckError naming the
-/// accepted kinds otherwise.
+/// Parses "none" / "unsound" / "missed_cycle" / "closure" / "diverged";
+/// throws CheckError naming the accepted kinds otherwise.
 [[nodiscard]] MismatchKind parse_mismatch_kind(std::string_view token);
+
+/// One mismatch a contract reports (differential, prefix_contract and
+/// serve_contract all speak this type).
+struct CaseMismatch {
+  std::string detector;  ///< registry name; empty = the mismatch belongs to no detector
+  MismatchKind kind = MismatchKind::kNone;
+  std::string detail;
+
+  bool operator==(const CaseMismatch&) const = default;
+};
+
+/// Whether a run of a detector with \p caps under \p s must agree with the
+/// oracle: drop-free, and the detector advertises determinism — draws_edge
+/// (the single-edge checker is exact per Lemma 2), exact_when_lossless, or
+/// threshold knobs with nothing capped (an unlimited sweep is an exhaustive
+/// parallel edge scan). Injected test detectors must not set these flags
+/// unless they honor the corresponding exactness.
+[[nodiscard]] bool exact_regime(const core::DetectorCapabilities& caps, const SoakScenario& s);
+
+/// The fully resolved options every contract runs detector \p d with under
+/// \p s: k, ε, repetitions, budget, tracking cap, a per-detector run seed
+/// and the drop filter, all derived from the scenario.
+[[nodiscard]] core::DetectorOptions detector_options(const SoakScenario& s,
+                                                     const core::Detector& d);
+
+/// What the oracle knows about one C_k query.
+struct Expectation {
+  bool has_ck = false;       ///< a C_k exists, so a rejection with a genuine witness is sound
+  bool must_reject = false;  ///< exact regime and the oracle finds the searched cycle
+  std::string where;         ///< names the searched cycle in a kMissedCycle detail
+};
+
+/// The soundness classification every contract applies to one verdict of
+/// a C_k query on \p g: a rejection needs a length-k witness that
+/// validate_cycle accepts and an oracle that finds a C_k (else kUnsound);
+/// an accept where \p e requires a rejection is kMissedCycle, unless the
+/// run overflowed or was truncated. Writes the reason into \p detail.
+[[nodiscard]] MismatchKind classify_verdict(const graph::Graph& g, unsigned k,
+                                            const core::Verdict& verdict, const Expectation& e,
+                                            std::string& detail);
 
 /// Oracle facts shared by every detector run of one instance.
 struct OracleContext {
@@ -63,11 +106,6 @@ struct OracleContext {
   graph::Edge probe{};        ///< the target edge handed to draws_edge detectors
   bool probe_has_ck = false;  ///< oracle: C_k through the probe edge?
 };
-
-/// Computes the oracle facts for (g, scenario). The probe edge is drawn from
-/// a stream derived from scenario.seed, so replays and shrink probes agree
-/// on the target without carrying it in the repro file.
-[[nodiscard]] OracleContext oracle_context(const graph::Graph& g, const SoakScenario& s);
 
 /// One detector's differential outcome on one instance.
 struct DetectorOutcome {
@@ -82,7 +120,7 @@ struct DetectorOutcome {
 struct DifferentialReport {
   OracleContext oracle;
   std::vector<DetectorOutcome> outcomes;  ///< registry order, gated ones included
-  std::size_t mismatches = 0;
+  std::vector<CaseMismatch> mismatches;   ///< one per mismatching outcome, same order
 };
 
 /// Runs every detector of \p registry on (g, scenario) — one congest

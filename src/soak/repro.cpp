@@ -8,8 +8,8 @@
 #include <string_view>
 #include <vector>
 
-#include "graph/io.hpp"
-#include "lab/json.hpp"
+#include "soak/prefix_contract.hpp"
+#include "soak/serve_contract.hpp"
 #include "util/check.hpp"
 
 namespace decycle::soak {
@@ -17,7 +17,12 @@ namespace decycle::soak {
 namespace {
 
 constexpr std::string_view kAcceptedKeys =
-    "detector, kind, k, eps, reps, budget, track, adversary, seed";
+    "contract, detector, kind, k, eps, reps, budget, track, adversary, seed";
+
+constexpr std::string_view kLayout =
+    "a decycle_soak repro v2 is a 'scenario contract=... kind=... k=...' line followed by a "
+    "'stream n=... directed=... seed=...' insert list (edge-list bodies and request "
+    "transcripts are not read)";
 
 [[noreturn]] void fail(const std::string& msg) { DECYCLE_CHECK_MSG(false, msg); }
 
@@ -43,20 +48,70 @@ double parse_double(std::string_view key, std::string_view value) {
 
 }  // namespace
 
+std::string_view contract_name(Contract contract) noexcept {
+  switch (contract) {
+    case Contract::kOracle: return "oracle";
+    case Contract::kPrefix: return "prefix";
+    case Contract::kServe: return "serve";
+  }
+  return "oracle";
+}
+
+Contract parse_contract(std::string_view token) {
+  for (const Contract c : {Contract::kOracle, Contract::kPrefix, Contract::kServe}) {
+    if (token == contract_name(c)) return c;
+  }
+  fail("unknown contract '" + std::string(token) + "' (known: oracle, prefix, serve)");
+}
+
+std::vector<CaseMismatch> check_case(const ReproCase& c, const core::DetectorRegistry& registry) {
+  const core::Detector* only = c.detector.empty() ? nullptr : &registry.require(c.detector);
+  DECYCLE_CHECK_MSG(c.contract == Contract::kPrefix || !c.stream.directed,
+                    "the " + std::string(contract_name(c.contract)) +
+                        " contract checks undirected instances; directed streams need "
+                        "contract=prefix");
+  switch (c.contract) {
+    case Contract::kPrefix:
+      return check_prefixes(c.stream, c.scenario, registry, c.detector).mismatches;
+    case Contract::kServe:
+      return check_serve(c.stream, c.scenario, registry, c.detector).mismatches;
+    case Contract::kOracle: break;
+  }
+  const graph::Graph g = graph::Graph::from_edges(c.stream.n, c.stream.inserts);
+  if (only != nullptr) {
+    std::string detail;
+    const MismatchKind kind = check_detector(g, c.scenario, *only, &detail);
+    if (kind == MismatchKind::kNone) return {};
+    return {{c.detector, kind, std::move(detail)}};
+  }
+  return run_differential(g, c.scenario, registry).mismatches;
+}
+
+bool reproduces(const ReproCase& c, const std::vector<CaseMismatch>& found) {
+  if (c.kind == MismatchKind::kNone) return found.empty();
+  for (const CaseMismatch& m : found) {
+    if (m.kind == c.kind && m.detector == c.detector) return true;
+  }
+  return false;
+}
+
 void write_repro(std::ostream& out, const ReproCase& repro) {
-  out << "# decycle_soak repro v1\n";
+  out << "# decycle_soak repro v2\n";
   out << "# replay: decycle_soak --repro <this file>\n";
-  out << "scenario detector=" << repro.detector << " kind=" << mismatch_kind_name(repro.kind)
-      << " " << repro.scenario.key() << "\n";
-  graph::write_edge_list(out, repro.graph);
+  out << "scenario contract=" << contract_name(repro.contract);
+  if (!repro.detector.empty()) out << " detector=" << repro.detector;
+  out << " kind=" << mismatch_kind_name(repro.kind) << " " << repro.scenario.key() << "\n";
+  incremental::write_stream(out, repro.stream);
 }
 
 ReproCase read_repro(std::istream& in) {
   // The scenario line is the first non-comment, non-empty line; everything
-  // after it is the standard edge list (which skips comments itself).
+  // after it is the insert list (whose parser skips comments itself).
   std::string line;
   for (;;) {
-    if (!std::getline(in, line)) fail("repro file: missing 'scenario' line");
+    if (!std::getline(in, line)) {
+      fail("repro file: missing 'scenario' line; " + std::string(kLayout));
+    }
     if (line.empty() || line[0] == '#') continue;
     break;
   }
@@ -64,11 +119,12 @@ ReproCase read_repro(std::istream& in) {
   std::string head;
   ls >> head;
   if (head != "scenario") {
-    fail("repro file: expected a line starting with 'scenario', got '" + head + "'");
+    fail("repro file: expected a line starting with 'scenario', got '" + head + "'; " +
+         std::string(kLayout));
   }
 
   ReproCase repro;
-  bool have_detector = false;
+  bool have_contract = false;
   bool have_k = false;
   std::set<std::string> seen;
   std::string token;
@@ -82,10 +138,12 @@ ReproCase read_repro(std::istream& in) {
     if (!seen.insert(key).second) {
       fail("repro scenario key '" + key + "' given twice");
     }
-    if (key == "detector") {
+    if (key == "contract") {
+      repro.contract = parse_contract(value);
+      have_contract = true;
+    } else if (key == "detector") {
       if (value.empty()) fail("repro scenario key 'detector': empty name");
       repro.detector = value;
-      have_detector = true;
     } else if (key == "kind") {
       repro.kind = parse_mismatch_kind(value);
     } else if (key == "k") {
@@ -108,23 +166,38 @@ ReproCase read_repro(std::istream& in) {
            ")");
     }
   }
-  if (!have_detector) {
-    fail("repro scenario line is missing the 'detector' key (accepted keys: " +
-         std::string(kAcceptedKeys) + ")");
+  if (!have_contract) {
+    fail("repro scenario line is missing the 'contract' key; " + std::string(kLayout));
   }
   if (!have_k) {
     fail("repro scenario line is missing the 'k' key (accepted keys: " +
          std::string(kAcceptedKeys) + ")");
   }
-  repro.graph = graph::read_edge_list(in);
+  if (repro.contract == Contract::kOracle && repro.kind != MismatchKind::kNone &&
+      repro.detector.empty()) {
+    fail("repro scenario line is missing the 'detector' key (an oracle mismatch belongs to a "
+         "detector)");
+  }
+  try {
+    repro.stream = incremental::read_stream(in);
+  } catch (const util::CheckError& e) {
+    fail(std::string(e.what()) + "; " + std::string(kLayout));
+  }
   return repro;
 }
 
 ReplayResult replay_repro(const ReproCase& repro, const core::DetectorRegistry& registry) {
-  const core::Detector& detector = registry.require(repro.detector);
+  const std::vector<CaseMismatch> found = check_case(repro, registry);
   ReplayResult out;
-  out.observed = check_detector(repro.graph, repro.scenario, detector, &out.detail);
-  out.reproduced = out.observed == repro.kind;
+  out.reproduced = reproduces(repro, found);
+  // Report the recorded mismatch when it is back, else the first one found.
+  for (const CaseMismatch& m : found) {
+    const bool recorded = m.kind == repro.kind && m.detector == repro.detector;
+    if (out.observed == MismatchKind::kNone || recorded) {
+      out.observed = m.kind;
+      out.detail = m.detail;
+    }
+  }
   return out;
 }
 

@@ -1,38 +1,38 @@
 /// \file shrink.hpp
-/// \brief Automatic scenario shrinking for differential mismatches.
+/// \brief Automatic shrinking for the mismatches of every soak contract.
 ///
 /// A mismatch found on a 48-vertex random composition is a lousy bug report.
-/// The shrinker turns it into a minimal one: greedily delete vertices, then
-/// edges, while the mismatch still reproduces, and tighten the scalar knobs
-/// (drop adversary off, repetitions down to one, budget caps off) whenever
-/// the tightened scenario still reproduces. The result is 1-minimal under
-/// the probed moves — no single remaining vertex or edge can be removed —
-/// which in practice collapses an unsound rejection to the few vertices that
-/// trigger it (a planted always-reject-on-any-cycle fault shrinks to one
-/// bare cycle).
+/// The shrinker turns any case into a minimal one: a prefix case is first
+/// cut back to its failing prefix; then it greedily deletes vertices, then
+/// inserts, while the mismatch still reproduces, and tightens the scalar
+/// knobs (drop adversary off, repetitions down to one, budget caps off)
+/// whenever the tightened case still reproduces. The result is 1-minimal
+/// under the probed moves — no single remaining vertex or insert can be
+/// removed — which in practice collapses a mismatch to the few vertices
+/// that trigger it (a planted always-reject-on-any-cycle fault shrinks to
+/// one bare cycle).
 ///
 /// Everything is deterministic: candidates are probed in a fixed order and
-/// the predicate must be a pure function of (scenario, graph) —
-/// check_detector is exactly that — so a shrink replays bit-identically.
+/// the predicate must be a pure function of the case — check_case is
+/// exactly that — so a shrink replays bit-identically.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 
 #include "core/detector.hpp"
-#include "graph/graph.hpp"
-#include "soak/differential.hpp"
-#include "soak/space.hpp"
+#include "incremental/stream.hpp"
+#include "soak/repro.hpp"
 
 namespace decycle::soak {
 
 /// True when the mismatch still reproduces on the candidate.
-using ShrinkPredicate = std::function<bool(const SoakScenario&, const graph::Graph&)>;
+using ShrinkPredicate = std::function<bool(const ReproCase&)>;
 
 struct ShrinkOptions {
   /// Hard cap on predicate evaluations; the shrinker stops (keeping the best
-  /// candidate so far) when it is exhausted. Each probe runs one detector
-  /// plus the oracle, so this bounds shrink wall-clock.
+  /// candidate so far) when it is exhausted. Each probe runs one contract
+  /// check, so this bounds shrink wall-clock.
   std::size_t max_probes = 20000;
   /// Deletion passes run to a fixpoint, capped here as a safety net.
   std::size_t max_rounds = 16;
@@ -45,28 +45,27 @@ struct ShrinkStats {
 };
 
 struct ShrinkOutcome {
-  SoakScenario scenario;  ///< tightened knobs
-  graph::Graph graph;     ///< reduced instance (still reproduces)
+  ReproCase repro;  ///< reduced case (still reproduces)
   ShrinkStats stats;
 };
 
-/// \p g with vertex \p v deleted (incident edges dropped, higher vertices
-/// renumbered down by one). Exposed for tests.
-[[nodiscard]] graph::Graph remove_vertex(const graph::Graph& g, graph::Vertex v);
+/// \p s with vertex \p v deleted (inserts touching it dropped, higher
+/// vertices renumbered down by one, insert order kept). Exposed for tests.
+[[nodiscard]] incremental::InsertStream remove_vertex(const incremental::InsertStream& s,
+                                                      graph::Vertex v);
 
-/// \p g with edge \p id deleted. Exposed for tests.
-[[nodiscard]] graph::Graph remove_edge(const graph::Graph& g, graph::EdgeId id);
+/// \p s with insert \p i deleted. Exposed for tests.
+[[nodiscard]] incremental::InsertStream remove_insert(const incremental::InsertStream& s,
+                                                      std::size_t i);
 
-/// Shrinks (scenario, g) under \p reproduces. Requires the predicate to hold
-/// on the input (throws CheckError otherwise — shrinking a non-mismatch
-/// would "minimize" to garbage).
-[[nodiscard]] ShrinkOutcome shrink_mismatch(const SoakScenario& scenario,
-                                            const graph::Graph& g,
-                                            const ShrinkPredicate& reproduces,
+/// Shrinks \p c under \p reproduces. Requires the predicate to hold on the
+/// input (throws CheckError otherwise — shrinking a non-mismatch would
+/// "minimize" to garbage).
+[[nodiscard]] ShrinkOutcome shrink_mismatch(const ReproCase& c, const ShrinkPredicate& reproduces,
                                             const ShrinkOptions& options = {});
 
-/// The standard predicate: detector \p d still produces a mismatch of kind
-/// \p kind on the candidate (via check_detector).
-[[nodiscard]] ShrinkPredicate mismatch_predicate(const core::Detector& d, MismatchKind kind);
+/// The standard predicate: check_case on \p registry (which must outlive
+/// the predicate) still reports the candidate's (detector, kind).
+[[nodiscard]] ShrinkPredicate mismatch_predicate(const core::DetectorRegistry& registry);
 
 }  // namespace decycle::soak

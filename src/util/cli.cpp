@@ -8,16 +8,24 @@
 namespace decycle::util {
 
 Args::Args(int argc, const char* const* argv) {
+  const auto is_flag = [](std::string_view token) { return token.substr(0, 2) == "--"; };
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
-    DECYCLE_CHECK_MSG(arg.substr(0, 2) == "--",
-                      "arguments must look like --key=value, got: " + std::string(arg));
+    DECYCLE_CHECK_MSG(is_flag(arg), "arguments must look like --key=value or --key value, got: " +
+                                        std::string(arg));
     const std::string_view body = arg.substr(2);
     const std::size_t eq = body.find('=');
-    const auto [it, inserted] =
-        eq == std::string_view::npos
-            ? values_.emplace(std::string(body), "1")
-            : values_.emplace(std::string(body.substr(0, eq)), std::string(body.substr(eq + 1)));
+    std::string key(body.substr(0, eq));
+    std::string value = "1";
+    if (eq != std::string_view::npos) {
+      value = body.substr(eq + 1);
+    } else if (i + 1 < argc && !is_flag(argv[i + 1])) {
+      // "--key value": a token that is not itself a flag is the value (a
+      // bare token is never accepted on its own, so this changes no command
+      // line that parsed before).
+      value = argv[++i];
+    }
+    const auto [it, inserted] = values_.emplace(std::move(key), std::move(value));
     // A silently dropped repeat would run a different workload than the
     // command line reads (e.g. --k=4 --k=5 keeping only k=4).
     DECYCLE_CHECK_MSG(inserted, "duplicate argument --" + it->first +

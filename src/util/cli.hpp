@@ -19,8 +19,9 @@ namespace decycle::util {
 
 class Args {
  public:
-  /// Parses argv. Accepts "--key=value" and "--flag" (value "1").
-  /// Throws CheckError on malformed arguments.
+  /// Parses argv. Accepts "--key=value", "--key value" (the next token is
+  /// the value when it does not start with "--") and "--flag" (value "1").
+  /// Throws CheckError on a bare token or a repeated key.
   Args(int argc, const char* const* argv);
 
   /// Typed access with defaults. Throws CheckError if the value does not parse.

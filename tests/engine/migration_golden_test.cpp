@@ -86,7 +86,7 @@ std::string run_nightly(std::size_t threads, bool runner_per_cell) {
 std::string run_soak(std::size_t threads) {
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
-  soak::CampaignOptions opts;  // seed=1, shrink=true: the golden's settings
+  soak::CampaignOptions opts;  // seed=1, oracle contract: the golden's settings
   opts.instances = 200;
   opts.pool = pool.get();
   return soak::run_campaign(opts).jsonl;

@@ -1,139 +1,116 @@
 /// \file soak_bridge_test.cpp
-/// \brief The serve differential campaign: client-path replies must match
-/// direct engine runs byte-for-byte on drawn soak instances, the JSONL log
-/// must be byte-identical at every server worker count, and serve repro
-/// files must round-trip and replay.
-#include "soak/serve_campaign.hpp"
-
+/// \brief The soak serve contract: client-path replies (first ask and
+/// verdict-cache hit) must match direct engine runs byte-for-byte on drawn
+/// soak instances, and serve cases must round-trip and replay.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
+#include "graph/generators.hpp"
+#include "soak/campaign.hpp"
+#include "soak/serve_contract.hpp"
 #include "util/check.hpp"
 
 namespace decycle::soak {
 namespace {
 
-ServeCampaignOptions small_campaign() {
-  ServeCampaignOptions options;
+CampaignOptions small_campaign() {
+  CampaignOptions options;
+  options.contract = Contract::kServe;
   options.seed = 7;
   options.instances = 5;
   options.space.max_k = 7;
   options.space.max_n = 24;
-  options.server.workers = 2;
   return options;
 }
 
-TEST(ServeSoak, SmallCampaignRunsClean) {
-  const ServeCampaignSummary summary = run_serve_campaign(small_campaign());
-  EXPECT_FALSE(summary.failed());
-  EXPECT_EQ(summary.instances, 5u);
-  EXPECT_GT(summary.queries, 0u);
-  EXPECT_GT(summary.edges_inserted, 0u);
-  EXPECT_NE(summary.jsonl.find("\"type\":\"meta\""), std::string::npos);
-  EXPECT_NE(summary.jsonl.find("\"mode\":\"serve\""), std::string::npos);
-  EXPECT_NE(summary.jsonl.find("\"type\":\"summary\""), std::string::npos);
+ReproCase serve_case(const graph::Graph& g, unsigned k) {
+  ReproCase c;
+  c.contract = Contract::kServe;
+  c.kind = MismatchKind::kDiverged;
+  c.scenario.k = k;
+  c.scenario.seed = 3;
+  c.stream.n = g.num_vertices();
+  c.stream.inserts.assign(g.edges().begin(), g.edges().end());
+  return c;
 }
 
-TEST(ServeSoak, LogIsByteIdenticalAcrossServerWorkerCounts) {
-  // One closed-loop client drives the server, so the campaign log is a pure
-  // function of (space, seed, instances) — worker count must be invisible,
-  // the serving analogue of the soak campaign's thread-count byte identity.
-  ServeCampaignOptions one = small_campaign();
-  one.server.workers = 1;
-  ServeCampaignOptions eight = small_campaign();
-  eight.server.workers = 8;
-  const ServeCampaignSummary a = run_serve_campaign(one);
-  const ServeCampaignSummary b = run_serve_campaign(eight);
-  // The meta record names the worker count; compare everything after it.
-  const std::string tail_a = a.jsonl.substr(a.jsonl.find('\n'));
-  const std::string tail_b = b.jsonl.substr(b.jsonl.find('\n'));
-  EXPECT_EQ(tail_a, tail_b);
-  EXPECT_EQ(a.queries, b.queries);
-  EXPECT_FALSE(a.failed());
-  EXPECT_FALSE(b.failed());
+TEST(ServeSoak, SmallCampaignRunsClean) {
+  const CampaignSummary summary = run_campaign(small_campaign());
+  EXPECT_FALSE(summary.failed());
+  EXPECT_EQ(summary.instances, 5u);
+  EXPECT_GT(summary.detector_runs, 0u);
+  EXPECT_NE(summary.jsonl.find("\"type\":\"meta\""), std::string::npos);
+  EXPECT_NE(summary.jsonl.find("\"mode\":\"serve\""), std::string::npos);
+  // Every query is asked twice; the second ask is a verdict-cache hit that
+  // must still equal the direct run.
+  EXPECT_NE(summary.jsonl.find("\"verdict_hits\":" + std::to_string(summary.detector_runs)),
+            std::string::npos)
+      << summary.jsonl;
 }
 
 TEST(ServeSoak, BudgetRequired) {
-  ServeCampaignOptions options;  // neither instances nor seconds
-  EXPECT_THROW((void)run_serve_campaign(options), util::CheckError);
+  CampaignOptions options;  // neither instances nor seconds
+  options.contract = Contract::kServe;
+  EXPECT_THROW((void)run_campaign(options), util::CheckError);
 }
 
 TEST(ServeSoak, ReproRoundTripsAndReplaysClean) {
-  ServeRepro repro;
-  repro.requests = {
-      "create tenant=r n=6",
-      "insert tenant=r edges=0-1,1-2,2-3,3-4,4-5,0-5",
-      "query tenant=r algo=edge_checker k=6 eps=0.25 seed=3 reps=1",
-  };
-  repro.served = "OK query (recorded)";
-  repro.direct = "OK query (recorded)";
-
+  const ReproCase repro = serve_case(graph::cycle(6), 6);
   std::ostringstream first;
-  write_serve_repro(first, repro);
+  write_repro(first, repro);
   std::istringstream back(first.str());
-  const ServeRepro parsed = read_serve_repro(back);
-  EXPECT_EQ(parsed.requests, repro.requests);
-  EXPECT_EQ(parsed.served, repro.served);
+  const ReproCase parsed = read_repro(back);
+  EXPECT_EQ(parsed.contract, Contract::kServe);
+  EXPECT_EQ(parsed.stream.inserts, repro.stream.inserts);
   std::ostringstream second;
-  write_serve_repro(second, parsed);
+  write_repro(second, parsed);
   EXPECT_EQ(first.str(), second.str());
 
-  // The server and the direct engine agree on this healthy transcript, so
-  // the recorded divergence must NOT reproduce — and both recomputed
-  // replies must match each other byte-for-byte.
-  const ServeReplayResult result = replay_serve_repro(parsed);
+  // The server and the direct engine agree on this healthy instance, so the
+  // recorded divergence must NOT reproduce, while the same case with
+  // kind=none replays clean.
+  const ReplayResult result = replay_repro(parsed);
   EXPECT_FALSE(result.reproduced);
-  EXPECT_EQ(result.served, result.direct);
-  EXPECT_NE(result.served.find("OK query"), std::string::npos);
+  EXPECT_EQ(result.observed, MismatchKind::kNone);
+  ReproCase clean = parsed;
+  clean.kind = MismatchKind::kNone;
+  EXPECT_TRUE(replay_repro(clean).reproduced);
 }
 
 TEST(ServeSoak, CheckpointProbeReplaysTheHashField) {
-  ServeRepro repro;
-  repro.requests = {
-      "create tenant=r n=4",
-      "insert tenant=r edges=0-1,2-3",
-      "checkpoint tenant=r",
-  };
-  repro.served = "hash=recorded";
-  repro.direct = "hash=recorded";
-  const ServeReplayResult result = replay_serve_repro(repro);
-  EXPECT_FALSE(result.reproduced);
-  EXPECT_EQ(result.served, result.direct);
-  EXPECT_EQ(result.served.rfind("hash=", 0), 0u);
+  graph::GraphBuilder b(4);
+  b.add_edge(0, 1);
+  b.add_edge(2, 3);
+  const ServeReport report = check_serve(serve_case(b.build(), 5).stream, SoakScenario{});
+  EXPECT_TRUE(report.mismatches.empty());
+  EXPECT_FALSE(report.hash.empty());
+  EXPECT_GT(report.queries, 0u);
+  EXPECT_EQ(report.verdict_hits, report.queries);
 }
 
 TEST(ServeSoak, ReproParserIsLoud) {
-  const auto parse = [](const std::string& text) {
-    std::istringstream in(text);
-    return read_serve_repro(in);
-  };
-  // Unknown directive names the accepted ones.
+  // The retired request-transcript format fails naming the v2 layout.
+  std::istringstream transcript(
+      "# decycle_soak serve repro v1\n"
+      "request create tenant=r n=4\n"
+      "served x\ndirect y\n");
   try {
-    (void)parse("bogus line\n");
+    (void)read_repro(transcript);
     FAIL() << "expected CheckError";
   } catch (const util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("request, served, direct"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("repro v2"), std::string::npos) << e.what();
   }
-  // No requests at all.
-  EXPECT_THROW((void)parse("served x\ndirect y\n"), util::CheckError);
-  // Missing the recorded replies.
-  EXPECT_THROW((void)parse("request query tenant=r algo=tester k=5\n"), util::CheckError);
-  // Final request is not a probe.
-  try {
-    (void)parse("request create tenant=r n=4\nserved x\ndirect y\n");
-    FAIL() << "expected CheckError";
-  } catch (const util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("query or checkpoint"), std::string::npos);
-  }
+  // Oracle and serve cases check undirected instances only.
+  ReproCase directed = serve_case(graph::cycle(4), 4);
+  directed.stream.directed = true;
+  EXPECT_THROW((void)check_case(directed), util::CheckError);
 }
 
 TEST(ServeSoak, RerunIsReproducible) {
-  const ServeCampaignOptions options = small_campaign();
-  const ServeCampaignSummary a = run_serve_campaign(options);
-  const ServeCampaignSummary b = run_serve_campaign(options);
-  EXPECT_EQ(a.jsonl, b.jsonl);
+  const CampaignOptions options = small_campaign();
+  EXPECT_EQ(run_campaign(options).jsonl, run_campaign(options).jsonl);
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ void expect_representation_invariant(const Graph& g, const SoakScenario& s,
     EXPECT_EQ(a.mismatch, b.mismatch) << who;
   }
   // Neither representation may introduce a mismatch of its own.
-  EXPECT_EQ(rv.mismatches, 0u) << label;
+  EXPECT_TRUE(rv.mismatches.empty()) << label;
 }
 
 TEST(BitsetEquivalence, CkFreeInstance) {

@@ -33,7 +33,10 @@ ReproCase sample_case() {
   repro.scenario.seed = 31337;
   repro.detector = "tester";
   repro.kind = MismatchKind::kMissedCycle;
-  repro.graph = graph::cycle(6);
+  const graph::Graph g = graph::cycle(6);
+  repro.stream.n = g.num_vertices();
+  repro.stream.seed = 31337;
+  repro.stream.inserts.assign(g.edges().begin(), g.edges().end());
   return repro;
 }
 
@@ -46,55 +49,73 @@ TEST(Repro, WriteReadWriteRoundTripsByteIdentically) {
   EXPECT_EQ(loaded.detector, repro.detector);
   EXPECT_EQ(loaded.kind, repro.kind);
   EXPECT_EQ(loaded.scenario.key(), repro.scenario.key());
-  EXPECT_EQ(loaded.graph.num_vertices(), repro.graph.num_vertices());
-  EXPECT_EQ(loaded.graph.num_edges(), repro.graph.num_edges());
+  EXPECT_EQ(loaded.contract, repro.contract);
+  EXPECT_EQ(loaded.stream.n, repro.stream.n);
+  EXPECT_EQ(loaded.stream.inserts, repro.stream.inserts);
   std::ostringstream second;
   write_repro(second, loaded);
   EXPECT_EQ(second.str(), first.str());
+
+  // A detector-less case leaves the key out and still round-trips.
+  ReproCase closure = repro;
+  closure.contract = Contract::kPrefix;
+  closure.detector.clear();
+  closure.kind = MismatchKind::kClosure;
+  std::ostringstream third;
+  write_repro(third, closure);
+  EXPECT_EQ(third.str().find("detector="), std::string::npos) << third.str();
+  std::istringstream back(third.str());
+  std::ostringstream fourth;
+  write_repro(fourth, read_repro(back));
+  EXPECT_EQ(fourth.str(), third.str());
 }
 
 TEST(Repro, ScenarioLineToleratesLeadingComments) {
   std::istringstream in(
       "# a comment\n\n# another\n"
-      "scenario detector=tester kind=unsound k=5 seed=1\n"
-      "3 3\n0 1\n1 2\n0 2\n");
+      "scenario contract=oracle detector=tester kind=unsound k=5 seed=1\n"
+      "stream n=3 directed=0 seed=1\n3\n0 1\n1 2\n0 2\n");
   const ReproCase repro = read_repro(in);
+  EXPECT_EQ(repro.contract, Contract::kOracle);
   EXPECT_EQ(repro.detector, "tester");
   EXPECT_EQ(repro.kind, MismatchKind::kUnsound);
   EXPECT_EQ(repro.scenario.k, 5u);
-  EXPECT_EQ(repro.graph.num_edges(), 3u);
+  EXPECT_EQ(repro.stream.inserts.size(), 3u);
 }
 
 TEST(Repro, UnknownKeyNamesTheAcceptedOnes) {
   const std::string err =
-      read_error("scenario detector=tester k=5 flavor=spicy\n3 0\n");
+      read_error("scenario contract=oracle detector=tester k=5 flavor=spicy\n");
   EXPECT_NE(err.find("unknown repro scenario key 'flavor'"), std::string::npos) << err;
-  for (const char* accepted : {"detector", "kind", "eps", "budget", "adversary", "seed"}) {
+  for (const char* accepted :
+       {"contract", "detector", "kind", "eps", "budget", "adversary", "seed"}) {
     EXPECT_NE(err.find(accepted), std::string::npos) << err;
   }
 }
 
 TEST(Repro, DuplicateAndMalformedKeysAreLoud) {
-  EXPECT_NE(read_error("scenario detector=tester k=5 k=6\n3 0\n").find("given twice"),
+  const std::string line = "scenario contract=oracle detector=tester ";
+  EXPECT_NE(read_error(line + "k=5 k=6\n").find("given twice"), std::string::npos);
+  EXPECT_NE(read_error(line + "k five\n").find("key=value"), std::string::npos);
+  EXPECT_NE(read_error(line + "k=abc\n").find("expected unsigned integer"), std::string::npos);
+  EXPECT_NE(read_error(line + "k=5 kind=flaky\n").find("unknown mismatch kind"),
             std::string::npos);
-  EXPECT_NE(read_error("scenario detector=tester k five\n3 0\n").find("key=value"),
-            std::string::npos);
-  EXPECT_NE(read_error("scenario detector=tester k=abc\n3 0\n")
-                .find("expected unsigned integer"),
-            std::string::npos);
-  EXPECT_NE(read_error("scenario detector=tester k=5 kind=flaky\n3 0\n")
-                .find("unknown mismatch kind"),
-            std::string::npos);
+  const std::string contract = read_error("scenario contract=bogus k=5\n");
+  EXPECT_NE(contract.find("unknown contract 'bogus' (known: oracle, prefix, serve)"),
+            std::string::npos)
+      << contract;
   // Unknown adversary / budget tokens go through the shared loud parsers.
-  EXPECT_NE(read_error("scenario detector=tester k=5 adversary=gamma:0.1\n3 0\n")
-                .find("unknown adversary"),
+  EXPECT_NE(read_error(line + "k=5 adversary=gamma:0.1\n").find("unknown adversary"),
             std::string::npos);
 }
 
 TEST(Repro, MissingRequiredKeysAreLoud) {
-  EXPECT_NE(read_error("scenario kind=unsound k=5\n3 0\n").find("missing the 'detector' key"),
+  EXPECT_NE(read_error("scenario contract=oracle kind=unsound k=5\n")
+                .find("missing the 'detector' key"),
             std::string::npos);
-  EXPECT_NE(read_error("scenario detector=tester\n3 0\n").find("missing the 'k' key"),
+  EXPECT_NE(read_error("scenario contract=oracle detector=tester\n").find("missing the 'k' key"),
+            std::string::npos);
+  EXPECT_NE(read_error("scenario detector=tester k=5\n").find("missing the 'contract' key"),
             std::string::npos);
   EXPECT_NE(read_error("# only comments\n").find("missing 'scenario' line"),
             std::string::npos);
@@ -103,10 +124,19 @@ TEST(Repro, MissingRequiredKeysAreLoud) {
 }
 
 TEST(Repro, MalformedEdgeListsAreLoud) {
-  EXPECT_NE(read_error("scenario detector=tester k=5\n3 2\n0 1\n").find("truncated"),
+  const std::string line = "scenario contract=oracle detector=tester k=5\n";
+  EXPECT_NE(read_error(line + "stream n=3 directed=0\n2\n0 1\n").find("unexpected end of file"),
             std::string::npos);
-  EXPECT_NE(read_error("scenario detector=tester k=5\n3 1\n0 7\n").find("out of range"),
+  EXPECT_NE(read_error(line + "stream n=3 directed=0\n1\n0 7\n").find("out of range"),
             std::string::npos);
+  // A v1 edge-list body and a serve request transcript both fail naming the
+  // v2 layout.
+  for (const std::string& old : {line + "3 1\n0 1\n",
+                                 std::string("# decycle_soak serve repro v1\n"
+                                             "request create tenant=r n=4\n")}) {
+    const std::string err = read_error(old);
+    EXPECT_NE(err.find("repro v2 is a 'scenario contract="), std::string::npos) << err;
+  }
 }
 
 TEST(Repro, ReplayRejectsUnknownDetectorsNamingTheRegistry) {
@@ -130,6 +160,22 @@ TEST(Repro, ReplayOfAConsistentCaseDoesNotReproduce) {
   const ReplayResult result = replay_repro(repro);
   EXPECT_EQ(result.observed, MismatchKind::kNone);
   EXPECT_FALSE(result.reproduced);
+}
+
+TEST(Repro, KindNonePrependedToAStreamFileIsAPrefixCheck) {
+  incremental::StreamSpec spec;
+  spec.n = 24;
+  spec.inserts = 40;
+  spec.seed = 3;
+  std::ostringstream file;
+  file << "scenario contract=prefix kind=none k=6\n";
+  incremental::write_stream(file, incremental::generate_stream(spec));
+  std::istringstream in(file.str());
+  const ReproCase repro = read_repro(in);
+  EXPECT_EQ(repro.stream.inserts.size(), 40u);
+  const ReplayResult clean = replay_repro(repro);
+  EXPECT_TRUE(clean.reproduced) << clean.detail;
+  EXPECT_EQ(clean.observed, MismatchKind::kNone);
 }
 
 }  // namespace

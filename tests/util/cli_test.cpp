@@ -91,6 +91,20 @@ TEST(Args, RejectsDuplicateKeys) {
   EXPECT_THROW(make_args({"--flag", "--flag"}), CheckError);
 }
 
+TEST(Args, SpaceSeparatedValues) {
+  const Args spaced = make_args({"--k", "5", "--delta", "-3"});
+  EXPECT_EQ(spaced.get_u64("k", 0), 5u);
+  EXPECT_EQ(spaced.get_i64("delta", 0), -3);
+  // A flag followed by a flag stays a bare flag.
+  const Args flags = make_args({"--progress", "--out=x.jsonl"});
+  EXPECT_TRUE(flags.get_bool("progress", false));
+  EXPECT_EQ(flags.get_string("out", ""), "x.jsonl");
+  // A positional token after a consumed value is still an error, and so is
+  // a key repeated across the two spellings.
+  EXPECT_THROW(make_args({"--k", "5", "extra"}), CheckError);
+  EXPECT_THROW(make_args({"--k", "5", "--k=6"}), CheckError);
+}
+
 TEST(Args, TakeUnconsumedForwardsAndConsumes) {
   const Args args = make_args({"--out=lab.jsonl", "--family=cycle,planted", "--k=3..7:2"});
   (void)args.get_string("out", "");  // the binary's own flag

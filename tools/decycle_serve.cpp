@@ -51,20 +51,6 @@ std::atomic<bool> g_signal_stop{false};
 
 void on_signal(int) { g_signal_stop.store(true, std::memory_order_release); }
 
-std::vector<std::string> normalize_args(int argc, char** argv) {
-  std::vector<std::string> out;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    if (arg.rfind("--", 0) == 0 && arg.find('=') == std::string::npos && i + 1 < argc &&
-        std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      arg += "=";
-      arg += argv[++i];
-    }
-    out.push_back(std::move(arg));
-  }
-  return out;
-}
-
 /// One connection: owns the fd and the write-side mutex that serializes
 /// replies coming back from arbitrary worker threads.
 struct Connection {
@@ -201,11 +187,7 @@ int run(const decycle::util::Args& args) {
 int main(int argc, char** argv) {
   using namespace decycle;
   try {
-    const std::vector<std::string> normalized = normalize_args(argc, argv);
-    std::vector<const char*> argv2 = {argc > 0 ? argv[0] : "decycle_serve"};
-    for (const std::string& a : normalized) argv2.push_back(a.c_str());
-    const util::Args args(static_cast<int>(argv2.size()), argv2.data());
-    return run(args);
+    return run(util::Args(argc, argv));
   } catch (const util::CheckError& e) {
     std::cerr << "decycle_serve: " << e.what() << "\n";
     return 2;
