@@ -25,6 +25,7 @@
 #include <string_view>
 
 #include "core/detector.hpp"
+#include "engine/engine.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/generators.hpp"
 #include "harness/claims.hpp"
@@ -41,7 +42,7 @@ int main(int argc, char** argv) {
   harness::ClaimSet claims("B1 specialized-tester comparison");
   util::Table table({"k", "algorithm", "far-instance detect", "free-instance accept", "rounds",
                      "claim"});
-  util::ThreadPool& pool = util::global_pool();
+  const engine::DetectionEngine eng{engine::EngineOptions{.pool = &util::global_pool()}};
   const core::DetectorRegistry& registry = core::DetectorRegistry::builtin();
 
   for (const unsigned k : {3u, 4u, 5u}) {
@@ -58,6 +59,7 @@ int main(int argc, char** argv) {
     const double eps = far_inst.certified_epsilon();
     const graph::IdAssignment far_ids =
         graph::IdAssignment::identity(far_inst.graph.num_vertices());
+    const engine::PinnedGraphPtr far_pin = engine::pin(far_inst.graph, far_ids);
     const graph::IdAssignment free_ids = graph::IdAssignment::identity(free_inst.num_vertices());
 
     std::size_t det_index = 0;
@@ -75,9 +77,8 @@ int main(int argc, char** argv) {
       // iteration budget; everything else uses its own default.
       if (name == "c4" || name == "triangle") base.repetitions = 256;
 
-      const auto far_rate = harness::estimate_rate_lanes(
-          harness::detector_lanes(*det, far_inst.graph, far_ids, base), trials,
-          6000 + 100 * det_index + k, &pool);
+      const auto far_rate = harness::estimate_detector_rate(eng, far_pin, *det, base, trials,
+                                                            6000 + 100 * det_index + k);
 
       core::DetectorOptions free_opt = base;
       free_opt.seed = 5;

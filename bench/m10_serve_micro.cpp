@@ -1,8 +1,8 @@
 /// \file m10_serve_micro.cpp
 /// \brief Micro-benchmark M10 — serving-layer latency SLOs and throughput.
 ///
-/// Gates the PR 10 serving daemon (serve::Server) end to end — parse,
-/// admission, worker batching, verdict cache, reply formatting — at
+/// Gates the serving daemon (serve::Server) end to end — parse,
+/// admission, one op per worker pop, verdict cache, reply formatting — at
 /// n ∈ {10k, 100k} on the cycle family with edge_checker k=5 queries:
 ///
 ///   * miss path ("cold"): every query unique, so each one is a verdict-

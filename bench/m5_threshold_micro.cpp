@@ -25,10 +25,10 @@
 #include <vector>
 
 #include "core/detector.hpp"
+#include "engine/lanes.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
-#include "harness/estimator.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -65,7 +65,7 @@ AlgoResult run_detector(std::string_view detector, const Workload& w,
     core::DetectorOptions opt;
     opt.k = w.k;
     opt.epsilon = 0.125;  // read by the tester only
-    opt.seed = harness::trial_seed(404, t);
+    opt.seed = engine::trial_seed(404, t);
     const core::Verdict v = d.run(sim, opt);
     out.detections += v.accepted ? 0 : 1;
     out.rounds_total += v.stats.rounds_executed;

@@ -2,7 +2,7 @@
 /// \brief Micro-benchmark M8 — DetectionEngine session cache and batch
 /// execution at scale.
 ///
-/// Gates the PR 8 engine layer (GraphStore, SessionPool, run_batch) on two
+/// Gates the engine layer (pinned graphs, SessionPool, run_batch) on two
 /// axes, at n ∈ {10k, 100k, 1M} on circulant C_n(1..4):
 ///
 ///   * session_* — per-query latency on a fresh Simulator build per query

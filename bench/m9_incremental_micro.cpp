@@ -10,7 +10,7 @@
 ///     directed-acyclic maintenance rate on the same size;
 ///   * batch_* — the same stream through IncrementalSession::apply with a
 ///     live checkpoint, swept over batch sizes: every non-empty batch pays
-///     one bump_epoch + purge, so the sweep prices the epoch/purge
+///     one epoch bump + purge, so the sweep prices the epoch/purge
 ///     amortization; closure totals must equal the raw single-thread run
 ///     (same stream, same detector) — any disagreement exits 1;
 ///   * lanes_* — 8 independent per-lane streams with per-lane detectors
@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
       if (t > 1) pool = std::make_unique<util::ThreadPool>(t);
       std::vector<std::uint64_t> slot_closures(kLanes, 0);  // per-unit indexed slots
       const auto t0 = std::chrono::steady_clock::now();
-      engine::for_lanes(pool.get(), kLanes, nullptr,
+      engine::for_lanes(pool.get(), kLanes,
                         [&](std::size_t, std::size_t begin, std::size_t end) {
                           for (std::size_t l = begin; l < end; ++l) {
                             incremental::ForestConnectivity& d = lane_detectors[l];

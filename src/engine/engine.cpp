@@ -1,6 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "util/check.hpp"
@@ -37,16 +36,7 @@ std::vector<core::Verdict> DetectionEngine::run_batch(const PinnedGraphPtr& grap
   std::vector<core::Verdict> out(queries.size());
   if (queries.empty()) return out;
 
-  // Uniform batches skip the weighted partition entirely so they split via
-  // lane_range — the exact historical boundaries the goldens were cut with.
-  bool uniform = true;
-  std::vector<std::uint64_t> weights(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    weights[i] = queries[i].weight;
-    if (weights[i] != weights[0]) uniform = false;
-  }
-
-  for_lanes(options_.pool, queries.size(), uniform ? nullptr : weights.data(),
+  for_lanes(options_.pool, queries.size(),
             [&](std::size_t /*lane*/, std::size_t begin, std::size_t end) {
               // One lease held per lane, re-leased only when the session key
               // changes — within a homogeneous batch that is one lease for
@@ -57,27 +47,6 @@ std::vector<core::Verdict> DetectionEngine::run_batch(const PinnedGraphPtr& grap
               }
             });
   return out;
-}
-
-std::vector<std::uint64_t> reduce_counters(const core::Detector& d,
-                                           std::span<const core::Verdict> verdicts) {
-  const std::span<const core::CounterDef> defs = d.counters();
-  std::vector<std::uint64_t> out(defs.size(), 0);
-  for (const core::Verdict& v : verdicts) {
-    DECYCLE_CHECK_MSG(v.counters.size() == defs.size(),
-                      "engine: verdict counter table does not match detector '" +
-                          std::string(d.name()) + "'");
-    for (std::size_t c = 0; c < defs.size(); ++c) {
-      out[c] = defs[c].kind == core::CounterKind::kSum ? out[c] + v.counters[c]
-                                                       : std::max(out[c], v.counters[c]);
-    }
-  }
-  return out;
-}
-
-DetectionEngine& shared_engine() {
-  static DetectionEngine engine{EngineOptions{}};
-  return engine;
 }
 
 }  // namespace decycle::engine

@@ -2,28 +2,24 @@
 /// \brief DetectionEngine: one batched query-execution substrate for every
 /// consumer.
 ///
-/// Before this layer, three subsystems each owned a private copy of the
-/// same machinery — lane ranges, per-lane Simulator reuse, indexed result
-/// slots, serial reduction: harness::estimate_rate_lanes, the lab runner's
-/// per-worker lanes, and the soak campaign's batched slots. DetectionEngine
-/// is the single implementation (DESIGN.md §12):
+/// The lab runner, the rate estimator, the incremental session bridge and
+/// the serving daemon all execute detector queries through this one layer
+/// (DESIGN.md §12):
 ///
-///   * a GraphStore of content-addressed pinned graphs with mutation epochs;
+///   * content-addressed PinnedGraphs with mutation epochs (graph_store.hpp);
 ///   * a SessionPool caching Simulators behind lane-confined leases;
 ///   * run_batch: a vector of typed queries (detector, fully resolved
-///     DetectorOptions, model, cost weight) against one pinned graph,
-///     partitioned into contiguous cost-weighted lanes via
-///     ThreadPool::for_weighted; each lane leases one session per session
-///     key and runs its queries serially through it; verdicts land in
-///     per-query indexed slots, so any reduction that walks them in
-///     submission order is byte-identical at every thread count.
+///     DetectorOptions, model) against one pinned graph, partitioned into
+///     contiguous lane_range lanes via for_lanes; each lane leases one
+///     session per session key and runs its queries serially through it;
+///     verdicts land in per-query indexed slots, so any reduction that walks
+///     them in submission order is byte-identical at every thread count;
+///   * run_one: one query through one lease (the daemon's path).
 ///
 /// The reduction contract: run_batch returns Verdicts in submission order
 /// and *never* aggregates across queries itself — summing, maxing, and
-/// typed-counter folding (reduce_counters) are the caller's serial loop.
-/// That split is what lets the lab, the harness, and future `decycle_serve`
-/// response shaping share one executor while keeping their own output
-/// formats bit-stable.
+/// typed-counter folding are the caller's serial loop, which is what lets
+/// each caller keep its own output format bit-stable.
 #pragma once
 
 #include <cstdint>
@@ -50,10 +46,6 @@ struct Query {
   /// refuses (at DECYCLE_CHECK level) detectors whose capability mask
   /// excludes it.
   const congest::CommModel* model = &congest::CommModel::congest();
-  /// Relative cost for the lane split (1 = uniform). Callers that know a
-  /// query is heavier — amplified repetitions, larger k — bias the
-  /// contiguous partition with it.
-  std::uint64_t weight = 1;
 };
 
 struct EngineOptions {
@@ -70,13 +62,12 @@ class DetectionEngine {
   DetectionEngine& operator=(const DetectionEngine&) = delete;
 
   [[nodiscard]] const EngineOptions& options() const noexcept { return options_; }
-  [[nodiscard]] GraphStore& store() noexcept { return store_; }
   [[nodiscard]] SessionPool& sessions() const noexcept { return sessions_; }
   [[nodiscard]] SessionStats session_stats() const { return sessions_.stats(); }
 
   /// Runs every query against \p graph and returns the verdicts in
   /// submission order (per-query indexed slots — the byte-identity
-  /// contract). Lanes are contiguous and cost-weighted by Query::weight;
+  /// contract). Lanes are the contiguous lane_range blocks of for_lanes;
   /// each lane holds one leased session at a time and re-leases when the
   /// session key changes (model switches mid-batch are legal but cost a
   /// lease each).
@@ -92,20 +83,7 @@ class DetectionEngine {
                                          const Query& q) const;
 
   EngineOptions options_;
-  GraphStore store_;
   mutable SessionPool sessions_;
 };
-
-/// Folds \p verdicts' per-query counter values into \p d's counter table
-/// shape, per each CounterDef's kind (sum or max) — the serial typed
-/// reduction every consumer shares. Returns one value per counters() entry.
-[[nodiscard]] std::vector<std::uint64_t> reduce_counters(const core::Detector& d,
-                                                         std::span<const core::Verdict> verdicts);
-
-/// Process-wide engine for harness conveniences (detector_lanes): lazily
-/// constructed, no pool (callers pass their own parallelism), default
-/// session capacity. Cached sessions persist across estimate calls on the
-/// same topology — the cold-vs-warm gap bench/m8_engine_micro measures.
-[[nodiscard]] DetectionEngine& shared_engine();
 
 }  // namespace decycle::engine

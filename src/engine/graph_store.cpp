@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "util/check.hpp"
 #include "util/hash.hpp"
 
 namespace decycle::engine {
@@ -27,55 +26,6 @@ std::uint64_t structural_hash(const graph::Graph& g, const graph::IdAssignment& 
 PinnedGraphPtr pin(graph::Graph g, graph::IdAssignment ids, std::uint64_t content_hash) {
   if (content_hash == 0) content_hash = structural_hash(g, ids);
   return std::make_shared<PinnedGraph>(std::move(g), std::move(ids), content_hash);
-}
-
-PinnedGraphPtr GraphStore::intern(std::string name, graph::Graph g, graph::IdAssignment ids) {
-  DECYCLE_CHECK_MSG(!name.empty(), "graph store: name must be non-empty");
-  PinnedGraphPtr pinned = pin(std::move(g), std::move(ids));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_[std::move(name)] = pinned;
-  return pinned;
-}
-
-PinnedGraphPtr GraphStore::find(std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(name);
-  return it != entries_.end() ? it->second : nullptr;
-}
-
-PinnedGraphPtr GraphStore::require(std::string_view name) const {
-  PinnedGraphPtr found = find(name);
-  if (found == nullptr) {
-    std::string known;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      for (const auto& [entry_name, pinned] : entries_) {
-        if (!known.empty()) known += ", ";
-        known += entry_name;
-      }
-    }
-    DECYCLE_CHECK_MSG(false, "graph store: unknown graph '" + std::string(name) +
-                                 "' (stored: " + (known.empty() ? "<none>" : known) + ")");
-  }
-  return found;
-}
-
-std::uint64_t GraphStore::bump_epoch(std::string_view name) {
-  PinnedGraphPtr found = require(name);
-  return found->epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-}
-
-std::size_t GraphStore::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-std::vector<std::string> GraphStore::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, pinned] : entries_) out.push_back(name);
-  return out;
 }
 
 }  // namespace decycle::engine

@@ -1,32 +1,24 @@
 /// \file graph_store.hpp
-/// \brief Content-addressed named graphs with mutation epochs.
+/// \brief Content-addressed pinned graphs with mutation epochs.
 ///
 /// The detection engine owns graphs through PinnedGraph: an immutable
 /// (topology, id assignment) pair stamped with a structural content hash —
 /// folded over vertices, edges, and ids exactly in the spirit of the soak's
 /// content-addressed instance seeds — plus a monotonically increasing epoch
-/// counter. Cached Simulator sessions key on (hash, epoch), so a future
-/// mutation (the incremental-insert service of Cohen–Fiat–Kaplan–Roditty,
-/// see ROADMAP) invalidates every cached session of a graph with one atomic
-/// bump instead of a cache sweep: stale sessions simply never match again
-/// and age out of the LRU.
+/// counter. Cached Simulator sessions key on (hash, epoch), so a mutation
+/// (IncrementalSession::apply, after Cohen–Fiat–Kaplan–Roditty) retires
+/// every cached session of a pin with one atomic bump instead of a cache
+/// sweep: stale sessions simply never match again and age out of the LRU.
 ///
-/// GraphStore is the named front of the same idea — the multi-tenant
-/// `decycle_serve` daemon will intern client graphs here once and route
-/// queries by name. Everything is shared_ptr-owned so a leased session can
-/// co-own its topology: evicting a store entry (or letting a lab cell's
-/// local topology go out of scope) can never leave a cached Simulator
-/// pointing at freed memory.
+/// Pins are shared_ptr-owned so a leased session can co-own its topology:
+/// letting a lab cell's topology or a tenant's old snapshot go out of scope
+/// can never leave a cached Simulator pointing at freed memory.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <vector>
+#include <utility>
 
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
@@ -41,8 +33,8 @@ namespace decycle::engine {
                                             const graph::IdAssignment& ids);
 
 /// An immutable graph + id assignment a session can co-own. `epoch` is the
-/// only mutable field: bumping it (GraphStore::bump_epoch) retires every
-/// cached session keyed on the old value.
+/// only mutable field: bumping it retires every cached session keyed on the
+/// old value.
 struct PinnedGraph {
   PinnedGraph(graph::Graph g, graph::IdAssignment assignment, std::uint64_t content_hash)
       : graph(std::move(g)), ids(std::move(assignment)), hash(content_hash) {}
@@ -61,37 +53,5 @@ using PinnedGraphPtr = std::shared_ptr<PinnedGraph>;
 /// hash sweep.
 [[nodiscard]] PinnedGraphPtr pin(graph::Graph g, graph::IdAssignment ids,
                                  std::uint64_t content_hash = 0);
-
-class GraphStore {
- public:
-  GraphStore() = default;
-  GraphStore(const GraphStore&) = delete;
-  GraphStore& operator=(const GraphStore&) = delete;
-
-  /// Interns (g, ids) under \p name. Re-interning an existing name replaces
-  /// the entry (fresh pin, epoch 0); old pins stay alive for as long as any
-  /// session co-owns them.
-  PinnedGraphPtr intern(std::string name, graph::Graph g, graph::IdAssignment ids);
-
-  /// nullptr when \p name is unknown.
-  [[nodiscard]] PinnedGraphPtr find(std::string_view name) const;
-
-  /// Throws CheckError naming the stored graphs when \p name is unknown.
-  [[nodiscard]] PinnedGraphPtr require(std::string_view name) const;
-
-  /// Bumps \p name's epoch and returns the new value — the cheap
-  /// whole-graph session invalidation the incremental-insert service will
-  /// call per mutation batch. Throws CheckError when \p name is unknown.
-  std::uint64_t bump_epoch(std::string_view name);
-
-  [[nodiscard]] std::size_t size() const;
-
-  /// Stored names in lexicographic order (listings, diagnostics).
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, PinnedGraphPtr, std::less<>> entries_;
-};
 
 }  // namespace decycle::engine

@@ -1,83 +1,19 @@
 #include "engine/lanes.hpp"
 
-#include <numeric>
-#include <vector>
-
-#include "util/check.hpp"
-
 namespace decycle::engine {
 
-namespace {
-
-/// Contiguous cost-weighted boundaries: lane l owns [bounds[l], bounds[l+1]).
-/// Each lane's cumulative weight approximates total/lanes, and every lane is
-/// kept non-empty (the trailing lanes are guaranteed at least one unit each)
-/// so a degenerate weight vector can never produce an idle lane with a
-/// leased-but-unused session.
-std::vector<std::size_t> weighted_bounds(std::size_t count, const std::uint64_t* weights,
-                                         std::size_t lanes) {
-  std::vector<std::size_t> bounds(lanes + 1, 0);
-  bounds[lanes] = count;
-  // Unit weights of 0 are treated as 1 so the prefix sum stays strictly
-  // increasing enough to cut.
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < count; ++i) total += std::max<std::uint64_t>(weights[i], 1);
-  std::uint64_t prefix = 0;
-  std::size_t unit = 0;
-  for (std::size_t lane = 1; lane < lanes; ++lane) {
-    const std::uint64_t target = total * lane / lanes;
-    while (unit < count && prefix < target) {
-      prefix += std::max<std::uint64_t>(weights[unit], 1);
-      ++unit;
-    }
-    // Leave at least one unit behind us and one per remaining lane, then
-    // re-sync the prefix sum to wherever the clamp moved the cut.
-    const std::size_t cut =
-        std::clamp(unit, bounds[lane - 1] + 1, count - (lanes - lane));
-    while (unit < cut) {
-      prefix += std::max<std::uint64_t>(weights[unit], 1);
-      ++unit;
-    }
-    while (unit > cut) {
-      --unit;
-      prefix -= std::max<std::uint64_t>(weights[unit], 1);
-    }
-    bounds[lane] = cut;
-  }
-  return bounds;
-}
-
-}  // namespace
-
-void for_lanes(util::ThreadPool* pool, std::size_t count, const std::uint64_t* weights,
-               const LaneFn& fn) {
+void for_lanes(util::ThreadPool* pool, std::size_t count, const LaneFn& fn) {
   if (count == 0) return;
   const std::size_t lanes = lane_count(pool, count);
-  if (weights == nullptr) {
-    const auto run_lane = [&](std::size_t lane) {
-      const auto [begin, end] = lane_range(count, lane, lanes);
-      fn(lane, begin, end);
-    };
-    // lane_count never reports more than one lane without a pool, but the
-    // dispatch re-checks the pointer so a future lane policy can't turn a
-    // serial call into a null deref.
-    if (pool != nullptr && lanes > 1) {
-      pool->for_weighted(lanes, nullptr, run_lane);
-    } else {
-      run_lane(0);
-    }
-    return;
-  }
-  const std::vector<std::size_t> bounds = weighted_bounds(count, weights, lanes);
-  std::vector<std::uint64_t> lane_cost(lanes, 0);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    for (std::size_t i = bounds[lane]; i < bounds[lane + 1]; ++i) {
-      lane_cost[lane] += std::max<std::uint64_t>(weights[i], 1);
-    }
-  }
-  const auto run_lane = [&](std::size_t lane) { fn(lane, bounds[lane], bounds[lane + 1]); };
+  const auto run_lane = [&](std::size_t lane) {
+    const auto [begin, end] = lane_range(count, lane, lanes);
+    fn(lane, begin, end);
+  };
+  // lane_count never reports more than one lane without a pool, but the
+  // dispatch re-checks the pointer so a future lane policy can't turn a
+  // serial call into a null deref.
   if (pool != nullptr && lanes > 1) {
-    pool->for_weighted(lanes, lane_cost.data(), run_lane);
+    pool->for_weighted(lanes, nullptr, run_lane);
   } else {
     run_lane(0);
   }

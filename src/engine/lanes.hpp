@@ -31,9 +31,9 @@
 namespace decycle::engine {
 
 /// Trial \p trial's seed. The single definition shared by
-/// harness::estimate_rate, estimate_rate_lanes, DetectionEngine batches,
-/// and the lab runner — their estimates are bit-compatible because they all
-/// derive seeds here.
+/// harness::estimate_rate, harness::estimate_detector_rate, and the lab
+/// runner — their estimates are bit-compatible because they all derive
+/// seeds here.
 [[nodiscard]] constexpr std::uint64_t trial_seed(std::uint64_t base_seed,
                                                  std::size_t trial) noexcept {
   return util::splitmix64(base_seed ^ util::splitmix64(trial + 1));
@@ -66,14 +66,11 @@ namespace decycle::engine {
 using LaneFn = std::function<void(std::size_t lane, std::size_t begin, std::size_t end)>;
 
 /// Runs \p count units through contiguous lanes across \p pool — the one
-/// dispatch the estimator, the lab runner, the soak campaign, and
-/// DetectionEngine::run_batch all use. Lanes are lane_count(pool, count)
-/// blocks of lane_range; \p weights (length \p count, nullptr = uniform)
-/// switches to a cumulative-cost contiguous split in which every lane stays
-/// non-empty. The caller's fn must write results into per-unit indexed
-/// slots; with that discipline the reduction cannot observe lane boundaries
-/// and output is byte-identical for any thread count.
-void for_lanes(util::ThreadPool* pool, std::size_t count, const std::uint64_t* weights,
-               const LaneFn& fn);
+/// dispatch the lab runner, the soak campaign, and DetectionEngine::run_batch
+/// all use. Lanes are the lane_count(pool, count) blocks of lane_range — the
+/// boundaries every golden was cut with. The caller's fn must write results
+/// into per-unit indexed slots; with that discipline the reduction cannot
+/// observe lane boundaries and output is byte-identical for any thread count.
+void for_lanes(util::ThreadPool* pool, std::size_t count, const LaneFn& fn);
 
 }  // namespace decycle::engine

@@ -37,8 +37,8 @@
 
 namespace decycle::engine {
 
-/// Cache identity of a session. Folding the epoch means a GraphStore
-/// mutation bump retires old sessions without touching the pool.
+/// Cache identity of a session. Folding the epoch means a pin's mutation
+/// bump retires old sessions without touching the pool.
 struct SessionKey {
   std::uint64_t graph_hash = 0;
   std::uint64_t epoch = 0;

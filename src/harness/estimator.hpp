@@ -7,11 +7,9 @@
 /// is identical for any thread count. Wilson intervals quantify the
 /// uncertainty so benches can assert "detection >= 2/3" honestly.
 ///
-/// Since the engine refactor (DESIGN.md §12) the lane plumbing lives in
-/// engine/lanes.hpp and the detector-driving paths execute through the
-/// shared DetectionEngine; the harness names below are thin veneers kept so
-/// every historical call site (and the seed-stability goldens) read
-/// unchanged.
+/// Two estimators, one seed derivation (engine::trial_seed): estimate_rate
+/// runs any trial functor, estimate_detector_rate runs a registry detector
+/// through a DetectionEngine batch (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -19,20 +17,10 @@
 
 #include "core/detector.hpp"
 #include "engine/engine.hpp"
-#include "engine/lanes.hpp"
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace decycle::harness {
-
-/// Seed/lane primitives — the single definitions, re-exported from the
-/// engine so pre-refactor call sites (and pinned golden seed values) keep
-/// compiling against harness::.
-using engine::lane_count;
-using engine::lane_range;
-using engine::trial_seed;
 
 struct RateEstimate {
   std::uint64_t trials = 0;
@@ -48,44 +36,12 @@ struct RateEstimate {
     const std::function<bool(std::size_t, std::uint64_t)>& trial, std::size_t trials,
     std::uint64_t base_seed, util::ThreadPool* pool = nullptr);
 
-/// One trial: (trial_index, trial_seed) -> success.
-using TrialFn = std::function<bool(std::size_t, std::uint64_t)>;
-
-/// Builds the trial functor for one execution lane. A lane is a contiguous
-/// block of trial indices run serially on one worker; the functor owns
-/// whatever expensive per-lane state the trials share — typically a leased
-/// engine session whose Simulator resets between trials instead of being
-/// rebuilt, which is the hot-path win for estimator-heavy workloads like T2
-/// completeness sweeps.
-using LaneFactory = std::function<TrialFn(std::size_t lane)>;
-
-/// Like estimate_rate, but trials are partitioned into one lane per worker
-/// (engine::for_lanes) so per-lane state amortizes across the lane's
-/// trials. The trial seed derivation is identical to estimate_rate's — the
-/// estimate is bit-identical for any thread count, any lane count, and to
-/// the unlaned overload itself.
-[[nodiscard]] RateEstimate estimate_rate_lanes(const LaneFactory& make_lane, std::size_t trials,
-                                               std::uint64_t base_seed,
-                                               util::ThreadPool* pool = nullptr);
-
-/// Lane factory running any registry detector on one fixed topology: each
-/// lane leases a session for (g, ids) from the process-wide
-/// engine::shared_engine() — a cache hit when the same topology was
-/// estimated before — and the detector resets it between trials (the reuse
-/// contract). A trial's "success" is rejection; the per-trial seed
-/// overwrites \p base options' seed. This is the single way rate-estimation
-/// benches drive detection algorithms — swap the detector, not the
-/// plumbing. \p detector, \p g, and \p ids must outlive the returned
-/// factory and every TrialFn it builds.
-[[nodiscard]] LaneFactory detector_lanes(const core::Detector& detector, const graph::Graph& g,
-                                         const graph::IdAssignment& ids,
-                                         core::DetectorOptions base);
-
-/// The run_batch-native estimator: builds one engine::Query per trial
-/// (seed = trial_seed(base_seed, i), model = the detector's default), runs
-/// the batch through \p eng — leased sessions, cost-uniform lanes on eng's
-/// pool — and folds rejections into a Wilson estimate. Bit-identical to
-/// estimate_rate_lanes(detector_lanes(...)) on the same inputs.
+/// The detector estimator: builds one engine::Query per trial (seed =
+/// trial_seed(base_seed, i), model = the detector's default), runs the
+/// batch through \p eng — leased sessions, lanes on eng's pool — and folds
+/// rejections (a trial's "success") into a Wilson estimate. Bit-identical
+/// for any pool size, and to running each trial's query through
+/// Detector::run_fresh.
 [[nodiscard]] RateEstimate estimate_detector_rate(const engine::DetectionEngine& eng,
                                                   const engine::PinnedGraphPtr& graph,
                                                   const core::Detector& detector,

@@ -31,7 +31,7 @@ BatchVerdicts IncrementalSession::apply(std::span<const Insert> batch) {
       // sessions. The epoch bump makes in-flight leases the last users of
       // the old sessions (they complete, then die on release once a newer
       // epoch exists past capacity); the purge frees the idle ones now.
-      engine_.store().bump_epoch(name_);
+      pin_->epoch.fetch_add(1, std::memory_order_acq_rel);
       engine_.sessions().purge(pin_->hash);
     }
   }
@@ -45,8 +45,7 @@ bool IncrementalSession::insert(graph::Vertex u, graph::Vertex v) {
 
 engine::PinnedGraphPtr IncrementalSession::checkpoint() {
   if (!dirty_ && pin_ != nullptr) return pin_;
-  pin_ = engine_.store().intern(name_, graph::Graph::from_edges(n_, edges_),
-                                graph::IdAssignment::identity(n_));
+  pin_ = engine::pin(graph::Graph::from_edges(n_, edges_), graph::IdAssignment::identity(n_));
   dirty_ = false;
   return pin_;
 }

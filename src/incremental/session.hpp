@@ -4,24 +4,27 @@
 ///
 /// The detectors in incremental.hpp answer per-insert closure on the hot
 /// path; the batch detectors answer C_k-specific queries on immutable
-/// snapshots. IncrementalSession is the bridge (the integration PR 8's
-/// epoch counters were built for):
+/// snapshots. IncrementalSession is the bridge:
 ///
-///   * it owns a named graph in a DetectionEngine's GraphStore and a
-///     ForestConnectivity over the same vertex set;
+///   * it owns a ForestConnectivity over n vertices and the pin of its last
+///     snapshot;
 ///   * apply() streams a batch of inserts through the detector (per-insert
 ///     verdicts) and, because the graph content just changed, retires every
-///     cached Simulator session of the previous snapshot: one
-///     GraphStore::bump_epoch (in-flight leases finish on the old epoch,
-///     new leases miss) plus one SessionPool::purge (idle sessions are
-///     destroyed rather than left to age out of the LRU);
+///     cached Simulator session of the previous snapshot: one epoch bump on
+///     the session's own pin (in-flight leases finish on the old epoch, new
+///     leases miss) plus one SessionPool::purge (idle sessions are destroyed
+///     rather than left to age out of the LRU);
 ///   * checkpoint() materializes the accumulated edges as an immutable
-///     pinned Graph interned under the session's name — batch detectors
-///     lease fresh sessions against it and seamlessly run on the current
-///     snapshot;
+///     engine::pin — batch detectors lease fresh sessions against it and
+///     seamlessly run on the current snapshot;
 ///   * run_batch() is the query bridge: checkpoint, then
 ///     DetectionEngine::run_batch. The insert stream answers k=∞ closure;
 ///     the engine answers C_k-specific queries on demand.
+///
+/// Sessions share only the engine's content-keyed session cache: two
+/// sessions may carry the same name, and neither's mutation bumps the
+/// other's pin (a purge drops idle sessions by content hash, so a sibling
+/// with identical content rebuilds — a cost, never a wrong answer).
 ///
 /// Determinism: everything is a pure function of the insert sequence and
 /// the queries, so the soak prefix contract (soak/prefix_contract.hpp)
@@ -50,9 +53,8 @@ struct BatchVerdicts {
 
 class IncrementalSession {
  public:
-  /// Binds the session to \p engine's store under \p name, on \p n
-  /// vertices. The name must be unused for the engine's lifetime or
-  /// intentionally shared (re-interning replaces the entry).
+  /// Binds the session to \p engine on \p n vertices. \p name (non-empty)
+  /// labels the session for its owner; the engine never reads it.
   IncrementalSession(engine::DetectionEngine& engine, std::string name, graph::Vertex n);
 
   IncrementalSession(const IncrementalSession&) = delete;
@@ -74,9 +76,8 @@ class IncrementalSession {
   /// Single-insert convenience over apply().
   [[nodiscard]] bool insert(graph::Vertex u, graph::Vertex v);
 
-  /// The current snapshot: builds and interns the accumulated graph when
-  /// dirty, otherwise returns the existing pin. O(n + m) when dirty, O(1)
-  /// when clean.
+  /// The current snapshot: pins the accumulated graph when dirty, otherwise
+  /// returns the existing pin. O(n + m) when dirty, O(1) when clean.
   engine::PinnedGraphPtr checkpoint();
 
   /// Checkpoint, then run \p queries through the engine on the snapshot —

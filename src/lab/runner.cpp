@@ -135,7 +135,7 @@ CellResult LabRunner::run_cell(const ScenarioCell& cell) const {
     // seed, so sessions cannot be shared — each query runs on its own
     // Simulator, lanes via the same for_lanes dispatch as the batch path.
     res.description = cell.family;
-    engine::for_lanes(options_.pool, cell.trials, nullptr,
+    engine::for_lanes(options_.pool, cell.trials,
                       [&](std::size_t /*lane*/, std::size_t begin, std::size_t end) {
                         for (std::size_t i = begin; i < end; ++i) {
                           const std::uint64_t tseed = engine::trial_seed(cseed, i);

@@ -1,5 +1,6 @@
 #include "serve/loadgen.hpp"
 
+#include <exception>
 #include <thread>
 #include <unordered_set>
 
@@ -119,7 +120,7 @@ LoadgenReport run_loadgen(const LoadgenSpec& spec, const ClientFactory& factory)
 
   // One thread drives tenants i with i % threads == t, interleaving one op
   // per owned tenant per round — closed-loop per tenant, concurrent across
-  // tenants (the pattern the worker batching is built to exploit).
+  // tenants.
   auto drive = [&](std::size_t thread_index) {
     const std::unique_ptr<Client> client = factory();
     std::vector<std::size_t> owned;
@@ -236,13 +237,24 @@ LoadgenReport run_loadgen(const LoadgenSpec& spec, const ClientFactory& factory)
     }
   };
 
-  if (threads == 1) {
-    drive(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(drive, t);
-    for (std::thread& t : pool) t.join();
+  // A client error must surface as a typed exception, never
+  // std::terminate: every thread parks its exception, all threads join, and
+  // the lowest thread index's error is rethrown.
+  std::vector<std::exception_ptr> errors(threads);
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      try {
+        drive(t);
+      } catch (...) {
+        errors[t] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
 
   LoadgenReport report;

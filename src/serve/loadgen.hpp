@@ -6,7 +6,7 @@
 /// exactly one logical client (the next request is not formed until the
 /// previous reply for that tenant arrived), which makes each tenant's
 /// non-shed reply sequence a pure function of (spec seed, tenant index) —
-/// independent of client thread count, server worker count, batching, and
+/// independent of client thread count, server worker count, and
 /// verdict-cache state. Client threads merely partition tenants; adding
 /// threads adds concurrency *across* tenants, never reordering *within*
 /// one.
@@ -119,6 +119,9 @@ using ClientFactory = std::function<std::unique_ptr<Client>()>;
 /// Creates the tenants, drives the mixed workload closed-loop, issues a
 /// final checkpoint per tenant, and folds the report. Throws CheckError
 /// when the spec is unusable (no tenants, unknown algo name, empty axes).
+/// A client that throws (e.g. a failed socket connect) ends the run: all
+/// client threads join, then the lowest-indexed thread's exception is
+/// rethrown.
 [[nodiscard]] LoadgenReport run_loadgen(const LoadgenSpec& spec, const ClientFactory& factory);
 
 }  // namespace decycle::serve

@@ -1,18 +1,17 @@
 /// \file server.hpp
 /// \brief The multi-tenant detection daemon (DESIGN.md §14).
 ///
-/// A Server owns one DetectionEngine whose GraphStore is the tenant
-/// namespace: a tenant is a named pinned graph, mutable through the
-/// incremental insert path (IncrementalSession — every mutating batch bumps
-/// the pinned snapshot's epoch and purges its cached sessions, PR 9's
-/// contract). Requests arrive as protocol payloads, pass admission control
-/// (bounded queue + per-tenant in-flight caps; anything over the line gets
-/// an immediate `REJECTED overload` reply — the server never blocks a
-/// client on a full queue and never drops a request silently), and are
-/// served by a fixed worker pool. Workers drain the queue in FIFO order and
-/// opportunistically batch runs of consecutive *query* ops, grouping them
-/// by (graph hash, epoch, model) onto one DetectionEngine::run_batch call —
-/// one session lease amortized across the group, the PR 8 batching core.
+/// A Server owns one DetectionEngine and a tenant map, its only namespace:
+/// a tenant is a named IncrementalSession, mutable through the incremental
+/// insert path (every mutating batch bumps the session's pinned snapshot's
+/// epoch and purges its cached sessions). Requests arrive as protocol
+/// payloads, pass admission control (bounded queue + per-tenant in-flight
+/// caps; anything over the line gets an immediate `REJECTED overload`
+/// reply — the server never blocks a client on a full queue and never
+/// drops a request silently), and are served by a fixed worker pool. Each
+/// worker pops one op at a time in FIFO order; a query resolves its
+/// tenant's snapshot, probes the verdict cache, and on a miss runs through
+/// DetectionEngine::run_one.
 ///
 /// The verdict cache is the serving-layer speedup: a detector run is a pure
 /// function of (graph content hash, epoch, model, algo, resolved options) —
@@ -25,8 +24,7 @@
 /// a tenant driven closed-loop (each client awaits the reply before sending
 /// the next request for that tenant) observes a reply sequence that is a
 /// pure function of its request sequence — independent of worker count,
-/// batching, cache state, and co-tenant traffic — provided no request was
-/// shed. tests/serve/determinism_test.cpp pins this at 1 vs 8 workers.
+/// cache state, and co-tenant traffic — provided no request was shed. tests/serve/determinism_test.cpp pins this at 1 vs 8 workers.
 #pragma once
 
 #include <atomic>
@@ -59,8 +57,6 @@ struct ServerOptions {
   /// fill at most this much of the shared queue before its overflow is shed,
   /// so one tenant's burst cannot starve the rest.
   std::size_t tenant_inflight_cap = 64;
-  /// Upper bound on one worker's opportunistic batch of consecutive queries.
-  std::size_t max_batch = 32;
   std::size_t session_capacity = engine::SessionPool::kDefaultCapacity;
   /// Memoized (graph hash, epoch, model, algo, options) -> reply entries.
   /// 0 disables the verdict cache (every query runs the detector).
@@ -147,13 +143,13 @@ class Server {
 
   void worker_loop();
   void process(Op op);
-  void process_query_group(std::vector<Op> ops);
   void finish(Op& op, std::string reply_body);
 
   [[nodiscard]] std::shared_ptr<Tenant> find_tenant(const std::string& name) const;
   [[nodiscard]] std::string handle_create(const Request& r);
   [[nodiscard]] std::string handle_checkpoint(Tenant& tenant);
   [[nodiscard]] std::string handle_insert(Tenant& tenant, const Request& r);
+  [[nodiscard]] std::string handle_query(Tenant& tenant, const Request& r);
 
   [[nodiscard]] static std::string cache_key(const engine::PinnedGraphPtr& pin,
                                              std::uint64_t epoch, const Request& r);

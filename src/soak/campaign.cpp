@@ -277,7 +277,7 @@ CampaignSummary run_campaign(const CampaignOptions& options) {
         o.record = instance_record(options.contract, o);
       }
     };
-    engine::for_lanes(pool, count, nullptr, run_lane);
+    engine::for_lanes(pool, count, run_lane);
 
     // Serial reduction in index order: tallies, log lines, and shrinking.
     for (InstanceOutcome& o : outcomes) {

@@ -10,7 +10,7 @@
 /// the registry is queried, twice:
 ///
 ///   * through the client path — a protocol payload submitted to the
-///     server, traversing parse, admission control, worker batching and
+///     server, traversing parse, admission control, the worker queue and
 ///     reply formatting; the second ask is answered by the verdict cache;
 ///   * directly — the detector looked up in the *case's* registry runs
 ///     through run_one on a private DetectionEngine, pinned on the same

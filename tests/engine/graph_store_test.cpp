@@ -1,11 +1,10 @@
-/// engine/graph_store.hpp: content-addressed pinned graphs + epochs.
+/// engine/graph_store.hpp: content-addressed pinned graphs.
 #include <gtest/gtest.h>
 
 #include "engine/graph_store.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
-#include "util/check.hpp"
 
 namespace decycle::engine {
 namespace {
@@ -52,60 +51,6 @@ TEST(Pin, AcceptsPrecomputedContentHash) {
   const graph::Graph g = ring(8);
   const PinnedGraphPtr p = pin(g, ident(g), 0xabcdULL);
   EXPECT_EQ(p->hash, 0xabcdULL);
-}
-
-TEST(GraphStore, InternFindRequireRoundTrip) {
-  GraphStore store;
-  const graph::Graph g = ring(12);
-  const PinnedGraphPtr p = store.intern("ring12", g, ident(g));
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.find("ring12"), p);
-  EXPECT_EQ(store.require("ring12"), p);
-  EXPECT_EQ(store.find("nope"), nullptr);
-  EXPECT_THROW((void)store.require("nope"), util::CheckError);
-}
-
-TEST(GraphStore, RequireNamesTheStoredGraphs) {
-  GraphStore store;
-  const graph::Graph g = ring(6);
-  (void)store.intern("alpha", g, ident(g));
-  try {
-    (void)store.require("missing");
-    FAIL() << "require should throw";
-  } catch (const util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("alpha"), std::string::npos);
-  }
-}
-
-TEST(GraphStore, ReinternReplacesButOldPinSurvives) {
-  GraphStore store;
-  const graph::Graph small = ring(6);
-  const graph::Graph big = ring(30);
-  const PinnedGraphPtr first = store.intern("g", small, ident(small));
-  const PinnedGraphPtr second = store.intern("g", big, ident(big));
-  EXPECT_EQ(store.find("g"), second);
-  EXPECT_NE(first, second);
-  // The replaced pin stays fully usable for anyone still co-owning it.
-  EXPECT_EQ(first->graph.num_vertices(), 6u);
-}
-
-TEST(GraphStore, BumpEpochIsMonotonicAndVisibleThroughThePin) {
-  GraphStore store;
-  const graph::Graph g = ring(10);
-  const PinnedGraphPtr p = store.intern("g", g, ident(g));
-  EXPECT_EQ(store.bump_epoch("g"), 1u);
-  EXPECT_EQ(store.bump_epoch("g"), 2u);
-  EXPECT_EQ(p->epoch.load(), 2u);
-  EXPECT_THROW((void)store.bump_epoch("nope"), util::CheckError);
-}
-
-TEST(GraphStore, NamesAreSortedLexicographically) {
-  GraphStore store;
-  const graph::Graph g = ring(4);
-  (void)store.intern("zeta", g, ident(g));
-  (void)store.intern("alpha", g, ident(g));
-  (void)store.intern("mid", g, ident(g));
-  EXPECT_EQ(store.names(), (std::vector<std::string>{"alpha", "mid", "zeta"}));
 }
 
 }  // namespace

@@ -1,15 +1,14 @@
 /// engine/graph_store.hpp + engine/session_pool.hpp — the epoch/purge
 /// contract under the concurrency the incremental service creates.
 ///
-/// IncrementalSession::apply is the first real mutation path wired into
-/// GraphStore::bump_epoch: every mutating batch bumps the pinned graph's
-/// epoch and purges its cached sessions while query lanes may be leasing
-/// concurrently. The safety property: an in-flight Lease owns its session
-/// outright — it completes on the old epoch untouched by any bump or purge —
-/// while leases taken after a bump key on the new epoch, never match a
-/// stale session, and rebuild. The stress suites here run under TSan (the
-/// CI lane selects them by the "Incremental" name) with writers hammering
-/// bump_epoch+purge against reader lanes leasing and releasing.
+/// IncrementalSession::apply bumps its pinned snapshot's epoch and purges
+/// the pin's cached sessions on every mutating batch, while query lanes may
+/// be leasing concurrently. The safety property: an in-flight Lease owns
+/// its session outright — it completes on the old epoch untouched by any
+/// bump or purge — while leases taken after a bump key on the new epoch,
+/// never match a stale session, and rebuild. The stress suites here run
+/// under TSan (the CI lane selects them by the "Incremental" name) with
+/// writers hammering bump+purge against reader lanes leasing and releasing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,22 +27,25 @@ namespace {
 
 constexpr graph::Vertex kRing = 16;
 
-void intern_ring(GraphStore& store, const char* name) {
-  (void)store.intern(name, graph::cycle(kRing), graph::IdAssignment::identity(kRing));
+PinnedGraphPtr pin_ring() {
+  return pin(graph::cycle(kRing), graph::IdAssignment::identity(kRing));
+}
+
+/// The apply() path's epoch bump; returns the new epoch.
+std::uint64_t bump(const PinnedGraphPtr& p) {
+  return p->epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
 }
 
 TEST(IncrementalEpoch, InFlightLeaseCompletesOnTheOldEpoch) {
-  GraphStore store;
-  intern_ring(store, "stream");
-  const PinnedGraphPtr pin = store.require("stream");
+  const PinnedGraphPtr ring = pin_ring();
   SessionPool pool(4);
 
-  SessionPool::Lease held = pool.lease(pin, congest::CommModel::congest());
+  SessionPool::Lease held = pool.lease(ring, congest::CommModel::congest());
   const std::uint64_t old_epoch = held.key().epoch;
 
   // Mutation while the lease is in flight: bump + purge (the apply() path).
-  const std::uint64_t new_epoch = store.bump_epoch("stream");
-  pool.purge(pin->hash);
+  const std::uint64_t new_epoch = bump(ring);
+  pool.purge(ring->hash);
   EXPECT_GT(new_epoch, old_epoch);
 
   // The held lease is untouched: same old-epoch key, simulator fully usable.
@@ -53,15 +55,13 @@ TEST(IncrementalEpoch, InFlightLeaseCompletesOnTheOldEpoch) {
 
   // A post-bump lease keys on the new epoch: the released old-epoch session
   // can never match again, so this is a rebuild, not a stale hit.
-  SessionPool::Lease fresh = pool.lease(pin, congest::CommModel::congest());
+  SessionPool::Lease fresh = pool.lease(ring, congest::CommModel::congest());
   EXPECT_FALSE(fresh.cached());
   EXPECT_EQ(fresh.key().epoch, new_epoch);
 }
 
 TEST(IncrementalEpochStress, ConcurrentBumpPurgeVersusLeases) {
-  GraphStore store;
-  intern_ring(store, "stream");
-  const PinnedGraphPtr pin = store.require("stream");
+  const PinnedGraphPtr ring = pin_ring();
   SessionPool pool(8);
 
   constexpr int kReaders = 4;
@@ -76,8 +76,8 @@ TEST(IncrementalEpochStress, ConcurrentBumpPurgeVersusLeases) {
     threads.emplace_back([&] {
       while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int i = 0; i < kLeasesPerReader; ++i) {
-        const std::uint64_t epoch_floor = pin->epoch.load(std::memory_order_acquire);
-        SessionPool::Lease lease = pool.lease(pin, congest::CommModel::congest());
+        const std::uint64_t epoch_floor = ring->epoch.load(std::memory_order_acquire);
+        SessionPool::Lease lease = pool.lease(ring, congest::CommModel::congest());
         // The leased session's epoch can never predate what this thread
         // already observed: purge removed older idle sessions and the key
         // folds the epoch, so a match at an older epoch is impossible.
@@ -91,8 +91,8 @@ TEST(IncrementalEpochStress, ConcurrentBumpPurgeVersusLeases) {
   threads.emplace_back([&] {
     while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
     for (int i = 0; i < kBumps; ++i) {
-      (void)store.bump_epoch("stream");
-      pool.purge(pin->hash);
+      (void)bump(ring);
+      pool.purge(ring->hash);
     }
   });
 
@@ -102,8 +102,8 @@ TEST(IncrementalEpochStress, ConcurrentBumpPurgeVersusLeases) {
 
   // Quiesced: one final bump retires every surviving idle session, so the
   // next lease must be a rebuild at the final epoch.
-  const std::uint64_t final_epoch = store.bump_epoch("stream");
-  SessionPool::Lease lease = pool.lease(pin, congest::CommModel::congest());
+  const std::uint64_t final_epoch = bump(ring);
+  SessionPool::Lease lease = pool.lease(ring, congest::CommModel::congest());
   EXPECT_FALSE(lease.cached());
   EXPECT_EQ(lease.key().epoch, final_epoch);
   const SessionStats stats = pool.stats();
@@ -115,9 +115,7 @@ TEST(IncrementalEpochStress, ConcurrentBumpPurgeVersusLeases) {
 TEST(IncrementalEpochStress, ConcurrentLeasesNeverShareASession) {
   // Two lanes lease the same key simultaneously: each must get its own
   // session (the second is a concurrent miss, not a shared hit).
-  GraphStore store;
-  intern_ring(store, "stream");
-  const PinnedGraphPtr pin = store.require("stream");
+  const PinnedGraphPtr ring = pin_ring();
   SessionPool pool(8);
 
   constexpr int kLanes = 4;
@@ -129,8 +127,8 @@ TEST(IncrementalEpochStress, ConcurrentLeasesNeverShareASession) {
     threads.emplace_back([&] {
       while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int i = 0; i < 100; ++i) {
-        SessionPool::Lease a = pool.lease(pin, congest::CommModel::congest());
-        SessionPool::Lease b = pool.lease(pin, congest::CommModel::congest());
+        SessionPool::Lease a = pool.lease(ring, congest::CommModel::congest());
+        SessionPool::Lease b = pool.lease(ring, congest::CommModel::congest());
         if (&a.sim() == &b.sim()) overlap_errors.fetch_add(1);
       }
     });

@@ -3,8 +3,8 @@
 /// for_lanes is the one dispatch under the estimator, the lab runner, the
 /// soak campaign, and DetectionEngine::run_batch, so its partition
 /// properties ARE the byte-identity contract: every unit visited exactly
-/// once, lanes contiguous and ordered, the uniform path reproducing
-/// lane_range exactly, and the weighted path never producing an empty lane.
+/// once, lanes contiguous and ordered, and the blocks reproducing
+/// lane_range exactly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,12 +25,12 @@ struct Coverage {
   std::vector<std::pair<std::size_t, std::size_t>> blocks;  // by lane index
 };
 
-Coverage cover(util::ThreadPool* pool, std::size_t count, const std::uint64_t* weights) {
+Coverage cover(util::ThreadPool* pool, std::size_t count) {
   Coverage out;
   out.visits.assign(count, 0);
   out.blocks.assign(std::max<std::size_t>(lane_count(pool, count), 1), {0, 0});
   std::mutex mu;
-  for_lanes(pool, count, weights, [&](std::size_t lane, std::size_t begin, std::size_t end) {
+  for_lanes(pool, count, [&](std::size_t lane, std::size_t begin, std::size_t end) {
     const std::lock_guard<std::mutex> lock(mu);
     out.blocks.at(lane) = {begin, end};
     for (std::size_t i = begin; i < end; ++i) ++out.visits.at(i);
@@ -76,7 +76,7 @@ TEST(Lanes, LaneCountPolicy) {
 }
 
 TEST(Lanes, SerialWithoutPoolUsesOneLane) {
-  const Coverage c = cover(nullptr, 13, nullptr);
+  const Coverage c = cover(nullptr, 13);
   expect_exact_cover(c, 13);
   EXPECT_EQ(c.blocks.size(), 1u);
   EXPECT_EQ(c.blocks[0], (std::pair<std::size_t, std::size_t>{0, 13}));
@@ -85,7 +85,7 @@ TEST(Lanes, SerialWithoutPoolUsesOneLane) {
 TEST(Lanes, UniformMatchesLaneRange) {
   util::ThreadPool pool(3);
   const std::size_t count = 17;
-  const Coverage c = cover(&pool, count, nullptr);
+  const Coverage c = cover(&pool, count);
   expect_exact_cover(c, count);
   ASSERT_EQ(c.blocks.size(), 3u);
   for (std::size_t lane = 0; lane < 3; ++lane) {
@@ -96,34 +96,8 @@ TEST(Lanes, UniformMatchesLaneRange) {
 TEST(Lanes, ZeroUnitsNeverInvokesTheCallback) {
   util::ThreadPool pool(2);
   bool invoked = false;
-  for_lanes(&pool, 0, nullptr, [&](std::size_t, std::size_t, std::size_t) { invoked = true; });
+  for_lanes(&pool, 0, [&](std::size_t, std::size_t, std::size_t) { invoked = true; });
   EXPECT_FALSE(invoked);
-}
-
-TEST(Lanes, WeightedCoversEveryUnitOnceWithNonEmptyLanes) {
-  util::ThreadPool pool(4);
-  // Heavily skewed weights: unit 0 dwarfs the rest.
-  std::vector<std::uint64_t> weights(23, 1);
-  weights[0] = 10'000;
-  const Coverage c = cover(&pool, weights.size(), weights.data());
-  expect_exact_cover(c, weights.size());
-  for (const auto& [begin, end] : c.blocks) EXPECT_LT(begin, end) << "empty lane";
-}
-
-TEST(Lanes, WeightedToleratesZeroWeights) {
-  util::ThreadPool pool(3);
-  const std::vector<std::uint64_t> weights(9, 0);  // all zero: treated as uniform cost
-  const Coverage c = cover(&pool, weights.size(), weights.data());
-  expect_exact_cover(c, weights.size());
-}
-
-TEST(Lanes, WeightedIsDeterministicAcrossRuns) {
-  util::ThreadPool pool(4);
-  std::vector<std::uint64_t> weights;
-  for (std::size_t i = 0; i < 31; ++i) weights.push_back((i * 7919) % 13);
-  const Coverage a = cover(&pool, weights.size(), weights.data());
-  const Coverage b = cover(&pool, weights.size(), weights.data());
-  EXPECT_EQ(a.blocks, b.blocks);
 }
 
 }  // namespace

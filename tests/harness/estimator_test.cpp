@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <mutex>
 #include <set>
+#include <vector>
 
+#include "engine/lanes.hpp"
+#include "graph/graph.hpp"
+#include "graph/ids.hpp"
 #include "util/rng.hpp"
 
 namespace decycle::harness {
@@ -69,49 +73,39 @@ TEST(Estimator, ZeroTrials) {
   EXPECT_EQ(est.successes, 0u);
 }
 
-TEST(Estimator, LanesSerialFallbackMatchesPooledAndUnlaned) {
-  // The laned estimator without a pool must fall back to one serial lane —
-  // never touch a pool pointer — and produce the same estimate as the
-  // pooled run and the unlaned overload (shared trial_seed derivation).
-  const auto trial = [](std::size_t, std::uint64_t seed) {
-    util::Rng rng(seed);
-    return rng.next_bool(0.4);
-  };
-  const LaneFactory make_lane = [&](std::size_t) { return TrialFn(trial); };
-  const auto serial = estimate_rate_lanes(make_lane, 300, 77, nullptr);
-  util::ThreadPool pool(4);
-  const auto pooled = estimate_rate_lanes(make_lane, 300, 77, &pool);
-  const auto unlaned = estimate_rate(trial, 300, 77);
-  EXPECT_EQ(serial.successes, pooled.successes);
-  EXPECT_EQ(serial.successes, unlaned.successes);
-  EXPECT_EQ(serial.trials, 300u);
-}
-
-TEST(Estimator, LanesZeroTrialsSkipsLaneConstruction) {
-  // trials == 0 must not build per-lane state (lanes can own a Simulator)
-  // and must report the empty Wilson interval, with or without a pool.
-  std::size_t lanes_built = 0;
-  const LaneFactory make_lane = [&](std::size_t) {
-    ++lanes_built;
-    return TrialFn([](std::size_t, std::uint64_t) { return true; });
-  };
-  const auto serial = estimate_rate_lanes(make_lane, 0, 5, nullptr);
-  util::ThreadPool pool(2);
-  const auto pooled = estimate_rate_lanes(make_lane, 0, 5, &pool);
-  EXPECT_EQ(lanes_built, 0u);
-  for (const auto& est : {serial, pooled}) {
-    EXPECT_EQ(est.trials, 0u);
-    EXPECT_EQ(est.successes, 0u);
-    EXPECT_EQ(est.interval.low, 0.0);
-    EXPECT_EQ(est.interval.high, 1.0);
+TEST(Estimator, DetectorRateIsThreadCountInvariant) {
+  // The detector estimator is a batch of trial_seed-seeded queries: with no
+  // pool and on a 4-thread pool it must count exactly the rejections of a
+  // hand loop of run_fresh over the same seeds. The edge checker probes one
+  // random edge per trial, and half of this graph's edges (a C5 with a
+  // 5-edge tail) lie on the cycle.
+  const core::Detector& checker = core::DetectorRegistry::builtin().require("edge_checker");
+  const std::vector<graph::Edge> edges = {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4},
+                                          {4, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 9}};
+  const engine::PinnedGraphPtr g =
+      engine::pin(graph::Graph::from_edges(10, edges), graph::IdAssignment::identity(10));
+  core::DetectorOptions base;
+  base.k = 5;
+  constexpr std::size_t kTrials = 40;
+  constexpr std::uint64_t kSeed = 2026;
+  std::uint64_t rejections = 0;
+  for (std::size_t i = 0; i < kTrials; ++i) {
+    core::DetectorOptions options = base;
+    options.seed = engine::trial_seed(kSeed, i);
+    rejections += checker.run_fresh(g->graph, g->ids, options).accepted ? 0 : 1;
   }
-}
+  // Both outcomes occur, so a seed mix-up cannot go unnoticed.
+  ASSERT_GT(rejections, 0u);
+  ASSERT_LT(rejections, kTrials);
 
-TEST(Estimator, LanesCountPolicy) {
-  EXPECT_EQ(lane_count(nullptr, 100), 1u);  // no pool: always one lane
-  util::ThreadPool pool(3);
-  EXPECT_EQ(lane_count(&pool, 100), 3u);
-  EXPECT_EQ(lane_count(&pool, 2), 2u);  // never more lanes than trials
+  const engine::DetectionEngine serial;
+  util::ThreadPool pool(4);
+  const engine::DetectionEngine pooled{engine::EngineOptions{.pool = &pool}};
+  for (const engine::DetectionEngine* eng : {&serial, &pooled}) {
+    const RateEstimate est = estimate_detector_rate(*eng, g, checker, base, kTrials, kSeed);
+    EXPECT_EQ(est.trials, kTrials);
+    EXPECT_EQ(est.successes, rejections);
+  }
 }
 
 }  // namespace

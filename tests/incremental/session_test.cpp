@@ -114,6 +114,34 @@ TEST(IncrementalSession, ExactQueriesTrackTheStream) {
   EXPECT_FALSE(session.run_batch({&q, 1})[0].accepted);
 }
 
+TEST(IncrementalSession, SameNameSessionsAreIndependent) {
+  // A name labels a session, it does not address a snapshot: two sessions
+  // named "t" on one engine, and A's insert must bump only A's pin, so B's
+  // cached session survives and B's next query is a cache hit.
+  engine::DetectionEngine engine;
+  IncrementalSession a(engine, "t", 6);
+  IncrementalSession b(engine, "t", 6);
+  (void)a.insert(0, 1);
+  (void)b.insert(1, 2);  // different content, so the pins share no sessions
+  const engine::PinnedGraphPtr pin_a = a.checkpoint();
+  const engine::PinnedGraphPtr pin_b = b.checkpoint();
+  ASSERT_NE(pin_a->hash, pin_b->hash);
+
+  const engine::Query q = exact_threshold_query(3);
+  (void)b.run_batch({&q, 1});  // builds + caches B's session
+  (void)b.run_batch({&q, 1});  // served from the cache
+  ASSERT_EQ(engine.session_stats().misses, 1u);
+  ASSERT_EQ(engine.session_stats().hits, 1u);
+
+  (void)a.insert(2, 3);
+  EXPECT_EQ(pin_a->epoch.load(), 1u);
+  EXPECT_EQ(pin_b->epoch.load(), 0u);
+  (void)b.run_batch({&q, 1});
+  const engine::SessionStats s = engine.session_stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 2u);
+}
+
 TEST(IncrementalSessionEpoch, MutationBumpsEpochAndPurgesCachedSessions) {
   engine::DetectionEngine engine;
   IncrementalSession session(engine, "epoch-purge", 6);

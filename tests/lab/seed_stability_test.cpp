@@ -15,13 +15,11 @@
 /// campaign log to be invalidated, and update the pinned constants in the
 /// same commit.
 ///
-/// Since the engine refactor the derivations live in engine/lanes.hpp
-/// (trial_seed, fold_seed) and harness:: re-exports them — this test pins
-/// both spellings so neither the definitions nor the aliases can drift.
+/// The derivations live in engine/lanes.hpp (trial_seed, fold_seed), the
+/// one spelling every caller uses.
 #include <gtest/gtest.h>
 
 #include "engine/lanes.hpp"
-#include "harness/estimator.hpp"
 #include "lab/scenario.hpp"
 #include "soak/space.hpp"
 
@@ -53,14 +51,10 @@ TEST(SeedStability, LabCellSeedsArePinned) {
 }
 
 TEST(SeedStability, TrialSeedsArePinned) {
-  // Shared by estimate_rate, estimate_rate_lanes, engine batches, and the
-  // lab runner — the reason their estimates are bit-compatible.
+  // Shared by both harness estimators and the lab runner — the reason their
+  // estimates are bit-compatible.
   EXPECT_EQ(engine::trial_seed(1, 0), 0xe9fd6049d65af21eULL);
   EXPECT_EQ(engine::trial_seed(0xDEADBEEFULL, 41), 0x89c396a89a1c5738ULL);
-  // The harness spelling must stay the same function, not a reimplementation.
-  constexpr std::uint64_t (*harness_fn)(std::uint64_t, std::size_t) = &harness::trial_seed;
-  constexpr std::uint64_t (*engine_fn)(std::uint64_t, std::size_t) = &engine::trial_seed;
-  static_assert(harness_fn == engine_fn);
 }
 
 TEST(SeedStability, FoldSeedIsPinned) {

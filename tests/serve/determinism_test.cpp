@@ -2,6 +2,7 @@
 /// \brief The serving determinism contract: a closed-loop workload observes
 /// byte-identical per-tenant verdict multisets and final graph hashes at
 /// any worker count, any client thread count, and any verdict-cache state.
+/// A client that throws ends the run with that typed error.
 #include "serve/loadgen.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <memory>
 
 #include "serve/server.hpp"
+#include "util/check.hpp"
 
 namespace decycle::serve {
 namespace {
@@ -89,17 +91,6 @@ TEST(ServeDeterminism, VerdictCacheIsInvisible) {
   expect_reports_equal(run_with(spec, cached), run_with(spec, uncached));
 }
 
-TEST(ServeDeterminism, BatchBoundIsInvisible) {
-  const LoadgenSpec spec = test_spec();
-  ServerOptions unbatched;
-  unbatched.workers = 4;
-  unbatched.max_batch = 1;
-  ServerOptions batched;
-  batched.workers = 4;
-  batched.max_batch = 32;
-  expect_reports_equal(run_with(spec, unbatched), run_with(spec, batched));
-}
-
 TEST(ServeDeterminism, SeedChangesTheWorkload) {
   LoadgenSpec spec = test_spec();
   ServerOptions options;
@@ -108,6 +99,34 @@ TEST(ServeDeterminism, SeedChangesTheWorkload) {
   spec.seed = 43;
   const LoadgenReport other = run_with(spec, options);
   EXPECT_NE(base.aggregate_digest, other.aggregate_digest);
+}
+
+TEST(ServeLoadgen, ThrowingClientIsATypedErrorAtAnyThreadCount) {
+  // The shape of a transport failure: each client's 5th call throws. A
+  // multi-threaded run must rethrow it after joining, not std::terminate.
+  class FailingClient final : public Client {
+   public:
+    explicit FailingClient(Server& server) : inner_(server) {}
+    [[nodiscard]] std::string call(const std::string& payload) override {
+      if (++calls_ == 5) throw util::CheckError("transport failed on call 5");
+      return inner_.call(payload);
+    }
+
+   private:
+    InProcessClient inner_;
+    std::size_t calls_ = 0;
+  };
+  for (const std::size_t threads : {1u, 4u}) {
+    LoadgenSpec spec = test_spec();
+    spec.client_threads = threads;
+    Server server;
+    server.start();
+    EXPECT_THROW(
+        (void)run_loadgen(spec, [&server] { return std::make_unique<FailingClient>(server); }),
+        util::CheckError)
+        << threads << " client threads";
+    server.stop();
+  }
 }
 
 }  // namespace

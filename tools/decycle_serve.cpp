@@ -17,7 +17,6 @@
 ///   --workers=N       server worker threads (default 4)
 ///   --queue-capacity=N   admission queue bound (default 1024)
 ///   --tenant-cap=N    per-tenant in-flight cap (default 64)
-///   --max-batch=N     per-worker query batch bound (default 32)
 ///   --cache=N         verdict-cache capacity, 0 disables (default 65536)
 ///   --stats-out=FILE  write the JSONL stats dump here at shutdown
 ///   --enable-stall    accept the test-only stall verb (never in production)
@@ -110,7 +109,6 @@ int run(const decycle::util::Args& args) {
   options.workers = args.get_u64("workers", options.workers);
   options.queue_capacity = args.get_u64("queue-capacity", options.queue_capacity);
   options.tenant_inflight_cap = args.get_u64("tenant-cap", options.tenant_inflight_cap);
-  options.max_batch = args.get_u64("max-batch", options.max_batch);
   options.verdict_cache_capacity = args.get_u64("cache", options.verdict_cache_capacity);
   options.enable_stall = args.get_bool("enable-stall", false);
   const std::string stats_out = args.get_string("stats-out", "");
