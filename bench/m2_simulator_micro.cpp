@@ -14,17 +14,18 @@
 ///   * sparse_ring_100k  — the event-driven sweet spot: a 100k-node ring
 ///     where only a relay front is ever active, plus timer-wheel wake-ups.
 ///
-/// Writes machine-readable before/after numbers to BENCH_simulator.json
-/// (override with --out=PATH) and asserts that steady-state arena rounds
-/// perform zero heap allocations (the process aborts with exit code 1 if
-/// either the zero-allocation invariant or cross-mode stats equality is
-/// violated). --smoke shrinks every instance for CI.
+/// Every run is single-threaded: a simulation runs on the thread that calls
+/// it. Writes machine-readable before/after numbers to BENCH_simulator.json
+/// (override with --out=PATH), with the machine they ran on, and asserts
+/// that steady-state arena rounds perform zero heap allocations (the process
+/// exits 1 if either the zero-allocation invariant or cross-mode stats
+/// equality is violated). --smoke shrinks every instance for CI.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "congest/algorithms/flood_max.hpp"
@@ -32,7 +33,6 @@
 #include "graph/generators.hpp"
 #include "support/alloc_probe.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -110,8 +110,6 @@ struct Scenario {
   std::size_t edges = 0;
   Measurement legacy;
   Measurement arena;
-  /// Work-stealing delivery at each pool size of the --threads sweep.
-  std::vector<std::pair<unsigned, Measurement>> threaded;
 
   [[nodiscard]] double speedup() const {
     return legacy.seconds > 0 && arena.seconds > 0 ? legacy.seconds / arena.seconds : 0;
@@ -125,14 +123,11 @@ using ProgramFactory = Simulator::ProgramFactory;
 /// warm-up run, so the number is steady-state delivery throughput; stateful
 /// programs get a fresh simulator per rep (construction untimed).
 Measurement measure(const graph::Graph& g, const graph::IdAssignment& ids,
-                    const ProgramFactory& factory, bool reference, int reps, bool rerunnable,
-                    util::ThreadPool* pool = nullptr) {
+                    const ProgramFactory& factory, bool reference, int reps, bool rerunnable) {
   Measurement best;
   std::unique_ptr<Simulator> shared;
-  Simulator::Options opt;
-  opt.pool = pool;
   const auto run = [&](Simulator& sim) {
-    return reference ? sim.run_reference(opt) : sim.run(opt);
+    return reference ? sim.run_reference({}) : sim.run();
   };
   if (rerunnable) {
     shared = std::make_unique<Simulator>(g, ids, factory);
@@ -164,20 +159,9 @@ bool check(bool ok, const char* what) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_simulator.json";
-  std::vector<unsigned> thread_counts = {2, 4, 8};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      thread_counts.clear();
-      for (const char* p = argv[i] + 10; *p != '\0';) {
-        char* end = nullptr;
-        const unsigned long t = std::strtoul(p, &end, 10);
-        if (end == p) break;
-        if (t > 0) thread_counts.push_back(static_cast<unsigned>(t));
-        p = *end == ',' ? end + 1 : end;
-      }
-    }
   }
   const int reps = smoke ? 1 : 3;
   bool ok = true;
@@ -202,16 +186,6 @@ int main(int argc, char** argv) {
     s.arena = measure(g, ids, factory, kRun, reps, /*rerunnable=*/true);
     ok &= check(s.legacy.messages == s.arena.messages && s.legacy.rounds == s.arena.rounds,
                 "dense: legacy and arena disagree on totals");
-    // The --threads sweep: work-stealing delivery at each pool size, totals
-    // cross-checked against the serial arena run (determinism contract).
-    for (const unsigned t : thread_counts) {
-      util::ThreadPool pool(t);
-      const Measurement m =
-          measure(g, ids, factory, kRun, reps, /*rerunnable=*/true, &pool);
-      ok &= check(m.messages == s.arena.messages && m.rounds == s.arena.rounds,
-                  "dense: threaded arena disagrees with serial arena on totals");
-      s.threaded.emplace_back(t, m);
-    }
     scenarios.push_back(s);
   }
 
@@ -282,10 +256,6 @@ int main(int argc, char** argv) {
     std::printf("%-22s %12.4f %12.4f %14.3e %14.3e %8.2fx\n", s.name.c_str(),
                 s.legacy.seconds, s.arena.seconds, s.legacy.msgs_per_sec(),
                 s.arena.msgs_per_sec(), s.speedup());
-    for (const auto& [t, m] : s.threaded) {
-      std::printf("  + %2u-thread steal    %12s %12.4f %14s %14.3e\n", t, "", m.seconds, "",
-                  m.msgs_per_sec());
-    }
   }
   std::printf("zero-alloc steady state: %llu allocations over %llu rounds\n",
               static_cast<unsigned long long>(steady_allocs),
@@ -294,6 +264,11 @@ int main(int argc, char** argv) {
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"bench\": \"m2_simulator_micro\",\n  \"smoke\": %s,\n",
                  smoke ? "true" : "false");
+    std::fprintf(f,
+                 "  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
+                 "  \"git_sha\": \"%s\",\n",
+                 std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
+                 DECYCLE_BENCH_GIT_SHA);
     std::fprintf(f, "  \"baseline\": \"legacy delivery (pre-arena loop)\",\n");
     std::fprintf(f, "  \"scenarios\": [\n");
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
@@ -305,23 +280,14 @@ int main(int argc, char** argv) {
                    "\"messages\": %llu, \"rounds\": %llu, \"msgs_per_sec\": %.1f},\n"
                    "     \"after\":  {\"mode\": \"arena\", \"seconds\": %.6f, "
                    "\"messages\": %llu, \"rounds\": %llu, \"msgs_per_sec\": %.1f},\n"
-                   "     \"speedup\": %.3f,\n"
-                   "     \"threads\": [",
+                   "     \"speedup\": %.3f}%s\n",
                    s.name.c_str(), s.n, s.edges, s.legacy.seconds,
                    static_cast<unsigned long long>(s.legacy.messages),
                    static_cast<unsigned long long>(s.legacy.rounds),
                    s.legacy.msgs_per_sec(), s.arena.seconds,
                    static_cast<unsigned long long>(s.arena.messages),
                    static_cast<unsigned long long>(s.arena.rounds), s.arena.msgs_per_sec(),
-                   s.speedup());
-      // Per-thread-count rows through the work-stealing scheduler (empty for
-      // scenarios outside the sweep).
-      for (std::size_t j = 0; j < s.threaded.size(); ++j) {
-        const auto& [t, m] = s.threaded[j];
-        std::fprintf(f, "%s\n       {\"threads\": %u, \"seconds\": %.6f, \"msgs_per_sec\": %.1f}",
-                     j == 0 ? "" : ",", t, m.seconds, m.msgs_per_sec());
-      }
-      std::fprintf(f, "%s]}%s\n", s.threaded.empty() ? "" : "\n     ", last ? "" : ",");
+                   s.speedup(), last ? "" : ",");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,

@@ -1,24 +1,21 @@
 /// \file m6_scale_micro.cpp
 /// \brief Micro-benchmark M6 — million-node scale: streaming graph builds
-/// and work-stealing delivery throughput across thread counts.
+/// and single-threaded delivery throughput.
 ///
-/// Gates the PR 6 hot-path rebuild (work-stealing scheduler, pooled
-/// allocation, bitset adjacency, streaming CSR builds) at production scale:
+/// Gates the scale path (pooled allocation, bitset adjacency, streaming CSR
+/// builds, arena delivery) at production scale:
 ///
 ///   * build_* — constructing a circulant C_n(1..4) via the generic
 ///     sort-and-dedup path (Graph::from_edges) vs the streaming
 ///     lexicographic path (Graph::from_ordered_edges), plus the bitset
 ///     adjacency compression ratio at each size;
 ///   * delivery_* — dense broadcast rounds (every node sends on every port)
-///     at n ∈ {10k, 100k, 1M, 4M}, swept over pool sizes {1, 2, 4, 8}
-///     through the work-stealing delivery scheduler, totals cross-checked
-///     against the single-threaded run (determinism contract).
+///     at n ∈ {10k, 100k, 1M, 4M} on one thread (a simulation runs on the
+///     thread that calls it), totals cross-checked across repetitions.
 ///
-/// Writes BENCH_scale.json (override with --out=PATH). The JSON records
-/// hardware_threads so scaling numbers are read against the parallelism
-/// the host actually offers — on a single-core container every extra
-/// thread measures pure scheduler overhead, not speedup. --smoke shrinks
-/// to {10k, 50k} for CI. Exits 1 on any cross-check failure.
+/// Writes BENCH_scale.json (override with --out=PATH) with the machine it
+/// ran on (hardware threads, build type, git revision). --smoke shrinks to
+/// {10k, 50k} for CI. Exits 1 on any cross-check failure.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -32,7 +29,6 @@
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "graph/sparse_bitset.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -75,19 +71,14 @@ struct BuildRow {
   std::size_t bitset_words = 0;
 };
 
-struct ThreadRow {
-  unsigned threads = 0;
-  double seconds = 0;
-  double msgs_per_sec = 0;
-};
-
 struct DeliveryRow {
   std::string name;
   graph::Vertex n = 0;
   unsigned degree = 0;
   std::uint64_t rounds = 0;
   std::uint64_t messages = 0;
-  std::vector<ThreadRow> threads;
+  double seconds = 0;  ///< best of the repetitions
+  double msgs_per_sec = 0;
 };
 
 bool check(bool okay, const char* what) {
@@ -110,7 +101,6 @@ int main(int argc, char** argv) {
   const std::vector<graph::Vertex> sizes =
       smoke ? std::vector<graph::Vertex>{10'000, 50'000}
             : std::vector<graph::Vertex>{10'000, 100'000, 1'000'000, 4'000'000};
-  const std::vector<unsigned> thread_counts = {1, 2, 4, 8};
 
   // --- Build comparison: sorted generic path vs streaming path. ---
   std::vector<BuildRow> builds;
@@ -145,7 +135,7 @@ int main(int argc, char** argv) {
                 row.bitset_words, row.adjacency_entries);
   }
 
-  // --- Delivery throughput sweep. ---
+  // --- Delivery throughput. ---
   std::vector<DeliveryRow> deliveries;
   for (const graph::Vertex n : sizes) {
     // Constant per-size message budget: bigger graphs run fewer rounds.
@@ -161,39 +151,23 @@ int main(int argc, char** argv) {
     row.degree = 2 * kHalfDegree;
 
     Simulator sim(g, ids, factory);
-    std::uint64_t base_messages = 0;
-    std::uint64_t base_rounds = 0;
-    for (const unsigned t : thread_counts) {
-      std::unique_ptr<util::ThreadPool> pool;
-      Simulator::Options opt;
-      if (t > 1) {
-        pool = std::make_unique<util::ThreadPool>(t);
-        opt.pool = pool.get();
-      }
+    (void)sim.run();  // warm arenas / pools, untimed
+    for (int rep = 0; rep < reps; ++rep) {
       sim.reset(factory);
-      (void)sim.run(opt);  // warm arenas / pools, untimed
-      ThreadRow tr;
-      tr.threads = t;
-      for (int rep = 0; rep < reps; ++rep) {
-        sim.reset(factory);
-        const auto t0 = std::chrono::steady_clock::now();
-        const congest::RunStats stats = sim.run(opt);
-        const double dt = seconds_since(t0);
-        if (rep == 0 || dt < tr.seconds) tr.seconds = dt;
-        if (t == 1 && rep == 0) {
-          base_messages = stats.total_messages;
-          base_rounds = stats.rounds_executed;
-        }
-        ok &= check(stats.total_messages == base_messages && stats.rounds_executed == base_rounds,
-                    "threaded run disagrees with single-threaded totals");
+      const auto t0 = std::chrono::steady_clock::now();
+      const congest::RunStats stats = sim.run();
+      const double dt = seconds_since(t0);
+      if (rep == 0 || dt < row.seconds) row.seconds = dt;
+      if (rep == 0) {
+        row.messages = stats.total_messages;
+        row.rounds = stats.rounds_executed;
       }
-      tr.msgs_per_sec = tr.seconds > 0 ? static_cast<double>(base_messages) / tr.seconds : 0;
-      row.threads.push_back(tr);
-      std::printf("%-24s threads=%u  %8.4fs  %12.3e msg/s\n", row.name.c_str(), t, tr.seconds,
-                  tr.msgs_per_sec);
+      ok &= check(stats.total_messages == row.messages && stats.rounds_executed == row.rounds,
+                  "repeated run disagrees on totals");
     }
-    row.messages = base_messages;
-    row.rounds = base_rounds;
+    row.msgs_per_sec = row.seconds > 0 ? static_cast<double>(row.messages) / row.seconds : 0;
+    std::printf("%-24s %8.4fs  %12.3e msg/s\n", row.name.c_str(), row.seconds,
+                row.msgs_per_sec);
     deliveries.push_back(row);
   }
 
@@ -201,7 +175,11 @@ int main(int argc, char** argv) {
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"bench\": \"m6_scale_micro\",\n  \"smoke\": %s,\n",
                  smoke ? "true" : "false");
-    std::fprintf(f, "  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
+    std::fprintf(f,
+                 "  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
+                 "  \"git_sha\": \"%s\",\n",
+                 std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
+                 DECYCLE_BENCH_GIT_SHA);
     std::fprintf(f, "  \"build\": [\n");
     for (std::size_t i = 0; i < builds.size(); ++i) {
       const BuildRow& b = builds[i];
@@ -218,19 +196,10 @@ int main(int argc, char** argv) {
       const DeliveryRow& d = deliveries[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"n\": %u, \"degree\": %u, \"rounds\": %llu, "
-                   "\"messages\": %llu,\n     \"threads\": [",
+                   "\"messages\": %llu, \"seconds\": %.6f, \"msgs_per_sec\": %.1f}%s\n",
                    d.name.c_str(), d.n, d.degree, static_cast<unsigned long long>(d.rounds),
-                   static_cast<unsigned long long>(d.messages));
-      const double base = d.threads.empty() ? 0 : d.threads.front().msgs_per_sec;
-      for (std::size_t j = 0; j < d.threads.size(); ++j) {
-        const ThreadRow& t = d.threads[j];
-        std::fprintf(f,
-                     "%s\n       {\"threads\": %u, \"seconds\": %.6f, \"msgs_per_sec\": %.1f, "
-                     "\"speedup_vs_1t\": %.3f}",
-                     j == 0 ? "" : ",", t.threads, t.seconds, t.msgs_per_sec,
-                     base > 0 ? t.msgs_per_sec / base : 0.0);
-      }
-      std::fprintf(f, "\n     ]}%s\n", i + 1 == deliveries.size() ? "" : ",");
+                   static_cast<unsigned long long>(d.messages), d.seconds, d.msgs_per_sec,
+                   i + 1 == deliveries.size() ? "" : ",");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -9,21 +9,20 @@
 /// shrinks with the cycle count. This bench plants c vertex-disjoint
 /// k-cycles into a fixed-n instance, sweeps c across orders of magnitude,
 /// and records where the schedule stopped: phases, sampled vertices/edges,
-/// rounds, messages, bits, and wall time, at pool sizes 1 and 8.
+/// rounds, messages, bits, and single-threaded wall time.
 ///
 /// Cross-checks (exit 1 on failure):
 ///   * every planted instance is rejected (the detector is exact drop-free);
-///   * multi-threaded runs agree with the single-threaded run on every
-///     decision and statistic (the determinism contract);
+///   * repeated runs agree with the first on every decision and statistic
+///     (the determinism contract);
 ///   * adaptivity is real: the cycle-richest instance samples no more
 ///     vertices than the cycle-poorest, and strictly fewer than n.
 ///
-/// Writes BENCH_clique.json (override with --out=PATH); --smoke shrinks n
-/// and the sweep for CI.
+/// Writes BENCH_clique.json (override with --out=PATH) with the machine it
+/// ran on; --smoke shrinks n and the sweep for CI.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -34,7 +33,6 @@
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -43,11 +41,6 @@ using namespace decycle;
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
-
-struct ThreadRow {
-  unsigned threads = 0;
-  double seconds = 0;
-};
 
 struct SweepRow {
   std::size_t cycles = 0;
@@ -61,7 +54,7 @@ struct SweepRow {
   std::uint64_t bits = 0;
   std::uint64_t rounds_saved = 0;
   bool early_exit = false;
-  std::vector<ThreadRow> threads;
+  double seconds = 0;  ///< best of the repetitions
 };
 
 bool check(bool okay, const char* what) {
@@ -92,7 +85,6 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> cycle_counts =
       smoke ? std::vector<std::size_t>{1, 8, 64}
             : std::vector<std::size_t>{1, 8, 64, 256, 512};
-  const std::vector<unsigned> thread_counts = {1, 8};
   const int reps = smoke ? 1 : 2;
 
   std::vector<SweepRow> rows;
@@ -115,49 +107,39 @@ int main(int argc, char** argv) {
     row.edges = inst.graph.num_edges();
 
     core::Verdict base;
-    for (const unsigned t : thread_counts) {
-      std::unique_ptr<util::ThreadPool> pool;
-      core::DetectorOptions opt;
-      opt.k = kK;
-      opt.seed = 0xFA17;
-      if (t > 1) {
-        pool = std::make_unique<util::ThreadPool>(t);
-        opt.pool = pool.get();
+    core::DetectorOptions opt;
+    opt.k = kK;
+    opt.seed = 0xFA17;
+    for (int rep = 0; rep < reps; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const core::Verdict v = kDetector.run_fresh(inst.graph, ids, opt);
+      const double dt = seconds_since(t0);
+      if (rep == 0 || dt < row.seconds) row.seconds = dt;
+      if (rep == 0) {
+        base = v;
+        row.phases = counter(v, "phases_total");
+        row.sampled_vertices = counter(v, "sampled_vertices_total");
+        row.sampled_edges = counter(v, "sampled_edges_total");
+        row.rounds = v.stats.rounds_executed;
+        row.messages = v.stats.total_messages;
+        row.bits = v.stats.total_bits;
+        row.rounds_saved = counter(v, "rounds_saved_total");
+        row.early_exit = counter(v, "early_exit_trials") != 0;
       }
-      ThreadRow tr;
-      tr.threads = t;
-      for (int rep = 0; rep < reps; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const core::Verdict v = kDetector.run_fresh(inst.graph, ids, opt);
-        const double dt = seconds_since(t0);
-        if (rep == 0 || dt < tr.seconds) tr.seconds = dt;
-        if (t == 1 && rep == 0) {
-          base = v;
-          row.phases = counter(v, "phases_total");
-          row.sampled_vertices = counter(v, "sampled_vertices_total");
-          row.sampled_edges = counter(v, "sampled_edges_total");
-          row.rounds = v.stats.rounds_executed;
-          row.messages = v.stats.total_messages;
-          row.bits = v.stats.total_bits;
-          row.rounds_saved = counter(v, "rounds_saved_total");
-          row.early_exit = counter(v, "early_exit_trials") != 0;
-        }
-        ok &= check(!v.accepted, "planted instance must be rejected");
-        ok &= check(v.accepted == base.accepted && v.witness == base.witness &&
-                        v.counters == base.counters &&
-                        v.stats.rounds_executed == base.stats.rounds_executed &&
-                        v.stats.total_messages == base.stats.total_messages &&
-                        v.stats.total_bits == base.stats.total_bits,
-                    "threaded run disagrees with single-threaded run");
-      }
-      row.threads.push_back(tr);
-      std::printf("clique_hcycle c=%-4zu n=%-5u threads=%u  %8.4fs  phases=%llu "
-                  "sampled=%llu rounds=%llu saved=%llu\n",
-                  c, n, t, tr.seconds, static_cast<unsigned long long>(row.phases),
-                  static_cast<unsigned long long>(row.sampled_vertices),
-                  static_cast<unsigned long long>(row.rounds),
-                  static_cast<unsigned long long>(row.rounds_saved));
+      ok &= check(!v.accepted, "planted instance must be rejected");
+      ok &= check(v.accepted == base.accepted && v.witness == base.witness &&
+                      v.counters == base.counters &&
+                      v.stats.rounds_executed == base.stats.rounds_executed &&
+                      v.stats.total_messages == base.stats.total_messages &&
+                      v.stats.total_bits == base.stats.total_bits,
+                  "repeated run disagrees with the first run");
     }
+    std::printf("clique_hcycle c=%-4zu n=%-5u  %8.4fs  phases=%llu "
+                "sampled=%llu rounds=%llu saved=%llu\n",
+                c, n, row.seconds, static_cast<unsigned long long>(row.phases),
+                static_cast<unsigned long long>(row.sampled_vertices),
+                static_cast<unsigned long long>(row.rounds),
+                static_cast<unsigned long long>(row.rounds_saved));
     rows.push_back(row);
   }
 
@@ -177,8 +159,11 @@ int main(int argc, char** argv) {
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"bench\": \"m7_clique_micro\",\n  \"smoke\": %s,\n",
                  smoke ? "true" : "false");
-    std::fprintf(f, "  \"hardware_threads\": %u,\n  \"k\": %u,\n",
-                 std::thread::hardware_concurrency(), kK);
+    std::fprintf(f,
+                 "  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
+                 "  \"git_sha\": \"%s\",\n  \"k\": %u,\n",
+                 std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
+                 DECYCLE_BENCH_GIT_SHA, kK);
     std::fprintf(f, "  \"sweep\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const SweepRow& r = rows[i];
@@ -186,7 +171,7 @@ int main(int argc, char** argv) {
                    "    {\"planted_cycles\": %zu, \"n\": %u, \"edges\": %zu, "
                    "\"phases\": %llu, \"sampled_vertices\": %llu, \"sampled_edges\": %llu, "
                    "\"rounds\": %llu, \"messages\": %llu, \"bits\": %llu, "
-                   "\"rounds_saved\": %llu, \"early_exit\": %s,\n     \"threads\": [",
+                   "\"rounds_saved\": %llu, \"early_exit\": %s, \"seconds\": %.6f}%s\n",
                    r.cycles, r.n, r.edges, static_cast<unsigned long long>(r.phases),
                    static_cast<unsigned long long>(r.sampled_vertices),
                    static_cast<unsigned long long>(r.sampled_edges),
@@ -194,12 +179,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(r.messages),
                    static_cast<unsigned long long>(r.bits),
                    static_cast<unsigned long long>(r.rounds_saved),
-                   r.early_exit ? "true" : "false");
-      for (std::size_t j = 0; j < r.threads.size(); ++j) {
-        std::fprintf(f, "%s\n       {\"threads\": %u, \"seconds\": %.6f}", j == 0 ? "" : ",",
-                     r.threads[j].threads, r.threads[j].seconds);
-      }
-      std::fprintf(f, "\n     ]}%s\n", i + 1 == rows.size() ? "" : ",");
+                   r.early_exit ? "true" : "false", r.seconds, i + 1 == rows.size() ? "" : ",");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

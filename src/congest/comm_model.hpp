@@ -29,8 +29,8 @@
 ///     *input* graph separate (algorithms still reason about its edges —
 ///     that is the object under test) and runs delivery over the clique
 ///     links with the same CSR reverse-port table, envelope arenas, and
-///     pooled parallel machinery as CONGEST. Bandwidth is accounted, not
-///     enforced, like CONGEST.
+///     timer wheel as CONGEST. Bandwidth is accounted, not enforced, like
+///     CONGEST.
 ///
 /// Models are stateless singletons (congest()/broadcast()/clique()) looked
 /// up by name — the lab's `model=` axis — plus a constructible

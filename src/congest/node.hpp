@@ -112,10 +112,10 @@ class Context {
   CommModelKind model_kind_ = CommModelKind::kCongest;
   std::uint64_t bandwidth_bits_ = 0;  ///< 0 = accounted, not enforced
   /// out_payload_ size at reset(): this node's sends for the current step
-  /// start here (the chunk outbox is shared by every node the chunk steps),
+  /// start here (the round's outbox is shared by every node stepped in it),
   /// so the broadcast check can compare against the node's first message.
   std::size_t step_out_base_ = 0;
-  std::vector<OutMeta>* out_meta_ = nullptr;     ///< chunk outbox (owned by the simulator)
+  std::vector<OutMeta>* out_meta_ = nullptr;     ///< round outbox (owned by the simulator)
   std::vector<Message>* out_payload_ = nullptr;  ///< payloads, in lockstep with out_meta_
   std::span<const Vertex> nbrs_;
   std::size_t adj_base_ = 0;  ///< offset of vertex_'s adjacency in the CSR

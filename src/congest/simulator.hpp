@@ -13,10 +13,8 @@
 /// table precomputed at construction (O(1) per message); inboxes live in a
 /// double-buffered flat envelope arena filled by counting placement (never
 /// sorted — ascending sender order already yields ascending receiver ports);
-/// the delivery merge is sharded by receiver range across the thread pool
-/// with per-shard statistics reduced in fixed order; wake-ups sit in a
-/// bucketed timer wheel with a min-heap overflow for far targets. A
-/// steady-state round performs no heap allocation.
+/// wake-ups sit in a bucketed timer wheel with a min-heap overflow for far
+/// targets. A steady-state round performs no heap allocation.
 ///
 /// Communication models (DESIGN.md §11): the simulator is constructed with
 /// a CommModel (comm_model.hpp) that decides the link topology and the
@@ -27,10 +25,12 @@
 /// comm_graph() is the model's link topology, which every delivery
 /// structure above is built from.
 ///
-/// Determinism: node stepping and delivery may be spread across a thread
-/// pool, but every inbox, every statistic, and the full round schedule are
-/// bit-identical for any thread count, and identical to run_reference()'s
-/// straightforward loop — property-tested in tests/congest/simulator_test.cpp.
+/// Determinism: a run executes on the thread that calls run(), stepping
+/// nodes in ascending vertex order. Every inbox, every statistic, and the
+/// full round schedule are identical to run_reference()'s straightforward
+/// loop — property-tested in tests/congest/simulator_test.cpp. Parallelism
+/// lives above the simulator: independent queries run on their own
+/// simulators in engine lanes (DESIGN.md §2).
 #pragma once
 
 #include <functional>
@@ -44,7 +44,6 @@
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "util/pool_alloc.hpp"
-#include "util/thread_pool.hpp"
 
 namespace decycle::congest {
 
@@ -59,9 +58,9 @@ class Simulator {
   /// \p round from \p from to \p to. Used by the fault experiments — the
   /// tester must stay 1-sided under arbitrary message loss (a dropped
   /// message can only lose detections, never fabricate a cycle). The filter
-  /// is invoked exactly once per message, possibly concurrently from
-  /// delivery shards, so it must be thread-safe; determinism of the run
-  /// requires it to be a pure function of its arguments.
+  /// is invoked exactly once per message; determinism of the run requires
+  /// it to be a pure function of its arguments. Queries running in
+  /// parallel engine lanes may share one filter, so it must be thread-safe.
   using DropFilter = std::function<bool(std::uint64_t round, Vertex from, Vertex to)>;
 
   /// Run options. The struct stays an aggregate — designated/aggregate
@@ -69,14 +68,12 @@ class Simulator {
   /// `with_*` builders below are the fluent alternative for call sites that
   /// set several knobs: each mutates in place and returns *this, so they
   /// chain on lvalues and temporaries alike
-  /// (`sim.run(Options{}.with_pool(&pool).with_drop(filter))`). Both styles
+  /// (`sim.run(Options{}.with_max_rounds(8).with_drop(filter))`). Both styles
   /// configure the same public fields; mixing them is well-defined (last
   /// write wins).
   struct Options {
     std::uint64_t max_rounds = 1'000'000;  ///< safety cap
     bool record_rounds = false;            ///< keep per-round stats (for T3/T5)
-    util::ThreadPool* pool = nullptr;      ///< optional parallel stepping/delivery
-    std::size_t parallel_threshold = 256;  ///< min active nodes / messages to go parallel
     DropFilter drop;                       ///< optional message-loss adversary
 
     Options& with_max_rounds(std::uint64_t v) {
@@ -85,14 +82,6 @@ class Simulator {
     }
     Options& with_record_rounds(bool v = true) {
       record_rounds = v;
-      return *this;
-    }
-    Options& with_pool(util::ThreadPool* p) {
-      pool = p;
-      return *this;
-    }
-    Options& with_parallel_threshold(std::size_t v) {
-      parallel_threshold = v;
       return *this;
     }
     Options& with_drop(DropFilter f) {
@@ -125,10 +114,11 @@ class Simulator {
   /// Re-arms the simulator for a fresh run on the same topology: replaces
   /// every node program via \p factory while keeping the CSR reverse-port
   /// table and all run-time buffers (envelope arenas at their traffic
-  /// high-water mark, timer wheel, step contexts). A reset-then-run is
-  /// bit-identical to constructing a fresh Simulator with the same factory
-  /// and running it (property-tested) — consecutive trials on one topology
-  /// skip the O(m) table build and the first-run arena growth.
+  /// high-water mark, timer wheel, step context and outbox). A
+  /// reset-then-run is bit-identical to constructing a fresh Simulator with
+  /// the same factory and running it (property-tested) — consecutive trials
+  /// on one topology skip the O(m) table build and the first-run arena
+  /// growth.
   void reset(const ProgramFactory& factory);
 
   /// Runs until the network quiesces (no mail in flight, no wake-ups) or the
@@ -181,9 +171,9 @@ class Simulator {
   const graph::Graph* comm_graph_;
 
   /// Backs every program instance built by reset() (declared before
-  /// programs_ so the blocks outlive their owners at destruction). The pool
-  /// is touched serially (reset, program destruction), never from delivery
-  /// shards.
+  /// programs_ so the blocks outlive their owners at destruction). Only
+  /// the thread driving this simulator touches it (reset, program
+  /// destruction).
   util::PoolAllocator program_pool_;
   std::vector<std::unique_ptr<NodeProgram>> programs_;
 
@@ -194,7 +184,7 @@ class Simulator {
   std::vector<std::size_t> adj_offsets_;
   std::vector<std::uint32_t> rev_ports_;
 
-  /// Reusable per-run buffers (arenas, timer wheel, step contexts); lazily
+  /// Reusable per-run buffers (arenas, timer wheel, step context); lazily
   /// built on first arena run and reused across runs.
   std::unique_ptr<SimRuntime> runtime_;
 };

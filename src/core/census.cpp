@@ -23,7 +23,6 @@ CensusResult cycle_census(const graph::Graph& g, const graph::IdAssignment& ids,
     topt.fake_ids = options.detect.fake_ids;
     topt.naive_cap = options.detect.naive_cap;
     topt.trace = options.detect.trace;
-    topt.pool = options.pool;
     topt.seed = util::splitmix64(options.seed ^ util::splitmix64(k));
     const Verdict verdict = tester.run(sim, topt);
 

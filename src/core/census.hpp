@@ -22,7 +22,6 @@ struct CensusOptions {
   std::uint64_t seed = 1;
   std::size_t repetitions = 0;  ///< 0 = recommended_repetitions(epsilon) per k
   DetectParams detect;
-  util::ThreadPool* pool = nullptr;
 };
 
 struct CensusEntry {

@@ -25,7 +25,6 @@ congest::Simulator::Options simulator_options(const DetectorOptions& options,
                                               std::uint64_t max_rounds) {
   congest::Simulator::Options out;
   out.max_rounds = max_rounds;
-  out.pool = options.pool;
   out.drop = options.drop;
   out.record_rounds = options.record_rounds;
   return out;

@@ -24,10 +24,10 @@
 ///     name. Adding an algorithm is one class and one registration.
 ///
 /// Determinism contract: run() must be a pure function of (topology, ids,
-/// options) — bit-identical across thread counts, and on a simulator that
-/// already ran anything else (the reset-reuse contract every session cache
-/// relies on) — because the lab's golden-file CI diffs byte-level JSONL
-/// built from these verdicts.
+/// options) — bit-identical whichever lane thread runs it, and on a
+/// simulator that already ran anything else (the reset-reuse contract every
+/// session cache relies on) — because the lab's golden-file CI diffs
+/// byte-level JSONL built from these verdicts.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,6 @@
 #include "core/threshold/budget.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
-#include "util/thread_pool.hpp"
 
 namespace decycle::core {
 
@@ -133,7 +132,6 @@ struct DetectorOptions {
   std::size_t naive_cap = 1u << 18;
   TraceSink* trace = nullptr;
   bool validate_witnesses = true;  ///< 1-sided-error enforcement (witness.hpp)
-  util::ThreadPool* pool = nullptr;  ///< parallel stepping/delivery (distributed detectors)
   congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
   /// Keep per-round stats in Verdict::stats (RunStats::normalized_rounds).
   bool record_rounds = false;
@@ -142,8 +140,8 @@ struct DetectorOptions {
 /// k plus the Phase-2 ablation knobs, as the node programs take them.
 [[nodiscard]] DetectParams detect_params(const DetectorOptions& options);
 
-/// What every distributed detector hands Simulator::run: the caller's pool,
-/// drop adversary and record_rounds under the detector's own round cap.
+/// What every distributed detector hands Simulator::run: the caller's drop
+/// adversary and record_rounds under the detector's own round cap.
 [[nodiscard]] congest::Simulator::Options simulator_options(const DetectorOptions& options,
                                                             std::uint64_t max_rounds);
 

@@ -18,7 +18,6 @@ namespace decycle::core {
 struct ScanOptions {
   DetectParams detect;
   bool stop_at_first = true;  ///< early exit once a cycle is found
-  util::ThreadPool* pool = nullptr;
 };
 
 struct ScanResult {
@@ -32,11 +31,10 @@ struct ScanResult {
   std::uint64_t total_bits = 0;
 };
 
-/// Runs the registry's single-edge checker on every edge (in index order). Exact: finds
-/// a Ck iff one exists. The per-edge executions are independent, so the
-/// harness may evaluate them concurrently without changing the result; the
-/// reported schedule_rounds always reflects the sequential distributed
-/// schedule.
+/// Runs the registry's single-edge checker on every edge (in index order),
+/// resetting one simulator per edge. Exact: finds a Ck iff one exists; the
+/// witness is the first rejecting edge's. schedule_rounds reflects the
+/// sequential distributed schedule.
 [[nodiscard]] ScanResult exhaustive_ck_scan(const graph::Graph& g,
                                             const graph::IdAssignment& ids,
                                             const ScanOptions& options);

@@ -6,8 +6,8 @@
 /// A TraceSink attached to DetectParams records every seed / receive / keep /
 /// drop / send / reject event; tests assert on pruning decisions directly,
 /// and the walkthrough tooling renders paper-style narratives from the
-/// stream. The sink is mutex-protected so traced runs work under the
-/// simulator's parallel stepping (events are sorted by (round, node, kind)
+/// stream. The sink is mutex-protected so queries running in parallel
+/// engine lanes may share one sink (events are sorted by (round, node, kind)
 /// for deterministic inspection).
 #pragma once
 

@@ -9,11 +9,8 @@ void for_lanes(util::ThreadPool* pool, std::size_t count, const LaneFn& fn) {
     const auto [begin, end] = lane_range(count, lane, lanes);
     fn(lane, begin, end);
   };
-  // lane_count never reports more than one lane without a pool, but the
-  // dispatch re-checks the pointer so a future lane policy can't turn a
-  // serial call into a null deref.
-  if (pool != nullptr && lanes > 1) {
-    pool->for_weighted(lanes, nullptr, run_lane);
+  if (pool != nullptr) {
+    pool->run_lanes(lanes, run_lane);
   } else {
     run_lane(0);
   }

@@ -162,7 +162,7 @@ struct FamilyInfo {
 
 /// Stateless deterministic drop filter implementing \p spec; pure in
 /// (round, from, to) given \p seed, so runs stay bit-reproducible and the
-/// filter is safe to call from concurrent delivery shards.
+/// filter is safe to share across queries in concurrent engine lanes.
 [[nodiscard]] congest::Simulator::DropFilter make_drop_filter(const AdversarySpec& spec,
                                                               std::uint64_t seed);
 

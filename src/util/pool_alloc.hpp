@@ -16,7 +16,7 @@
 /// Simulator's program pool is only touched from reset() (serial) and
 /// program destruction (serial), and each lab/soak lane owns its own
 /// Simulator and therefore its own pool. The batch protocol of
-/// ThreadPool::for_weighted provides the happens-before edges when a lane's
+/// ThreadPool::run_lanes provides the happens-before edges when a lane's
 /// objects migrate between worker threads across batches.
 ///
 /// Two layers:

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <exception>
 
-#include "util/check.hpp"
-
 namespace decycle::util {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -12,8 +10,15 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < num_threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // No destructor runs for a half-built pool: without this, the started
+    // workers would wait on cv_ forever while their members are torn down.
+    stop_workers();
+    throw;
   }
 }
 
@@ -22,6 +27,13 @@ ThreadPool::~ThreadPool() {
     std::unique_lock lock(mutex_);
     // Let any in-flight batch finish before tearing the workers down.
     batch_cv_.wait(lock, [&] { return batch_workers_inside_ == 0; });
+  }
+  stop_workers();
+}
+
+void ThreadPool::stop_workers() {
+  {
+    const std::lock_guard lock(mutex_);
     stopping_ = true;
   }
   cv_.notify_all();
@@ -38,7 +50,7 @@ void ThreadPool::worker_loop() {
       cv_.wait(lock, [&] { return stopping_ || batch_epoch_ != seen_epoch; });
       if (stopping_) return;
       // Enter the current batch: snapshot its descriptor under the lock.
-      // for_weighted() never replaces the descriptor while any worker is
+      // run_lanes() never replaces the descriptor while any worker is
       // inside (it waits for batch_workers_inside_ == 0), so the snapshot
       // and the shared cursors always belong to the same batch.
       seen_epoch = batch_epoch_;
@@ -75,10 +87,6 @@ void ThreadPool::drain_batch(IndexFnRef fn, std::size_t count) {
       batch_cv_.notify_all();
     }
   }
-}
-
-void ThreadPool::for_weighted(std::size_t count, const std::uint64_t* weights, IndexFnRef fn) {
-  scheduler_.run(*this, count, weights, fn);
 }
 
 void ThreadPool::run_lanes(std::size_t lanes, IndexFnRef fn) {
@@ -119,25 +127,17 @@ void ThreadPool::run_lanes(std::size_t lanes, IndexFnRef fn) {
   }
 }
 
-void ThreadPool::parallel_for_chunked(std::size_t count,
-                                      const std::function<void(std::size_t, std::size_t)>& fn) {
+void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   const std::size_t max_tasks = std::max<std::size_t>(1, workers_.size() * 4);
   const std::size_t chunk = std::max<std::size_t>(1, (count + max_tasks - 1) / max_tasks);
   const std::size_t num_tasks = (count + chunk - 1) / chunk;
 
   const auto run_chunk = [&](std::size_t t) {
-    const std::size_t begin = t * chunk;
-    const std::size_t end = std::min(count, begin + chunk);
-    fn(begin, end);
+    const std::size_t end = std::min(count, (t + 1) * chunk);
+    for (std::size_t i = t * chunk; i < end; ++i) fn(i);
   };
-  for_weighted(num_tasks, nullptr, run_chunk);
-}
-
-void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
-  parallel_for_chunked(count, [&fn](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-  });
+  run_lanes(num_tasks, run_chunk);
 }
 
 ThreadPool& global_pool() {

@@ -1,23 +1,19 @@
 /// \file thread_pool.hpp
-/// \brief Fixed-size worker pool with a blocking parallel_for and a
-/// zero-allocation indexed batch mode.
+/// \brief Fixed-size worker pool with one zero-allocation batch primitive,
+/// run_lanes, and a blocking parallel_for on top of it.
 ///
-/// Two uses in the repository:
-///   * the experiment harness fans independent tester trials out across
-///     cores (each trial owns its RNG stream, so results are identical for
-///     any thread count) — via parallel_for;
-///   * the CONGEST simulator steps active nodes and shards the delivery
-///     merge within every round — via for_weighted, which dispatches chunk
-///     ids through the work-stealing scheduler (work_steal.hpp) so skewed
-///     chunk costs rebalance across lanes, and a steady-state round
-///     performs no heap allocation in the pool (DESIGN.md §4, §10).
-///     parallel_for is a thin chunking layer on top.
+/// The pool parallelizes across independent queries, never inside one: a
+/// simulation runs on the thread that calls Simulator::run. Two uses:
+///   * engine::for_lanes (lab cells, soak campaigns, engine batches) hands
+///     each contiguous lane to run_lanes;
+///   * harness::estimate_rate fans independent trials out via parallel_for
+///     (each trial owns its RNG stream, so results are identical for any
+///     thread count).
 ///
-/// The lane layer underneath is deliberately simple — one mutex-guarded
-/// in-flight batch that workers join by snapshotting its descriptor; the
-/// only lock-free machinery is the scheduler's per-lane deque. Batches
-/// block the caller and must not be submitted from inside pool work (no
-/// nesting), matching the blocking parallel_for's existing constraint.
+/// The batch machinery is deliberately simple: one mutex-guarded in-flight
+/// batch that workers join by snapshotting its descriptor, and an atomic
+/// cursor they claim indices from. Batches block the caller and must not be
+/// submitted from inside pool work (no nesting).
 #pragma once
 
 #include <atomic>
@@ -25,13 +21,12 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "util/work_steal.hpp"
 
 namespace decycle::util {
 
@@ -58,6 +53,9 @@ class IndexFnRef {
 class ThreadPool {
  public:
   /// Creates \p num_threads workers; 0 means std::thread::hardware_concurrency().
+  /// If a worker cannot be started (std::system_error when the process is
+  /// out of threads or address space), the workers already started are
+  /// stopped and joined and the exception propagates.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
@@ -67,37 +65,26 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
   /// Runs fn(i) for i in [0, count), blocking until all iterations finish.
-  /// Iterations are chunked into ~4 tasks per worker to amortize dispatch.
-  /// Exceptions thrown by fn propagate to the caller (first one wins).
+  /// Iterations are chunked into ~4 run_lanes indices per worker to
+  /// amortize dispatch. Exceptions thrown by fn propagate to the caller
+  /// (first one wins).
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
-  /// Like parallel_for but hands each task a contiguous [begin, end) range.
-  void parallel_for_chunked(std::size_t count,
-                            const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// Work-stealing batch with a cost-weighted initial split: runs fn(i) for
-  /// i in [0, count), blocking until done; \p weights (length \p count,
-  /// nullptr for unit) biases which contiguous chunk runs seed each lane's
-  /// deque, and lanes rebalance by stealing. The calling thread
-  /// participates. Indices should be coarse chunks (the caller decides the
-  /// chunking — this is what makes results independent of the worker
-  /// count). Exceptions propagate (first one wins) after the batch drains.
-  /// Steady-state batches perform no heap allocation. Concurrent calls from
-  /// different threads serialize. Not reentrant: must not be called from
-  /// inside a pool task.
-  void for_weighted(std::size_t count, const std::uint64_t* weights, IndexFnRef fn);
-
-  /// Low-level lane dispatch used by the scheduler: runs fn(l) exactly once
-  /// for every lane l in [0, lanes), claimed from an atomic cursor by the
-  /// caller plus any workers that wake in time (so one thread may execute
-  /// several lanes). Most code wants for_weighted instead.
+  /// The batch primitive: runs fn(l) exactly once for every lane l in
+  /// [0, lanes), blocking until all finished. Lanes are claimed from an
+  /// atomic cursor by the calling thread plus any workers that wake in
+  /// time, so one thread may execute several lanes; callers that need
+  /// results independent of the worker count write them to per-lane slots.
+  /// Exceptions are captured and the first one rethrows after the batch
+  /// drains (the remaining lanes still run). Steady-state batches perform
+  /// no heap allocation. Concurrent calls from different threads
+  /// serialize. Not reentrant: must not be called from inside a pool task.
   void run_lanes(std::size_t lanes, IndexFnRef fn);
-
-  /// Successful steals across all batches (diagnostics / tests).
-  [[nodiscard]] std::uint64_t steal_count() const noexcept { return scheduler_.steals(); }
 
  private:
   void worker_loop();
+  /// Sets stopping_, wakes every worker and joins them.
+  void stop_workers();
   /// Claims and runs batch indices until the cursor is exhausted.
   void drain_batch(IndexFnRef fn, std::size_t count);
 
@@ -118,8 +105,6 @@ class ThreadPool {
   std::size_t batch_workers_inside_ = 0;  ///< workers currently draining
   std::condition_variable batch_cv_;      ///< completion / drain signaling
   std::exception_ptr batch_error_;
-
-  WorkStealScheduler scheduler_;  ///< chunk distribution for for_weighted
 };
 
 /// Process-wide pool for the harness (constructed on first use).

@@ -202,35 +202,6 @@ TEST(Simulator, StatsBitsAndLinkMaxima) {
   EXPECT_GE(stats.normalized_rounds(8), stats.rounds_executed);
 }
 
-TEST(Simulator, IdenticalResultsAcrossThreadCounts) {
-  const Graph g = graph::grid(8, 8);
-  util::Rng rng(42);
-  const IdAssignment ids = IdAssignment::shuffled(g.num_vertices(), rng);
-
-  auto run_with = [&](util::ThreadPool* pool) {
-    Simulator sim(g, ids, [](Vertex) { return std::make_unique<EchoProgram>(); });
-    Simulator::Options opt;
-    opt.pool = pool;
-    opt.parallel_threshold = 1;  // force parallel path when pool given
-    const RunStats stats = sim.run(opt);
-    std::vector<std::vector<NodeId>> heard;
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      heard.push_back(static_cast<const EchoProgram&>(sim.program(v)).heard_);
-    }
-    return std::make_pair(stats.total_bits, heard);
-  };
-
-  const auto serial = run_with(nullptr);
-  util::ThreadPool pool2(2);
-  util::ThreadPool pool7(7);
-  const auto par2 = run_with(&pool2);
-  const auto par7 = run_with(&pool7);
-  EXPECT_EQ(serial.first, par2.first);
-  EXPECT_EQ(serial.second, par2.second);
-  EXPECT_EQ(serial.first, par7.first);
-  EXPECT_EQ(serial.second, par7.second);
-}
-
 /// Multi-round gossip that exercises every delivery feature at once: port-
 /// dependent sends, silent rounds, timer-wheel wake-ups (near and far), and
 /// a full inbox transcript for bit-identity checks.
@@ -294,13 +265,10 @@ void expect_identical(const RunOutcome& a, const RunOutcome& b, const std::strin
 constexpr bool kRun = false;
 constexpr bool kReference = true;
 
-/// Run options with every parallel path forced whenever a pool is given,
-/// per-round records on, and (optionally) a deterministic ~20% drop
-/// adversary.
-Simulator::Options test_options(const Graph& g, util::ThreadPool* pool, bool with_drops) {
+/// Run options with per-round records on and (optionally) a deterministic
+/// ~20% drop adversary.
+Simulator::Options test_options(const Graph& g, bool with_drops) {
   Simulator::Options opt;
-  opt.pool = pool;
-  opt.parallel_threshold = 1;
   opt.record_rounds = true;
   if (with_drops) {
     const Vertex n = g.num_vertices();
@@ -311,10 +279,10 @@ Simulator::Options test_options(const Graph& g, util::ThreadPool* pool, bool wit
   return opt;
 }
 
-RunOutcome run_gossip(const Graph& g, const IdAssignment& ids, util::ThreadPool* pool,
-                      bool reference, bool with_drops) {
+RunOutcome run_gossip(const Graph& g, const IdAssignment& ids, bool reference,
+                      bool with_drops) {
   Simulator sim(g, ids, [](Vertex) { return std::make_unique<GossipProgram>(); });
-  const Simulator::Options opt = test_options(g, pool, with_drops);
+  const Simulator::Options opt = test_options(g, with_drops);
   RunOutcome out;
   out.stats = reference ? sim.run_reference(opt) : sim.run(opt);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
@@ -323,16 +291,14 @@ RunOutcome run_gossip(const Graph& g, const IdAssignment& ids, util::ThreadPool*
   return out;
 }
 
-/// The determinism contract (DESIGN.md §3.2), property-tested: identical
-/// RunStats (including per-round records) and bit-identical inbox
-/// transcripts on 1, 4 and 8 threads, with and without the drop-filter
-/// adversary — and run() agrees with the run_reference() oracle.
+/// The simulator contract (DESIGN.md §3.2), property-tested: run() and the
+/// run_reference() oracle give identical RunStats (including per-round
+/// records) and bit-identical inbox transcripts, with and without the
+/// drop-filter adversary.
 TEST(Simulator, DeterminismAcrossThreadCountsAndAdversary) {
   util::Rng rng(7);
   const Graph graphs[] = {graph::grid(9, 9), graph::wheel(40),
                           graph::random_regular(60, 6, rng)};
-  util::ThreadPool pool4(4);
-  util::ThreadPool pool8(8);
   for (std::size_t gi = 0; gi < std::size(graphs); ++gi) {
     const Graph& g = graphs[gi];
     util::Rng id_rng(13 + gi);
@@ -340,15 +306,9 @@ TEST(Simulator, DeterminismAcrossThreadCountsAndAdversary) {
     for (const bool drops : {false, true}) {
       const std::string label =
           "graph " + std::to_string(gi) + (drops ? " with drops" : " no drops");
-      const RunOutcome oracle = run_gossip(g, ids, nullptr, kReference, drops);
-      const RunOutcome serial = run_gossip(g, ids, nullptr, kRun, drops);
-      const RunOutcome par4 = run_gossip(g, ids, &pool4, kRun, drops);
-      const RunOutcome par8 = run_gossip(g, ids, &pool8, kRun, drops);
-      const RunOutcome reference4 = run_gossip(g, ids, &pool4, kReference, drops);
+      const RunOutcome oracle = run_gossip(g, ids, kReference, drops);
+      const RunOutcome serial = run_gossip(g, ids, kRun, drops);
       expect_identical(serial, oracle, label + ": run vs reference oracle");
-      expect_identical(par4, serial, label + ": 4 threads vs serial");
-      expect_identical(par8, serial, label + ": 8 threads vs serial");
-      expect_identical(reference4, oracle, label + ": reference 4 threads vs serial");
     }
   }
 }
@@ -362,9 +322,9 @@ struct DetectorRun {
 
 template <typename Program>
 DetectorRun run_programs(Simulator& sim, const Simulator::ProgramFactory& factory,
-                         util::ThreadPool* pool, bool reference, bool with_drops) {
+                         bool reference, bool with_drops) {
   sim.reset(factory);
-  const Simulator::Options opt = test_options(sim.graph(), pool, with_drops);
+  const Simulator::Options opt = test_options(sim.graph(), with_drops);
   DetectorRun out;
   out.stats = reference ? sim.run_reference(opt) : sim.run(opt);
   sim.for_each_program<Program>([&](Vertex, const Program& prog) {
@@ -376,33 +336,29 @@ DetectorRun run_programs(Simulator& sim, const Simulator::ProgramFactory& factor
 template <typename Program>
 void expect_loops_agree(Simulator& sim, const Simulator::ProgramFactory& factory,
                         const std::string& name) {
-  util::ThreadPool pool4(4);
   for (const bool drops : {false, true}) {
     const std::string label = name + (drops ? " with drops" : " no drops");
-    const DetectorRun oracle = run_programs<Program>(sim, factory, nullptr, kReference, drops);
+    const DetectorRun oracle = run_programs<Program>(sim, factory, kReference, drops);
     if (!drops) {
       // The planted instance must make the comparison cover witness traffic.
       EXPECT_TRUE(std::any_of(oracle.nodes.begin(), oracle.nodes.end(),
                               [](const auto& node) { return node.first; }))
           << label << ": no node rejected";
     }
-    for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &pool4}) {
-      for (const bool reference : {kRun, kReference}) {
-        const std::string run_label = label + (reference ? ", reference" : ", run") +
-                                      (pool != nullptr ? " 4 threads" : " serial");
-        const DetectorRun got = run_programs<Program>(sim, factory, pool, reference, drops);
-        expect_same_stats(got.stats, oracle.stats, run_label);
-        EXPECT_EQ(got.nodes, oracle.nodes) << run_label;
-      }
+    // The reference arm re-runs the oracle on the reused simulator.
+    for (const bool reference : {kRun, kReference}) {
+      const std::string run_label = label + (reference ? ", reference" : ", run");
+      const DetectorRun got = run_programs<Program>(sim, factory, reference, drops);
+      expect_same_stats(got.stats, oracle.stats, run_label);
+      EXPECT_EQ(got.nodes, oracle.nodes) << run_label;
     }
   }
 }
 
 /// The reference oracle on real detector traffic, not just gossip: the
 /// tester's prioritized Phase-2 bundles and the threshold family's merged
-/// per-link bundles agree between run() and run_reference(), serially and on
-/// 4 threads, with and without drops — RunStats, every node's reject flag
-/// and its witness IDs.
+/// per-link bundles agree between run() and run_reference(), with and
+/// without drops — RunStats, every node's reject flag and its witness IDs.
 TEST(Simulator, ReferenceLoopAgreesOnDetectorTraffic) {
   util::Rng rng(5);
   graph::PlantedOptions popt;
@@ -472,7 +428,7 @@ TEST(Simulator, ArenaHandlesOversizedPayloads) {
 /// the acceptance bar for the zero-allocation delivery rewrite. The first
 /// run warms every reusable buffer (arena, outboxes, timer wheel); the
 /// second run on the same Simulator must then be allocation-free from
-/// begin_run to quiescence, serial and pooled alike.
+/// begin_run to quiescence.
 TEST(Simulator, SteadyStateDeliveryIsAllocationFree) {
   ASSERT_TRUE(testsupport::allocation_probe_active());
 
@@ -496,24 +452,16 @@ TEST(Simulator, SteadyStateDeliveryIsAllocationFree) {
 
   const Graph g = graph::grid(12, 12);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  util::ThreadPool pool(4);
+  Simulator sim(g, ids, [](Vertex) { return std::make_unique<StatelessChatter>(); });
+  const RunStats warm = sim.run();
+  EXPECT_TRUE(warm.halted);
 
-  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    Simulator sim(g, ids, [](Vertex) { return std::make_unique<StatelessChatter>(); });
-    Simulator::Options opt;
-    opt.pool = p;
-    opt.parallel_threshold = 1;
-    const RunStats warm = sim.run(opt);
-    EXPECT_TRUE(warm.halted);
-
-    const std::uint64_t before = testsupport::allocation_count();
-    const RunStats steady = sim.run(opt);
-    const std::uint64_t after = testsupport::allocation_count();
-    EXPECT_TRUE(steady.halted);
-    EXPECT_EQ(steady.total_messages, warm.total_messages);
-    EXPECT_EQ(after - before, 0u) << (p == nullptr ? "serial" : "pooled")
-                                  << " steady-state run allocated";
-  }
+  const std::uint64_t before = testsupport::allocation_count();
+  const RunStats steady = sim.run();
+  const std::uint64_t after = testsupport::allocation_count();
+  EXPECT_TRUE(steady.halted);
+  EXPECT_EQ(steady.total_messages, warm.total_messages);
+  EXPECT_EQ(after - before, 0u) << "steady-state run allocated";
 }
 
 TEST(Simulator, MismatchedIdAssignmentRejected) {
@@ -532,10 +480,9 @@ TEST(Simulator, NullProgramRejected) {
 
 // --- Simulator reuse (reset) -----------------------------------------------
 
-RunOutcome run_gossip_on(Simulator& sim, const Graph& g, util::ThreadPool* pool, bool reference,
-                         bool with_drops) {
+RunOutcome run_gossip_on(Simulator& sim, const Graph& g, bool reference, bool with_drops) {
   sim.reset([](Vertex) { return std::make_unique<GossipProgram>(); });
-  const Simulator::Options opt = test_options(g, pool, with_drops);
+  const Simulator::Options opt = test_options(g, with_drops);
   RunOutcome out;
   out.stats = reference ? sim.run_reference(opt) : sim.run(opt);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
@@ -546,30 +493,27 @@ RunOutcome run_gossip_on(Simulator& sim, const Graph& g, util::ThreadPool* pool,
 
 /// The Simulator::reset contract (DESIGN.md §6): a reset-then-run on a
 /// reused simulator is bit-identical to a fresh-build run — same RunStats
-/// (incl. per-round records) and inbox transcripts — across thread counts,
-/// both loops, and the drop adversary, even when the reused simulator
+/// (incl. per-round records) and inbox transcripts — across both loops and
+/// the drop adversary, even when the reused simulator
 /// previously ran a *different* configuration (stale arenas, stale wheel).
 TEST(Simulator, ResetRunMatchesFreshBuild) {
   util::Rng rng(7);  // same stream as DeterminismAcrossThreadCountsAndAdversary
   const Graph g = graph::random_regular(60, 6, rng);
   util::Rng id_rng(22);
   const IdAssignment ids = IdAssignment::shuffled(g.num_vertices(), id_rng);
-  util::ThreadPool pool8(8);
 
   Simulator reused(g, ids);  // topology-only construction
   // Dirty the reusable state with an unrelated run first.
   reused.reset([](Vertex) { return std::make_unique<EchoProgram>(); });
   (void)reused.run();
 
-  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &pool8}) {
-    for (const bool reference : {kRun, kReference}) {
-      for (const bool drops : {false, true}) {
-        const std::string label = std::string(pool ? "8 threads" : "1 thread") +
-                                  (reference ? " reference" : " run") + (drops ? " drops" : "");
-        const RunOutcome fresh = run_gossip(g, ids, pool, reference, drops);
-        const RunOutcome reset_run = run_gossip_on(reused, g, pool, reference, drops);
-        expect_identical(reset_run, fresh, label);
-      }
+  for (const bool reference : {kRun, kReference}) {
+    for (const bool drops : {false, true}) {
+      const std::string label =
+          std::string(reference ? "reference" : "run") + (drops ? " drops" : "");
+      const RunOutcome fresh = run_gossip(g, ids, reference, drops);
+      const RunOutcome reset_run = run_gossip_on(reused, g, reference, drops);
+      expect_identical(reset_run, fresh, label);
     }
   }
 }
@@ -580,37 +524,10 @@ TEST(Simulator, RepeatedResetTrialsAreIndependent) {
   const Graph g = graph::grid(7, 7);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
   Simulator sim(g, ids);
-  const RunOutcome first = run_gossip_on(sim, g, nullptr, kRun, false);
+  const RunOutcome first = run_gossip_on(sim, g, kRun, false);
   for (int i = 0; i < 3; ++i) {
-    const RunOutcome again = run_gossip_on(sim, g, nullptr, kRun, false);
+    const RunOutcome again = run_gossip_on(sim, g, kRun, false);
     expect_identical(again, first, "repeat " + std::to_string(i));
-  }
-}
-
-// --- Work-stealing scale path (PR 6) ---------------------------------------
-
-/// The determinism contract at oversubscribed thread counts through the
-/// work-stealing scheduler: 1, 4 and 16 threads must agree bit-for-bit —
-/// RunStats, per-round records, and inbox transcripts — on a topology dense
-/// enough to engage the grouped parallel delivery, vector- and
-/// bitset-backed alike.
-TEST(Simulator, WorkStealDeterminismAtSixteenThreads) {
-  for (const graph::AdjacencyMode mode :
-       {graph::AdjacencyMode::kVector, graph::AdjacencyMode::kBitset}) {
-    const Graph g = graph::circulant(96, 6, mode);
-    util::Rng id_rng(31);
-    const IdAssignment ids = IdAssignment::shuffled(g.num_vertices(), id_rng);
-    util::ThreadPool pool4(4);
-    util::ThreadPool pool16(16);
-    const std::string rep = mode == graph::AdjacencyMode::kBitset ? " (bitset)" : " (vector)";
-    for (const bool drops : {false, true}) {
-      const std::string label = (drops ? "with drops" : "no drops") + rep;
-      const RunOutcome serial = run_gossip(g, ids, nullptr, kRun, drops);
-      const RunOutcome par4 = run_gossip(g, ids, &pool4, kRun, drops);
-      const RunOutcome par16 = run_gossip(g, ids, &pool16, kRun, drops);
-      expect_identical(par4, serial, label + ": 4 threads vs serial");
-      expect_identical(par16, serial, label + ": 16 threads vs serial");
-    }
   }
 }
 
@@ -618,7 +535,7 @@ TEST(Simulator, WorkStealDeterminismAtSixteenThreads) {
 /// after a warm trial, a full reset(factory) + run — which tears down and
 /// reconstructs every NodeProgram — must be heap-silent, because program
 /// storage recycles through the simulator's size-classed pool and delivery
-/// recycles the arenas. Serial and work-stealing pooled lanes alike.
+/// recycles the arenas.
 TEST(Simulator, PooledResetTrialsAreAllocationFree) {
   ASSERT_TRUE(testsupport::allocation_probe_active());
 
@@ -642,28 +559,20 @@ TEST(Simulator, PooledResetTrialsAreAllocationFree) {
 
   const Graph g = graph::grid(10, 10);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  util::ThreadPool pool(4);
+  Simulator sim(g, ids, factory);
+  const RunStats warm = sim.run();
+  EXPECT_TRUE(warm.halted);
+  // One warm reset sets the pool's high-water mark for program blocks.
+  sim.reset(factory);
+  (void)sim.run();
 
-  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    Simulator sim(g, ids, factory);
-    Simulator::Options opt;
-    opt.pool = p;
-    opt.parallel_threshold = 1;
-    const RunStats warm = sim.run(opt);
-    EXPECT_TRUE(warm.halted);
-    // One warm reset sets the pool's high-water mark for program blocks.
-    sim.reset(factory);
-    (void)sim.run(opt);
-
-    const std::uint64_t before = testsupport::allocation_count();
-    sim.reset(factory);
-    const RunStats steady = sim.run(opt);
-    const std::uint64_t after = testsupport::allocation_count();
-    EXPECT_TRUE(steady.halted);
-    EXPECT_EQ(steady.total_messages, warm.total_messages);
-    EXPECT_EQ(after - before, 0u)
-        << (p == nullptr ? "serial" : "pooled") << " reset trial allocated";
-  }
+  const std::uint64_t before = testsupport::allocation_count();
+  sim.reset(factory);
+  const RunStats steady = sim.run();
+  const std::uint64_t after = testsupport::allocation_count();
+  EXPECT_TRUE(steady.halted);
+  EXPECT_EQ(steady.total_messages, warm.total_messages);
+  EXPECT_EQ(after - before, 0u) << "reset trial allocated";
 }
 
 TEST(Simulator, TopologyOnlyConstructionRequiresReset) {

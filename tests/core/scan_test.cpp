@@ -13,12 +13,10 @@ namespace {
 using graph::Graph;
 using graph::IdAssignment;
 
-ScanResult run_scan(const Graph& g, unsigned k, bool stop_at_first = true,
-                    util::ThreadPool* pool = nullptr) {
+ScanResult run_scan(const Graph& g, unsigned k, bool stop_at_first = true) {
   ScanOptions opt;
   opt.detect.k = k;
   opt.stop_at_first = stop_at_first;
-  opt.pool = pool;
   return exhaustive_ck_scan(g, IdAssignment::identity(g.num_vertices()), opt);
 }
 
@@ -65,17 +63,6 @@ TEST(Scan, ScheduleRoundsFormula) {
   EXPECT_FALSE(result.found);
   EXPECT_EQ(result.edges_checked, g.num_edges());
   EXPECT_EQ(result.schedule_rounds, g.num_edges() * (7 / 2 + 1));
-}
-
-TEST(Scan, ParallelFullSweepMatchesSerial) {
-  util::Rng rng(3);
-  const Graph g = graph::random_connected(30, 45, rng);
-  const auto serial = run_scan(g, 5, /*stop_at_first=*/false);
-  util::ThreadPool pool(4);
-  const auto parallel = run_scan(g, 5, /*stop_at_first=*/false, &pool);
-  EXPECT_EQ(serial.found, parallel.found);
-  EXPECT_EQ(serial.total_bits, parallel.total_bits);
-  EXPECT_EQ(serial.witness, parallel.witness);
 }
 
 TEST(Scan, EmptyGraph) {

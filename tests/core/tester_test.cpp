@@ -177,23 +177,6 @@ TEST(Tester, DeterministicForFixedSeed) {
   EXPECT_EQ(v1.witness, v2.witness);
 }
 
-TEST(Tester, ParallelSimulationMatchesSerial) {
-  util::Rng rng(10);
-  const Graph g = graph::random_connected(60, 110, rng);
-  const IdAssignment ids = IdAssignment::identity(60);
-  DetectorOptions opt;
-  opt.k = 5;
-  opt.repetitions = 8;
-  opt.seed = 3;
-  const auto serial = kTester.run_fresh(g, ids, opt);
-  util::ThreadPool pool(4);
-  opt.pool = &pool;
-  const auto parallel = kTester.run_fresh(g, ids, opt);
-  EXPECT_EQ(serial.accepted, parallel.accepted);
-  EXPECT_EQ(serial.rejecting_nodes, parallel.rejecting_nodes);
-  EXPECT_EQ(serial.stats.total_bits, parallel.stats.total_bits);
-}
-
 TEST(Tester, ConcurrentExecutionsStaySound) {
   // Dense graph with many overlapping cycles: every node serves some edge,
   // executions preempt each other, and every rejection must still be a real

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/detector.hpp"
+#include "engine/engine.hpp"
 #include "graph/generators.hpp"
+#include "util/thread_pool.hpp"
 
 namespace decycle::core {
 namespace {
@@ -110,25 +112,31 @@ TEST(Trace, ClearEmptiesSink) {
   EXPECT_TRUE(sink.events().empty());
 }
 
-TEST(Trace, ParallelSteppingProducesSameEventMultiset) {
-  const Graph g = graph::complete_bipartite(8, 8);
-  TraceSink serial_sink;
-  DetectorOptions opt;
-  opt.k = 6;
-  opt.edge = g.edge(0);
-  opt.trace = &serial_sink;
-  const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-  (void)kChecker.run_fresh(g, ids, opt);
+/// Queries running in parallel engine lanes may share one sink: eight
+/// traced edge_checker queries, each on its own target edge, run through
+/// run_batch on a 4-thread pool and must record exactly the serial batch's
+/// events.
+TEST(Trace, SharedSinkAcrossEngineLanesMatchesSerialBatch) {
+  const engine::PinnedGraphPtr pinned =
+      engine::pin(graph::complete_bipartite(8, 8), IdAssignment::identity(16));
+  const auto traced_batch = [&](util::ThreadPool* pool) {
+    TraceSink sink;
+    std::vector<engine::Query> queries(8);
+    for (graph::EdgeId e = 0; e < queries.size(); ++e) {
+      queries[e].detector = &kChecker;
+      queries[e].options.k = 6;
+      queries[e].options.edge = pinned->graph.edge(e);
+      queries[e].options.trace = &sink;
+    }
+    const engine::DetectionEngine eng{engine::EngineOptions{.pool = pool}};
+    (void)eng.run_batch(pinned, queries);
+    return sink.events();
+  };
 
-  TraceSink parallel_sink;
   util::ThreadPool pool(4);
-  DetectorOptions popt = opt;
-  popt.trace = &parallel_sink;
-  popt.pool = &pool;
-  (void)kChecker.run_fresh(g, ids, popt);
-
-  const auto a = serial_sink.events();
-  const auto b = parallel_sink.events();
+  const std::vector<TraceEvent> a = traced_batch(nullptr);
+  const std::vector<TraceEvent> b = traced_batch(&pool);
+  ASSERT_FALSE(a.empty());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].kind, b[i].kind) << i;
