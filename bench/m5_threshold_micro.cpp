@@ -15,13 +15,15 @@
 ///     threshold family's single sweep trades per-round congestion
 ///     (bounded by budget × track) for a 60-70× round reduction.
 ///
-/// Writes BENCH_threshold.json (override with --out=PATH); --smoke shrinks
+/// Writes BENCH_threshold.json (override with --out=PATH) with the machine
+/// it ran on (hardware threads, build type, git revision); --smoke shrinks
 /// trial counts and sizes for CI. Exit code 1 if the threshold family ever
 /// rejects a provably Ck-free instance (soundness is asserted, not hoped).
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -132,6 +134,13 @@ int main(int argc, char** argv) {
 
   std::string doc = "{\n  \"bench\": \"m5_threshold_micro\",\n  \"smoke\": ";
   doc += smoke ? "true" : "false";
+  char machine[256];
+  std::snprintf(machine, sizeof(machine),
+                ",\n  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
+                "  \"git_sha\": \"%s\"",
+                std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
+                DECYCLE_BENCH_GIT_SHA);
+  doc += machine;
   doc += ",\n  \"baseline\": \"FO17 amplified tester (eps=0.125)\",\n"
          "  \"contender\": \"threshold family (budget=16, track=8, 1 sweep)\",\n"
          "  \"workloads\": [\n";

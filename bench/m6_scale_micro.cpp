@@ -2,13 +2,13 @@
 /// \brief Micro-benchmark M6 — million-node scale: streaming graph builds
 /// and single-threaded delivery throughput.
 ///
-/// Gates the scale path (pooled allocation, bitset adjacency, streaming CSR
-/// builds, arena delivery) at production scale:
+/// Gates the scale path (pooled allocation, streaming CSR builds, arena
+/// delivery) at production scale:
 ///
 ///   * build_* — constructing a circulant C_n(1..4) via the generic
 ///     sort-and-dedup path (Graph::from_edges) vs the streaming
-///     lexicographic path (Graph::from_ordered_edges), plus the bitset
-///     adjacency compression ratio at each size;
+///     lexicographic path (Graph::from_ordered_edges), with membership spot
+///     checks on the streamed graph;
 ///   * delivery_* — dense broadcast rounds (every node sends on every port)
 ///     at n ∈ {10k, 100k, 1M, 4M} on one thread (a simulation runs on the
 ///     thread that calls it), totals cross-checked across repetitions.
@@ -28,7 +28,6 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
-#include "graph/sparse_bitset.hpp"
 
 namespace {
 
@@ -68,7 +67,6 @@ struct BuildRow {
   double sorted_s = 0;     ///< Graph::from_edges (sort + dedup)
   double streaming_s = 0;  ///< Graph::from_ordered_edges
   std::size_t adjacency_entries = 0;
-  std::size_t bitset_words = 0;
 };
 
 struct DeliveryRow {
@@ -119,20 +117,19 @@ int main(int argc, char** argv) {
     }
     {
       const auto t0 = std::chrono::steady_clock::now();
-      const graph::Graph g = graph::circulant(n, kHalfDegree, graph::AdjacencyMode::kBitset);
+      const graph::Graph g = graph::circulant(n, kHalfDegree);
       row.streaming_s = seconds_since(t0);
       row.adjacency_entries = 2 * g.num_edges();
-      row.bitset_words = g.bitset() != nullptr ? g.bitset()->total_words() : 0;
       ok &= check(g.num_edges() == std::size_t{n} * kHalfDegree, "circulant edge count");
       ok &= check(g.has_edge(0, 1) && g.has_edge(0, n - 1) && !g.has_edge(0, n / 2),
-                  "bitset membership spot checks");
+                  "membership spot checks");
     }
     builds.push_back(row);
     std::printf("build n=%-9u edges=%-9zu sorted=%7.3fs streaming=%7.3fs (%.2fx)  "
-                "bitset %zu words / %zu entries\n",
+                "%zu adjacency entries\n",
                 row.n, row.edges, row.sorted_s, row.streaming_s,
                 row.streaming_s > 0 ? row.sorted_s / row.streaming_s : 0.0,
-                row.bitset_words, row.adjacency_entries);
+                row.adjacency_entries);
   }
 
   // --- Delivery throughput. ---
@@ -186,10 +183,10 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "    {\"n\": %u, \"edges\": %zu, \"sorted_build_s\": %.6f, "
                    "\"streaming_build_s\": %.6f, \"build_speedup\": %.3f, "
-                   "\"adjacency_entries\": %zu, \"bitset_words\": %zu}%s\n",
+                   "\"adjacency_entries\": %zu}%s\n",
                    b.n, b.edges, b.sorted_s, b.streaming_s,
                    b.streaming_s > 0 ? b.sorted_s / b.streaming_s : 0.0, b.adjacency_entries,
-                   b.bitset_words, i + 1 == builds.size() ? "" : ",");
+                   i + 1 == builds.size() ? "" : ",");
     }
     std::fprintf(f, "  ],\n  \"delivery\": [\n");
     for (std::size_t i = 0; i < deliveries.size(); ++i) {

@@ -15,7 +15,8 @@
 ///     aggregates cross-checked against the single-threaded batch (the
 ///     byte-identity contract) — any disagreement exits 1.
 ///
-/// Writes BENCH_engine.json (override with --out=PATH); --smoke shrinks to
+/// Writes BENCH_engine.json (override with --out=PATH) with the machine it
+/// ran on (hardware threads, build type, git revision); --smoke shrinks to
 /// {10k, 50k} and small batches for CI.
 #include <chrono>
 #include <cstdio>
@@ -211,7 +212,11 @@ int main(int argc, char** argv) {
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"bench\": \"m8_engine_micro\",\n  \"smoke\": %s,\n",
                  smoke ? "true" : "false");
-    std::fprintf(f, "  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
+    std::fprintf(f,
+                 "  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
+                 "  \"git_sha\": \"%s\",\n",
+                 std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
+                 DECYCLE_BENCH_GIT_SHA);
     std::fprintf(f, "  \"workload\": \"edge_checker k=5 on circulant C_n(1..4)\",\n");
     std::fprintf(f, "  \"sizes\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -6,8 +6,7 @@
 ///
 ///   * single_* — raw ForestConnectivity::insert_fast throughput (the
 ///     union-find hot path): the acceptance gate is >= 2M inserts/sec
-///     single-thread at n=1M (full mode only), plus the DagLevels
-///     directed-acyclic maintenance rate on the same size;
+///     single-thread at n=1M (full mode only);
 ///   * batch_* — the same stream through IncrementalSession::apply with a
 ///     live checkpoint, swept over batch sizes: every non-empty batch pays
 ///     one epoch bump + purge, so the sweep prices the epoch/purge
@@ -18,8 +17,9 @@
 ///     per-lane closure/insert totals land in indexed slots and their sums
 ///     must be identical for every thread count — any disagreement exits 1.
 ///
-/// Writes BENCH_incremental.json (override with --out=PATH); --smoke
-/// shrinks to {10k, 50k} for CI.
+/// Writes BENCH_incremental.json (override with --out=PATH) with the machine
+/// it ran on (hardware threads, build type, git revision); --smoke shrinks
+/// to {10k, 50k} for CI.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -70,7 +70,6 @@ struct SizeRow {
   std::uint64_t closures = 0;     ///< of the single-thread stream
   double single_s = 0;            ///< raw insert_fast sweep
   double single_inserts_per_sec = 0;
-  double dag_inserts_per_sec = 0;  ///< DagLevels on a directed-acyclic stream
   graph::Vertex lane_n = 0;
   std::size_t lane_inserts = 0;  ///< per lane
   std::vector<BatchRow> batches;
@@ -99,7 +98,6 @@ int main(int argc, char** argv) {
 
   std::vector<SizeRow> rows;
   incremental::ForestConnectivity fc;  // reused across sizes: reset() steady state
-  incremental::DagLevels dag;
   for (std::size_t si = 0; si < sizes.size(); ++si) {
     const graph::Vertex n = sizes[si];
     SizeRow row;
@@ -121,21 +119,6 @@ int main(int argc, char** argv) {
       row.closures = closures;
       row.single_inserts_per_sec = rate(row.stream_inserts, row.single_s);
       ok &= check(closures == fc.closures(), "detector closure counter disagrees with sweep");
-    }
-
-    // --- DagLevels maintenance on a provably acyclic directed stream. ---
-    {
-      incremental::StreamSpec dspec = spec;
-      dspec.directed = true;
-      dspec.acyclic = true;
-      const incremental::InsertStream dstream = incremental::generate_stream(dspec);
-      dag.reset(n);
-      const auto t0 = std::chrono::steady_clock::now();
-      for (const auto& [u, v] : dstream.inserts) {
-        if (dag.insert(u, v).closed_cycle) break;
-      }
-      row.dag_inserts_per_sec = rate(dstream.inserts.size(), seconds_since(t0));
-      ok &= check(!dag.cyclic(), "DagLevels reported a cycle on an acyclic stream");
     }
 
     // --- Batch sizes through the session (epoch/purge amortization). ---
@@ -204,9 +187,8 @@ int main(int argc, char** argv) {
     }
 
     rows.push_back(row);
-    std::printf("n=%-9u single %10.0f ins/s  dag %10.0f ins/s  closures=%llu\n", row.n,
-                row.single_inserts_per_sec, row.dag_inserts_per_sec,
-                static_cast<unsigned long long>(row.closures));
+    std::printf("n=%-9u single %10.0f ins/s  closures=%llu\n", row.n,
+                row.single_inserts_per_sec, static_cast<unsigned long long>(row.closures));
     for (const BatchRow& br : row.batches) {
       std::printf("  batch=%-6zu %8.4fs  %10.0f ins/s\n", br.batch, br.seconds,
                   br.inserts_per_sec);
@@ -231,7 +213,11 @@ int main(int argc, char** argv) {
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"bench\": \"m9_incremental_micro\",\n  \"smoke\": %s,\n",
                  smoke ? "true" : "false");
-    std::fprintf(f, "  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
+    std::fprintf(f,
+                 "  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
+                 "  \"git_sha\": \"%s\",\n",
+                 std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
+                 DECYCLE_BENCH_GIT_SHA);
     std::fprintf(f, "  \"workload\": \"seeded duplicate-free random streams, 2n inserts\",\n");
     std::fprintf(f, "  \"sizes\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -239,9 +225,9 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "    {\"n\": %u, \"stream_inserts\": %zu, \"closures\": %llu,\n"
                    "     \"single\": {\"seconds\": %.6f, \"inserts_per_sec\": %.0f},\n"
-                   "     \"dag_inserts_per_sec\": %.0f,\n     \"batch\": [",
+                   "     \"batch\": [",
                    r.n, r.stream_inserts, static_cast<unsigned long long>(r.closures),
-                   r.single_s, r.single_inserts_per_sec, r.dag_inserts_per_sec);
+                   r.single_s, r.single_inserts_per_sec);
       for (std::size_t j = 0; j < r.batches.size(); ++j) {
         const BatchRow& b = r.batches[j];
         std::fprintf(f, "%s\n       {\"batch\": %zu, \"seconds\": %.6f, \"inserts_per_sec\": %.0f}",

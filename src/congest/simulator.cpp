@@ -42,8 +42,8 @@ struct SimRuntime {
   // arena[r & 1] as contiguous per-receiver segments, already sorted by
   // receiver port (counting placement in ascending sender order). Each
   // buffer grows lazily to the traffic high-water mark (bounded by the 2m
-  // directed links), so sparse event-driven runs never pay for dense-case
-  // capacity.
+  // sender-port links), so sparse event-driven runs never pay for
+  // dense-case capacity.
   std::array<std::vector<Envelope>, 2> arena;
   std::vector<std::uint64_t> inbox_stamp;  ///< round whose step may read offset/count
   std::vector<std::uint32_t> count;        ///< per-receiver envelope count

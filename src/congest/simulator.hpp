@@ -178,9 +178,8 @@ class Simulator {
   std::vector<std::unique_ptr<NodeProgram>> programs_;
 
   /// CSR offsets into the graph's flattened adjacency (n+1 entries) and the
-  /// reverse-port table aligned with it: for the directed link that is
-  /// sender u's port p, rev_ports_[adj_offsets_[u] + p] is the receiver's
-  /// port for u. Built once in O(m) at construction.
+  /// reverse-port table aligned with it: for the link out of sender u's
+  /// port p, rev_ports_[adj_offsets_[u] + p] is the receiver's port for u. Built once in O(m) at construction.
   std::vector<std::size_t> adj_offsets_;
   std::vector<std::uint32_t> rev_ports_;
 

@@ -6,9 +6,9 @@
 /// folded over vertices, edges, and ids exactly in the spirit of the soak's
 /// content-addressed instance seeds — plus a monotonically increasing epoch
 /// counter. Cached Simulator sessions key on (hash, epoch), so a mutation
-/// (IncrementalSession::apply, after Cohen–Fiat–Kaplan–Roditty) retires
-/// every cached session of a pin with one atomic bump instead of a cache
-/// sweep: stale sessions simply never match again and age out of the LRU.
+/// (IncrementalSession::apply) retires every cached session of a pin with
+/// one atomic bump instead of a cache sweep: stale sessions simply never
+/// match again and age out of the LRU.
 ///
 /// Pins are shared_ptr-owned so a leased session can co-own its topology:
 /// letting a lab cell's topology or a tenant's old snapshot go out of scope

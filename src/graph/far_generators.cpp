@@ -52,7 +52,7 @@ FarInstance planted_cycles_instance(const PlantedOptions& opt, util::Rng& rng) {
     }
   }
   for (std::size_t p = 0; p < opt.padding_leaves; ++p) {
-    // A fresh leaf hung on a random existing vertex: acyclic padding.
+    // A fresh leaf hung on a random existing vertex: cycle-free padding.
     const auto host = static_cast<Vertex>(rng.next_below(next));
     b.add_edge(host, next);
     ++next;

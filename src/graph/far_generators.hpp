@@ -42,7 +42,7 @@ struct FarInstance {
 struct PlantedOptions {
   unsigned k = 5;                   ///< cycle length
   std::size_t num_cycles = 10;      ///< c — planted vertex-disjoint k-cycles
-  std::size_t padding_leaves = 0;   ///< acyclic padding edges (leaf hangs) to dilute ε
+  std::size_t padding_leaves = 0;   ///< cycle-free padding edges (leaf hangs) to dilute ε
   bool connect = true;              ///< bridge everything into one component
   bool shuffle = true;              ///< random vertex relabeling
 };

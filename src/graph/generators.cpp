@@ -246,7 +246,7 @@ Graph random_connected(Vertex n, std::size_t m, util::Rng& rng) {
   return b.build();
 }
 
-Graph circulant(Vertex n, std::uint32_t k, AdjacencyMode mode) {
+Graph circulant(Vertex n, std::uint32_t k) {
   DECYCLE_CHECK_MSG(k >= 1, "circulant needs k >= 1");
   DECYCLE_CHECK_MSG(n >= 2 * std::uint64_t{k} + 1, "circulant requires n >= 2k+1");
   // Emit row by row, each row's partners ascending: direct offsets
@@ -262,7 +262,7 @@ Graph circulant(Vertex n, std::uint32_t k, AdjacencyMode mode) {
       for (Vertex v = static_cast<Vertex>(n - k + u); v < n; ++v) edges.emplace_back(u, v);
     }
   }
-  return Graph::from_ordered_edges(n, std::move(edges), mode);
+  return Graph::from_ordered_edges(n, std::move(edges));
 }
 
 Graph connect_components(const Graph& g, std::span<const Vertex> part_reps) {

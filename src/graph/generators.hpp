@@ -54,10 +54,8 @@ namespace decycle::graph {
 /// degree 2k everywhere. Requires n >= 2k+1. Edges are emitted in
 /// lexicographic order straight into the streaming sort-free CSR build, so
 /// million-node instances construct in O(m) — the scale bench's workhorse
-/// family (its clustered numbering also compresses maximally under the
-/// bitset adjacency).
-[[nodiscard]] Graph circulant(Vertex n, std::uint32_t k,
-                              AdjacencyMode mode = AdjacencyMode::kAuto);
+/// family.
+[[nodiscard]] Graph circulant(Vertex n, std::uint32_t k);
 
 /// Uniform random labelled tree on n vertices (Prüfer-style attachment).
 [[nodiscard]] Graph random_tree(Vertex n, util::Rng& rng);

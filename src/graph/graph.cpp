@@ -3,32 +3,17 @@
 #include <algorithm>
 #include <string>
 
-#include "graph/sparse_bitset.hpp"
 #include "util/check.hpp"
 
 namespace decycle::graph {
 
-namespace {
-
-/// kAuto threshold: below this the bitset table costs more than it saves.
-constexpr Vertex kBitsetAutoVertices = 1u << 16;
-constexpr std::size_t kBitsetAutoAvgDegree = 8;
-
-}  // namespace
-
-void Graph::finalize_adjacency(AdjacencyMode mode) {
+void Graph::compute_max_degree() {
   for (Vertex v = 0; v < n_; ++v) {
     max_degree_ = std::max(max_degree_, offsets_[v + 1] - offsets_[v]);
   }
-  const bool auto_bitset = n_ >= kBitsetAutoVertices &&
-                           adjacency_.size() >= kBitsetAutoAvgDegree * std::size_t{n_};
-  if (mode == AdjacencyMode::kBitset || (mode == AdjacencyMode::kAuto && auto_bitset)) {
-    bitset_ = std::make_shared<const BitsetAdjacency>(
-        BitsetAdjacency::build(n_, offsets_, adjacency_));
-  }
 }
 
-Graph Graph::from_edges(Vertex n, std::span<const Edge> edges, AdjacencyMode mode) {
+Graph Graph::from_edges(Vertex n, std::span<const Edge> edges) {
   Graph g;
   g.n_ = n;
 
@@ -61,11 +46,11 @@ Graph Graph::from_edges(Vertex n, std::span<const Edge> edges, AdjacencyMode mod
                                 g.adjacency_.data() + g.offsets_[v + 1]);
     std::sort(nb.begin(), nb.end());
   }
-  g.finalize_adjacency(mode);
+  g.compute_max_degree();
   return g;
 }
 
-Graph Graph::from_ordered_edges(Vertex n, std::vector<Edge> edges, AdjacencyMode mode) {
+Graph Graph::from_ordered_edges(Vertex n, std::vector<Edge> edges) {
   Graph g;
   g.n_ = n;
 
@@ -107,13 +92,12 @@ Graph Graph::from_ordered_edges(Vertex n, std::vector<Edge> edges, AdjacencyMode
     g.adjacency_[cursor[b]++] = a;
   }
   g.edges_ = std::move(edges);
-  g.finalize_adjacency(mode);
+  g.compute_max_degree();
   return g;
 }
 
 bool Graph::has_edge(Vertex u, Vertex v) const noexcept {
   if (u >= n_ || v >= n_ || u == v) return false;
-  if (bitset_ != nullptr) return bitset_->test(u, v);
   const auto nb = neighbors(u);
   return std::binary_search(nb.begin(), nb.end(), v);
 }

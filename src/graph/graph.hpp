@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -28,31 +27,19 @@ using EdgeId = std::uint32_t;
 inline constexpr Vertex kInvalidVertex = ~Vertex{0};
 inline constexpr EdgeId kInvalidEdge = ~EdgeId{0};
 
-class BitsetAdjacency;
-
-/// Which membership structure backs has_edge. kAuto builds the compressed
-/// sparse-bitset table when the graph is big and dense enough to profit
-/// (n >= 65536 and average degree >= 8 — below that, binary search over the
-/// neighbor array wins on footprint); kVector / kBitset force one side
-/// (kBitset on any size, which the equivalence tests use). Neighbor spans
-/// and port numbering are identical in every mode.
-enum class AdjacencyMode : std::uint8_t { kAuto, kVector, kBitset };
-
 class Graph {
  public:
   /// Builds a graph on \p n vertices from an arbitrary edge list.
   /// Self-loops are rejected; parallel edges are deduplicated (the model
   /// works on simple graphs). Endpoints must be < n.
-  [[nodiscard]] static Graph from_edges(Vertex n, std::span<const Edge> edges,
-                                        AdjacencyMode mode = AdjacencyMode::kAuto);
+  [[nodiscard]] static Graph from_edges(Vertex n, std::span<const Edge> edges);
 
   /// Streaming build for generator-scale graphs: \p edges must already be
   /// canonical (u < v) and strictly lexicographically increasing — exactly
   /// what ordered emitters (circulant, grid rows) produce — so the CSR
   /// fills sorted in two passes with no sort and no dedup buffer. Takes the
   /// vector by value and keeps it as the edge list (no copy when moved in).
-  [[nodiscard]] static Graph from_ordered_edges(Vertex n, std::vector<Edge> edges,
-                                                AdjacencyMode mode = AdjacencyMode::kAuto);
+  [[nodiscard]] static Graph from_ordered_edges(Vertex n, std::vector<Edge> edges);
 
   Graph() = default;
 
@@ -77,23 +64,14 @@ class Graph {
 
   [[nodiscard]] Edge edge(EdgeId id) const noexcept { return edges_[id]; }
 
-  /// True when has_edge routes through the compressed bitset table.
-  [[nodiscard]] bool uses_bitset() const noexcept { return bitset_ != nullptr; }
-  /// The bitset table, or nullptr in vector mode. Detectors that want the
-  /// word-merge kernels (intersection counting) read it directly.
-  [[nodiscard]] const BitsetAdjacency* bitset() const noexcept { return bitset_.get(); }
-
  private:
-  void finalize_adjacency(AdjacencyMode mode);
+  void compute_max_degree();
 
   Vertex n_ = 0;
   std::size_t max_degree_ = 0;
   std::vector<std::size_t> offsets_;  ///< n+1 entries
   std::vector<Vertex> adjacency_;     ///< 2m entries, sorted per vertex
   std::vector<Edge> edges_;           ///< m canonical edges, sorted
-  /// Compressed membership table (see AdjacencyMode). shared_ptr keeps
-  /// Graph cheaply copyable; the table is immutable once built.
-  std::shared_ptr<const BitsetAdjacency> bitset_;
 };
 
 /// Incremental edge-list accumulator; the generators all funnel through this.

@@ -1,6 +1,6 @@
 #include "incremental/incremental.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -118,90 +118,6 @@ InsertVerdict ForestConnectivity::insert(graph::Vertex u, graph::Vertex v) {
     std::swap(ru, rv);
   }
   link(u, v, ru, rv);
-  return {false, {}};
-}
-
-// ---------------------------------------------------------------------------
-// DagLevels
-// ---------------------------------------------------------------------------
-
-void DagLevels::release_blocks() {
-  for (ArcBlock*& head : head_) {
-    while (head != nullptr) {
-      ArcBlock* next = head->next;
-      arena_.deallocate(head, sizeof(ArcBlock));
-      head = next;
-    }
-  }
-}
-
-void DagLevels::reset(graph::Vertex n) {
-  release_blocks();
-  head_.assign(n, nullptr);
-  level_.assign(n, 0);
-  prop_parent_.assign(n, graph::kInvalidVertex);
-  stack_.clear();
-  witness_.clear();
-  inserts_ = 0;
-  cyclic_ = false;
-}
-
-void DagLevels::add_arc(graph::Vertex u, graph::Vertex v) {
-  ArcBlock* head = head_[u];
-  if (head == nullptr || head->count == std::size(head->targets)) {
-    auto* block = static_cast<ArcBlock*>(arena_.allocate(sizeof(ArcBlock)));
-    block->next = head;
-    block->count = 0;
-    head_[u] = head = block;
-  }
-  head->targets[head->count++] = v;
-}
-
-InsertVerdict DagLevels::insert(graph::Vertex u, graph::Vertex v) {
-  const graph::Vertex n = num_vertices();
-  DECYCLE_CHECK_MSG(u < n && v < n, "incremental insert: endpoint out of range");
-  DECYCLE_CHECK_MSG(u != v, "incremental insert: self-loop");
-  DECYCLE_CHECK_MSG(!cyclic_, "DagLevels: a cycle was already reported — reset() first");
-  ++inserts_;
-  add_arc(u, v);
-  // Invariant: level(a) < level(b) for every arc a→b, so any v ⇝ u path
-  // forces level(v) < level(u). When level(u) < level(v) no such path can
-  // exist and the invariant already holds for the new arc: the free accept
-  // that makes random DAG streams cheap.
-  if (level_[u] < level_[v]) return {false, {}};
-  // Forward search from v, raising levels to restore the invariant. Reaching
-  // u proves a v ⇝ u path, i.e. the inserted arc closed a directed cycle.
-  level_[v] = level_[u] + 1;
-  prop_parent_[v] = graph::kInvalidVertex;  // v terminates the witness trace
-  stack_.clear();
-  stack_.push_back(v);
-  while (!stack_.empty()) {
-    const graph::Vertex w = stack_.back();
-    stack_.pop_back();
-    const std::uint32_t need = level_[w] + 1;
-    for (const ArcBlock* block = head_[w]; block != nullptr; block = block->next) {
-      for (std::uint32_t i = 0; i < block->count; ++i) {
-        const graph::Vertex x = block->targets[i];
-        if (x == u) {
-          // Cycle: u →(inserted arc) v ⇝ w → u. The prop trace runs w back
-          // to v; every vertex on it was raised during this propagation, so
-          // the chain is fresh by construction.
-          cyclic_ = true;
-          witness_.clear();
-          for (graph::Vertex y = w; y != graph::kInvalidVertex; y = prop_parent_[y]) {
-            witness_.push_back(y);
-          }
-          witness_.push_back(u);
-          std::reverse(witness_.begin(), witness_.end());
-          return {true, witness_};
-        }
-        if (level_[x] >= need) continue;
-        level_[x] = need;
-        prop_parent_[x] = w;
-        stack_.push_back(x);
-      }
-    }
-  }
   return {false, {}};
 }
 

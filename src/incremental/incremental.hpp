@@ -3,33 +3,21 @@
 ///
 /// Production callers do not hand over a finished graph — they insert edges
 /// one at a time and ask "did this insert close a cycle?" per operation
-/// (ROADMAP's incremental-service item, after the labeling approach of
-/// Cohen–Fiat–Kaplan–Roditty, arXiv 1310.8381). Two structures answer that
-/// question on the hot path, both with zero-allocation steady state:
+/// (ROADMAP's incremental-service item). ForestConnectivity answers that
+/// question on the hot path with a zero-allocation steady state.
+/// Union-find with path compression and union by rank answers "are u and v
+/// already connected?" in near-constant amortized time; a parallel spanning
+/// forest with small-tree re-rooting records one actual tree path per
+/// component, so a closing insert can surface a *witness cycle* (the u..v
+/// tree path plus the inserted edge) in O(cycle length) — the same
+/// validated-witness discipline every batch detector obeys.
 ///
-///   * ForestConnectivity — the undirected verdict. Union-find with path
-///     compression and union by rank answers "are u and v already
-///     connected?" in near-constant amortized time; a parallel spanning
-///     forest with small-tree re-rooting records one actual tree path per
-///     component, so a closing insert can surface a *witness cycle* (the
-///     u..v tree path plus the inserted edge) in O(cycle length) — the same
-///     validated-witness discipline every batch detector obeys.
-///   * DagLevels — the directed-DAG maintenance variant. Every vertex
-///     carries a level label with the CFKR invariant level(a) < level(b) for
-///     each arc a→b; inserting u→v with level(u) < level(v) is a free
-///     accept, otherwise levels are raised along a forward search from v
-///     that either restores the invariant or walks into u — which proves a
-///     directed cycle, reported with the v ⇝ u trace as witness. Arc lists
-///     grow through fixed-size blocks carved from a util::PoolAllocator, so
-///     steady-state insertion never touches the global heap and reset()
-///     recycles every block.
-///
-/// Both detectors require duplicate-free input (a duplicate undirected edge
-/// would be a 2-cycle in a multigraph but no cycle in the simple-graph model
-/// everything downstream assumes); the stream format (stream.hpp) and the
-/// generator enforce that offline so the hot path never pays a membership
-/// probe. IncrementalSession (session.hpp) wraps either structure with the
-/// engine's snapshot/epoch machinery for batch-detector interop.
+/// The detector requires duplicate-free input (a duplicate edge would be a
+/// 2-cycle in a multigraph but no cycle in the simple-graph model everything
+/// downstream assumes); the stream format (stream.hpp) and the generator
+/// enforce that offline so the hot path never pays a membership probe.
+/// IncrementalSession (session.hpp) wraps it with the engine's
+/// snapshot/epoch machinery for batch-detector interop.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +25,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "util/pool_alloc.hpp"
 
 namespace decycle::incremental {
 
@@ -104,56 +91,6 @@ class ForestConnectivity {
   std::vector<graph::Vertex> path_v_;        ///< scratch for the v-side walk
   std::uint64_t inserts_ = 0;
   std::uint64_t closures_ = 0;
-};
-
-/// Directed streaming cycle detection via CFKR-style level labels. Maintains
-/// the invariant level(a) < level(b) for every inserted arc a→b while the
-/// graph is acyclic; the first insert that closes a directed cycle is
-/// reported with a witness and poisons the structure (levels of a cyclic
-/// graph are meaningless), so callers must reset() before streaming on.
-class DagLevels {
- public:
-  DagLevels() = default;
-  explicit DagLevels(graph::Vertex n) { reset(n); }
-
-  /// Prepares for a fresh stream on \p n vertices. Recycles every arc block
-  /// back to the pool — after the first stream warmed the slabs, later
-  /// streams of similar shape allocate nothing.
-  void reset(graph::Vertex n);
-
-  [[nodiscard]] graph::Vertex num_vertices() const noexcept {
-    return static_cast<graph::Vertex>(level_.size());
-  }
-  [[nodiscard]] std::uint64_t inserts() const noexcept { return inserts_; }
-  [[nodiscard]] bool cyclic() const noexcept { return cyclic_; }
-  [[nodiscard]] std::uint32_t level(graph::Vertex v) const { return level_[v]; }
-
-  /// Streams arc u→v (u ≠ v, both < n, duplicate-free). Must not be called
-  /// after a cycle was reported (cyclic() — reset() first); checked.
-  InsertVerdict insert(graph::Vertex u, graph::Vertex v);
-
- private:
-  /// Fixed-size arc block: sized exactly to the pool's 32-byte class so the
-  /// allocator never rounds up. Blocks prepend per vertex; iteration order
-  /// is a pure function of insertion order (determinism contract).
-  struct ArcBlock {
-    ArcBlock* next;
-    std::uint32_t count;
-    graph::Vertex targets[5];
-  };
-  static_assert(sizeof(ArcBlock) == 32);
-
-  void add_arc(graph::Vertex u, graph::Vertex v);
-  void release_blocks();
-
-  util::PoolAllocator arena_;
-  std::vector<ArcBlock*> head_;          ///< per-vertex arc chain
-  std::vector<std::uint32_t> level_;
-  std::vector<graph::Vertex> prop_parent_;  ///< forward-search witness trace
-  std::vector<graph::Vertex> stack_;     ///< reused search stack
-  std::vector<graph::Vertex> witness_;
-  std::uint64_t inserts_ = 0;
-  bool cyclic_ = false;
 };
 
 }  // namespace decycle::incremental

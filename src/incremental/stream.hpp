@@ -6,19 +6,19 @@
 /// lines ignored, loud parser naming accepted alternatives):
 ///
 ///   # decycle_incr stream v1          (comment lines, ignored)
-///   stream n=100 directed=0 seed=7    (one header line)
+///   stream n=100 directed=0 seed=7    (one header line; directed=0 is
+///                                      fixed: streams are undirected)
 ///   12                                (insert count...)
 ///   0 1                               (...then one insert per line, in
 ///   4 7                                stream order — NOT canonicalized:
-///   ...                                directed streams keep orientation)
+///   ...                                either orientation is accepted)
 ///
-/// The parser enforces the detectors' duplicate-free contract offline
-/// (undirected inserts are compared as unordered pairs, directed ones as
-/// ordered arcs), so the hot path never pays a membership probe. Streams
-/// are generated from a seed (generate_stream), so CI smokes and benches
-/// never check binary corpora in — a failing prefix re-emerges from
-/// (spec, seed) or travels as a small text repro (write_stream of the
-/// prefix).
+/// The parser enforces the detector's duplicate-free contract offline
+/// (inserts are compared as unordered pairs), so the hot path never pays a
+/// membership probe. Streams are generated from a seed (generate_stream),
+/// so CI smokes and benches never check binary corpora in — a failing
+/// prefix re-emerges from (spec, seed) or travels as a small text repro
+/// (write_stream of the prefix).
 #pragma once
 
 #include <cstdint>
@@ -30,14 +30,13 @@
 
 namespace decycle::incremental {
 
-/// One insertion: (first → second) for directed streams, an unordered
-/// {first, second} edge for undirected ones. Unlike graph::Edge this is
-/// deliberately NOT canonicalized — orientation is payload.
+/// One insertion: the undirected edge {first, second}. Unlike graph::Edge
+/// this is deliberately NOT canonicalized — insertion order is payload, and
+/// a file may list either orientation.
 using Insert = std::pair<graph::Vertex, graph::Vertex>;
 
 struct InsertStream {
   graph::Vertex n = 0;
-  bool directed = false;
   std::uint64_t seed = 0;  ///< provenance only; replay never re-draws
   std::vector<Insert> inserts;
 };
@@ -47,27 +46,22 @@ struct InsertStream {
 void write_stream(std::ostream& out, const InsertStream& stream);
 
 /// Parses the stream format. Throws CheckError on malformed headers,
-/// unknown/duplicate header keys, bad counts, out-of-range endpoints,
-/// self-loops, or duplicate inserts — each message naming the offending
-/// line or insert index and the accepted alternatives.
+/// unknown/duplicate header keys, values that do not fit their field,
+/// `directed=1` (directed streams were removed), an insert count above
+/// n(n-1)/2, out-of-range endpoints, self-loops, or duplicate inserts —
+/// each message naming the offending key, line or insert index and the
+/// accepted alternatives.
 [[nodiscard]] InsertStream read_stream(std::istream& in);
 
 /// What generate_stream draws.
 struct StreamSpec {
   graph::Vertex n = 64;
-  std::size_t inserts = 128;  ///< clamped to the number of distinct edges/arcs
-  bool directed = false;
-  /// Directed only: orient every arc along a hidden random topological
-  /// order, so the stream provably never closes a directed cycle — the
-  /// regime DagLevels maintenance (and its bench) needs. Ignored for
-  /// undirected streams.
-  bool acyclic = false;
+  std::size_t inserts = 128;  ///< clamped to the number of distinct edges
   std::uint64_t seed = 1;
 };
 
-/// Draws a duplicate-free insertion stream: distinct undirected edges (or
-/// distinct arcs, no self-loops, no 2-cycles when acyclic) in uniformly
-/// shuffled order. Pure function of \p spec.
+/// Draws a duplicate-free insertion stream: distinct undirected edges in
+/// uniformly shuffled order. Pure function of \p spec.
 [[nodiscard]] InsertStream generate_stream(const StreamSpec& spec);
 
 }  // namespace decycle::incremental

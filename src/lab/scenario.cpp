@@ -150,7 +150,7 @@ constexpr FamilyEntry kFamilies[] = {
        out.truth = cell.n == cell.k ? GroundTruth::kHasCk : GroundTruth::kCkFree;
        return out;
      }},
-    {{"path", "the path P_n (acyclic)"},
+    {{"path", "the path P_n (cycle-free)"},
      [](unsigned, std::uint64_t n) {
        return n >= 2 ? std::string{} : std::string("needs n >= 2");
      },
@@ -216,7 +216,7 @@ constexpr FamilyEntry kFamilies[] = {
                                           : GroundTruth::kUnknown);
        return out;
      }},
-    {{"tree", "uniform random labelled tree (acyclic)"}, no_constraint,
+    {{"tree", "uniform random labelled tree (cycle-free)"}, no_constraint,
      [](const ScenarioCell& cell, util::Rng& rng) {
        BuiltTopology out;
        out.graph = graph::random_tree(as_vertex(std::max<std::uint64_t>(cell.n, 1)), rng);

@@ -82,43 +82,11 @@ void check_batch(PrefixReport& report, incremental::IncrementalSession& session,
 
 PrefixReport check_prefixes(const incremental::InsertStream& stream, const SoakScenario& s,
                             const core::DetectorRegistry& registry, std::string_view only) {
-  // Explicit prefix adjacency for the BFS oracle (arcs for directed
-  // streams, both directions for undirected ones).
+  // Explicit prefix adjacency for the BFS oracle, both directions.
   PrefixReport report;
   std::vector<std::vector<graph::Vertex>> adj(stream.n);
   std::vector<std::uint32_t> mark(stream.n, 0);
   std::uint32_t round = 0;
-  if (stream.directed) {
-    incremental::DagLevels dag(stream.n);
-    for (std::size_t i = 0; i < stream.inserts.size(); ++i) {
-      const auto [u, v] = stream.inserts[i];
-      const bool oracle_closed = reachable(adj, v, u, mark, ++round);
-      const incremental::InsertVerdict verdict = dag.insert(u, v);
-      adj[u].push_back(v);
-      if (verdict.closed_cycle != oracle_closed) {
-        note(report, {}, MismatchKind::kClosure, i,
-             "directed closure verdict " + std::to_string(verdict.closed_cycle) +
-                 " but BFS oracle says " + std::to_string(oracle_closed));
-      }
-      if (!verdict.closed_cycle) continue;
-      ++report.closures;
-      // Witness arcs must all exist: consecutive pairs plus the wrap.
-      const auto& w = verdict.witness;
-      bool valid = w.size() >= 2 && w[0] == u && w[1] == v;
-      for (std::size_t j = 0; valid && j < w.size(); ++j) {
-        const graph::Vertex a = w[j];
-        const graph::Vertex b = w[(j + 1) % w.size()];
-        valid = std::find(adj[a].begin(), adj[a].end(), b) != adj[a].end();
-      }
-      if (!valid) {
-        note(report, {}, MismatchKind::kClosure, i,
-             "directed witness " + joined(w) + " is not an arc cycle through " +
-                 std::to_string(u) + "->" + std::to_string(v));
-      }
-      break;  // DagLevels' contract ends at the first cycle
-    }
-    return report;
-  }
 
   std::vector<const core::Detector*> detectors;
   for (const core::Detector* d : registry.detectors()) {

@@ -7,11 +7,10 @@
 /// every prefix, three systems must agree:
 ///
 ///   * the incremental verdict — ForestConnectivity's "did this insert
-///     close a cycle?" (DagLevels for directed streams) — is pinned
-///     against a from-scratch BFS oracle on the explicit prefix graph:
-///     closure iff the endpoints were already connected (iff a v ⇝ u path
-///     existed, directed), and the IncrementalSession's own union-find
-///     must agree with the detector;
+///     close a cycle?" — is pinned against a from-scratch BFS oracle on the
+///     explicit prefix graph: closure iff the endpoints were already
+///     connected, and the IncrementalSession's own union-find must agree
+///     with the detector;
 ///   * every closure's witness must be a genuine cycle of the post-insert
 ///     prefix graph, and the repo's DFS oracle must find a cycle of the
 ///     witness length through the inserted edge;
@@ -31,10 +30,7 @@
 /// oracle and the batch detectors (longer witnesses are still structurally
 /// validated): exact C_k scans grow exponentially in k. Every check routes
 /// through the session's epoch/purge machinery, so a stale cached Simulator
-/// session surviving a mutation would surface here as a mismatch. Directed
-/// streams pin against the oracle only (the registry detectors speak
-/// undirected CONGEST) and stop at the first closure, where DagLevels'
-/// contract ends.
+/// session surviving a mutation would surface here as a mismatch.
 #pragma once
 
 #include <cstddef>

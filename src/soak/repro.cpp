@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -21,14 +22,19 @@ constexpr std::string_view kAcceptedKeys =
 
 constexpr std::string_view kLayout =
     "a decycle_soak repro v2 is a 'scenario contract=... kind=... k=...' line followed by a "
-    "'stream n=... directed=... seed=...' insert list (edge-list bodies and request "
+    "'stream n=... directed=0 seed=...' insert list (edge-list bodies and request "
     "transcripts are not read)";
 
 [[noreturn]] void fail(const std::string& msg) { DECYCLE_CHECK_MSG(false, msg); }
 
-std::uint64_t parse_u64(std::string_view key, std::string_view value) {
+std::uint64_t parse_u64(std::string_view key, std::string_view value,
+                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   std::uint64_t out = 0;
   const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
+  if (ec == std::errc::result_out_of_range || (ec == std::errc() && out > max)) {
+    fail("repro scenario key '" + std::string(key) + "': value '" + std::string(value) +
+         "' out of range (at most " + std::to_string(max) + ")");
+  }
   if (ec != std::errc() || ptr != value.data() + value.size()) {
     fail("repro scenario key '" + std::string(key) + "': expected unsigned integer, got '" +
          std::string(value) + "'");
@@ -66,10 +72,6 @@ Contract parse_contract(std::string_view token) {
 
 std::vector<CaseMismatch> check_case(const ReproCase& c, const core::DetectorRegistry& registry) {
   const core::Detector* only = c.detector.empty() ? nullptr : &registry.require(c.detector);
-  DECYCLE_CHECK_MSG(c.contract == Contract::kPrefix || !c.stream.directed,
-                    "the " + std::string(contract_name(c.contract)) +
-                        " contract checks undirected instances; directed streams need "
-                        "contract=prefix");
   switch (c.contract) {
     case Contract::kPrefix:
       return check_prefixes(c.stream, c.scenario, registry, c.detector).mismatches;
@@ -147,7 +149,8 @@ ReproCase read_repro(std::istream& in) {
     } else if (key == "kind") {
       repro.kind = parse_mismatch_kind(value);
     } else if (key == "k") {
-      repro.scenario.k = static_cast<unsigned>(parse_u64(key, value));
+      repro.scenario.k =
+          static_cast<unsigned>(parse_u64(key, value, std::numeric_limits<unsigned>::max()));
       have_k = true;
     } else if (key == "eps") {
       repro.scenario.epsilon = parse_double(key, value);

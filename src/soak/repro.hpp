@@ -64,8 +64,7 @@ struct ReproCase {
 /// set, every capability-compatible detector of \p registry otherwise — and
 /// returns the first mismatch of each (detector, kind). Pure function of
 /// its inputs: the shrinker's probe and the replay's check. Throws
-/// CheckError when \p c.detector is not registered or an oracle or serve
-/// case carries a directed stream.
+/// CheckError when \p c.detector is not registered.
 [[nodiscard]] std::vector<CaseMismatch> check_case(
     const ReproCase& c,
     const core::DetectorRegistry& registry = core::DetectorRegistry::builtin());
@@ -79,7 +78,8 @@ struct ReproCase {
 void write_repro(std::ostream& out, const ReproCase& repro);
 
 /// Parses the repro format. Throws CheckError on unknown/duplicate/missing
-/// scenario keys, bad kinds or contracts, or a malformed insert list — each
+/// scenario keys, values that do not fit their field, bad kinds or
+/// contracts, or a malformed insert list — each
 /// message naming the accepted alternatives; an edge-list (v1) or
 /// request-transcript body fails with a message naming the v2 layout.
 [[nodiscard]] ReproCase read_repro(std::istream& in);

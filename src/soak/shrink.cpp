@@ -108,7 +108,6 @@ bool insert_pass(ReproCase& c, Prober& prober) {
 incremental::InsertStream remove_vertex(const incremental::InsertStream& s, graph::Vertex v) {
   incremental::InsertStream out;
   out.n = s.n > 0 ? s.n - 1 : 0;
-  out.directed = s.directed;
   out.seed = s.seed;
   for (const auto& [a, b] : s.inserts) {
     if (a == v || b == v) continue;

@@ -35,7 +35,7 @@ TEST(Scan, ExactOnRandomGraphs) {
 }
 
 TEST(Scan, FindsTheSingleHiddenCycle) {
-  // No farness, no randomness: a needle in a big acyclic haystack.
+  // No farness, no randomness: a needle in a big cycle-free haystack.
   util::Rng rng(2);
   graph::PlantedOptions popt;
   popt.k = 6;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "graph/analysis.hpp"
@@ -175,6 +176,48 @@ TEST(Generators, DeterministicForFixedSeed) {
   const auto ea = ga.edges();
   const auto eb = gb.edges();
   for (std::size_t i = 0; i < ea.size(); ++i) EXPECT_EQ(ea[i], eb[i]);
+}
+
+// --- circulant generator ----------------------------------------------------
+
+TEST(Circulant, DegreeAndMembership) {
+  const Graph g = circulant(17, 3);
+  EXPECT_EQ(g.num_vertices(), 17u);
+  EXPECT_EQ(g.num_edges(), 17u * 3);
+  for (Vertex u = 0; u < 17; ++u) {
+    EXPECT_EQ(g.degree(u), 6u) << u;
+    for (std::uint32_t j = 1; j <= 3; ++j) {
+      EXPECT_TRUE(g.has_edge(u, (u + j) % 17)) << u << "+" << j;
+      EXPECT_TRUE(g.has_edge(u, (u + 17 - j) % 17)) << u << "-" << j;
+    }
+    EXPECT_FALSE(g.has_edge(u, (u + 4) % 17));
+  }
+}
+
+TEST(Circulant, MatchesBuilderConstruction) {
+  const Vertex n = 23;
+  const std::uint32_t k = 4;
+  GraphBuilder b(n);
+  for (Vertex u = 0; u < n; ++u)
+    for (std::uint32_t j = 1; j <= k; ++j) b.add_edge(u, (u + j) % n);
+  const Graph reference = b.build();
+  const Graph streamed = circulant(n, k);
+  ASSERT_EQ(streamed.num_edges(), reference.num_edges());
+  EXPECT_TRUE(std::ranges::equal(streamed.edges(), reference.edges()));
+  for (Vertex v = 0; v < n; ++v) {
+    EXPECT_TRUE(std::ranges::equal(streamed.neighbors(v), reference.neighbors(v))) << v;
+  }
+}
+
+TEST(Circulant, K1IsACycle) {
+  const Graph g = circulant(9, 1);
+  const Graph c = cycle(9);
+  EXPECT_TRUE(std::ranges::equal(g.edges(), c.edges()));
+}
+
+TEST(Circulant, RejectsTooSmallN) {
+  EXPECT_THROW((void)circulant(8, 4), util::CheckError);
+  EXPECT_THROW((void)circulant(5, 0), util::CheckError);
 }
 
 }  // namespace

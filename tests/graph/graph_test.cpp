@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -151,6 +157,78 @@ TEST(IdAssignment, UnknownIdThrows) {
   EXPECT_THROW((void)ids.vertex_of(99), util::CheckError);
   EXPECT_FALSE(ids.has_id(99));
   EXPECT_TRUE(ids.has_id(2));
+}
+
+// --- Streaming (sort-free) CSR build ---------------------------------------
+
+TEST(OrderedEdges, MatchesGenericBuildOnRandomGraphs) {
+  util::Rng rng(123);
+  for (int trial = 0; trial < 10; ++trial) {
+    const Vertex n = 30 + 7 * trial;
+    const Graph g = erdos_renyi_gnm(n, 2 * n, rng);
+    // Graph::edges() is canonical and sorted — a valid ordered stream.
+    std::vector<Edge> edges(g.edges().begin(), g.edges().end());
+    const Graph streamed = Graph::from_ordered_edges(n, std::move(edges));
+    ASSERT_EQ(streamed.num_edges(), g.num_edges());
+    ASSERT_EQ(streamed.max_degree(), g.max_degree());
+    for (Vertex v = 0; v < n; ++v) {
+      ASSERT_TRUE(std::ranges::equal(streamed.neighbors(v), g.neighbors(v))) << v;
+    }
+    EXPECT_TRUE(std::ranges::equal(streamed.edges(), g.edges()));
+  }
+}
+
+TEST(OrderedEdges, RejectsNonCanonicalPairs) {
+  EXPECT_THROW((void)Graph::from_ordered_edges(4, {{1, 0}}), util::CheckError);
+  EXPECT_THROW((void)Graph::from_ordered_edges(4, {{2, 2}}), util::CheckError);
+  EXPECT_THROW((void)Graph::from_ordered_edges(4, {{0, 9}}), util::CheckError);
+}
+
+TEST(OrderedEdges, RejectsOutOfOrderAndDuplicateEdges) {
+  EXPECT_THROW((void)Graph::from_ordered_edges(5, {{0, 2}, {0, 1}}), util::CheckError);
+  EXPECT_THROW((void)Graph::from_ordered_edges(5, {{1, 2}, {0, 3}}), util::CheckError);
+  EXPECT_THROW((void)Graph::from_ordered_edges(5, {{0, 1}, {0, 1}}), util::CheckError);
+}
+
+TEST(OrderedEdges, ErrorsNameTheOffendingEdgeIndex) {
+  // A caller staring at a million-edge stream needs the index and the edge,
+  // not just which contract broke.
+  const auto message_of = [](const std::function<void()>& fn) -> std::string {
+    try {
+      fn();
+    } catch (const util::CheckError& e) {
+      return e.what();
+    }
+    return {};
+  };
+  const std::string non_canonical =
+      message_of([] { (void)Graph::from_ordered_edges(4, {{0, 1}, {2, 1}}); });
+  EXPECT_NE(non_canonical.find("edge 1 (2,1)"), std::string::npos) << non_canonical;
+  EXPECT_NE(non_canonical.find("canonical"), std::string::npos) << non_canonical;
+
+  const std::string out_of_range =
+      message_of([] { (void)Graph::from_ordered_edges(4, {{0, 1}, {1, 2}, {2, 9}}); });
+  EXPECT_NE(out_of_range.find("edge 2 (2,9)"), std::string::npos) << out_of_range;
+  EXPECT_NE(out_of_range.find("out of range (n=4)"), std::string::npos) << out_of_range;
+
+  const std::string unsorted =
+      message_of([] { (void)Graph::from_ordered_edges(5, {{1, 2}, {0, 3}}); });
+  EXPECT_NE(unsorted.find("edge 1 (0,3)"), std::string::npos) << unsorted;
+  EXPECT_NE(unsorted.find("previous (1,2)"), std::string::npos) << unsorted;
+
+  const std::string duplicate =
+      message_of([] { (void)Graph::from_ordered_edges(5, {{0, 1}, {0, 1}}); });
+  EXPECT_NE(duplicate.find("edge 1 (0,1)"), std::string::npos) << duplicate;
+  EXPECT_NE(duplicate.find("duplicate or unsorted"), std::string::npos) << duplicate;
+}
+
+TEST(OrderedEdges, EmptyAndEdgelessGraphs) {
+  const Graph empty = Graph::from_ordered_edges(0, {});
+  EXPECT_EQ(empty.num_vertices(), 0u);
+  const Graph bare = Graph::from_ordered_edges(5, {});
+  EXPECT_EQ(bare.num_vertices(), 5u);
+  EXPECT_EQ(bare.num_edges(), 0u);
+  EXPECT_EQ(bare.max_degree(), 0u);
 }
 
 }  // namespace

@@ -91,21 +91,26 @@ TEST(ServeSoak, CheckpointProbeReplaysTheHashField) {
 }
 
 TEST(ServeSoak, ReproParserIsLoud) {
+  const auto expect_loud = [](const std::string& text, const char* fragment) {
+    std::istringstream in(text);
+    try {
+      (void)read_repro(in);
+      FAIL() << "expected CheckError for:\n" << text;
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos) << e.what();
+    }
+  };
   // The retired request-transcript format fails naming the v2 layout.
-  std::istringstream transcript(
+  expect_loud(
       "# decycle_soak serve repro v1\n"
       "request create tenant=r n=4\n"
-      "served x\ndirect y\n");
-  try {
-    (void)read_repro(transcript);
-    FAIL() << "expected CheckError";
-  } catch (const util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("repro v2"), std::string::npos) << e.what();
-  }
-  // Oracle and serve cases check undirected instances only.
-  ReproCase directed = serve_case(graph::cycle(4), 4);
-  directed.stream.directed = true;
-  EXPECT_THROW((void)check_case(directed), util::CheckError);
+      "served x\ndirect y\n",
+      "repro v2");
+  // Directed streams were removed: a directed=1 insert list names that.
+  expect_loud(
+      "scenario contract=serve kind=none k=4\n"
+      "stream n=4 directed=1 seed=1\n1\n0 1\n",
+      "directed streams were removed");
 }
 
 TEST(ServeSoak, RerunIsReproducible) {

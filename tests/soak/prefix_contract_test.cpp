@@ -3,9 +3,8 @@
 /// The acceptance suite: across seeded streams totalling well over 500
 /// prefixes, the incremental verdicts, the BFS/DFS oracle, and the
 /// exact-regime batch detectors (run through the IncrementalSession
-/// epoch/purge bridge) must agree with zero mismatches — undirected and
-/// directed, dense and sparse — and planted faults in the batch detectors
-/// must surface.
+/// epoch/purge bridge) must agree with zero mismatches — dense and sparse —
+/// and planted faults in the batch detectors must surface.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -26,14 +25,11 @@ SoakScenario exact_k8() {
   return s;
 }
 
-incremental::InsertStream stream(graph::Vertex n, std::size_t inserts, std::uint64_t seed,
-                                 bool directed = false, bool acyclic = false) {
+incremental::InsertStream stream(graph::Vertex n, std::size_t inserts, std::uint64_t seed) {
   incremental::StreamSpec spec;
   spec.n = n;
   spec.inserts = inserts;
   spec.seed = seed;
-  spec.directed = directed;
-  spec.acyclic = acyclic;
   return incremental::generate_stream(spec);
 }
 
@@ -51,23 +47,6 @@ TEST(PrefixDifferential, UndirectedStreamsAgreeEverywhere) {
     total_batch_queries += report.batch_queries;
   }
   EXPECT_GT(total_batch_queries, 0u);
-}
-
-TEST(PrefixDifferential, DirectedStreamsAgreeWithTheReachabilityOracle) {
-  for (const std::uint64_t seed : {5ull, 6ull, 7ull}) {
-    const PrefixReport report = check_prefixes(stream(48, 220, seed, true), exact_k8());
-    EXPECT_FALSE(report.failed()) << "seed " << seed << ": "
-                                  << (report.mismatches.empty()
-                                          ? ""
-                                          : report.mismatches.front().detail);
-    EXPECT_EQ(report.closures, 1u);  // dense arc streams cycle, then stop
-  }
-}
-
-TEST(PrefixDifferential, DirectedAcyclicStreamsNeverClose) {
-  const PrefixReport report = check_prefixes(stream(48, 300, 9, true, true), exact_k8());
-  EXPECT_FALSE(report.failed());
-  EXPECT_EQ(report.closures, 0u);
 }
 
 TEST(PrefixDifferential, SparseForestStreamExercisesTheAcceptPath) {

@@ -98,6 +98,11 @@ TEST(Repro, DuplicateAndMalformedKeysAreLoud) {
   EXPECT_NE(read_error(line + "k=5 k=6\n").find("given twice"), std::string::npos);
   EXPECT_NE(read_error(line + "k five\n").find("key=value"), std::string::npos);
   EXPECT_NE(read_error(line + "k=abc\n").find("expected unsigned integer"), std::string::npos);
+  // A value that does not fit its field is rejected, not narrowed.
+  const std::string wide = read_error(line + "k=4294967300\n");
+  EXPECT_NE(wide.find("key 'k': value '4294967300' out of range"), std::string::npos) << wide;
+  EXPECT_NE(read_error(line + "k=5 seed=18446744073709551616\n").find("key 'seed'"),
+            std::string::npos);
   EXPECT_NE(read_error(line + "k=5 kind=flaky\n").find("unknown mismatch kind"),
             std::string::npos);
   const std::string contract = read_error("scenario contract=bogus k=5\n");

@@ -4,10 +4,8 @@
 /// Generate mode — draw a duplicate-free insert stream and write the plain-
 /// text replay file (stream.hpp format, stdout when --out is omitted):
 ///   decycle_incr --gen --n=1000 --inserts=2000 --seed=7 --out=stream.txt
-///   decycle_incr --gen --n=64 --directed=1 --acyclic=1
 ///
-/// Replay mode — stream the file through the matching incremental detector
-/// (ForestConnectivity, or DagLevels for directed streams) and report
+/// Replay mode — stream the file through ForestConnectivity and report
 /// throughput:
 ///   decycle_incr --replay=stream.txt
 ///
@@ -16,12 +14,13 @@
 /// and replay it with `decycle_soak --repro FILE` (soak/repro.hpp).
 ///
 /// Flags (both --key=value and "--key value" forms are accepted):
-///   --gen            generate a stream (requires --n; --inserts --seed
-///                    --directed --acyclic optional; --out=FILE or stdout)
+///   --gen            generate a stream (requires --n < 2^32; --inserts
+///                    --seed optional; --out=FILE or stdout)
 ///   --replay=FILE    replay a stream file ("-" reads stdin)
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "incremental/incremental.hpp"
@@ -42,10 +41,12 @@ int generate(const decycle::util::Args& args) {
   using namespace decycle;
   incremental::StreamSpec spec;
   DECYCLE_CHECK_MSG(args.has("n"), "--gen requires --n");
-  spec.n = static_cast<graph::Vertex>(args.get_u64("n", 0));
+  const std::uint64_t n = args.get_u64("n", 0);
+  DECYCLE_CHECK_MSG(n <= std::numeric_limits<graph::Vertex>::max(),
+                    "--n out of range: " + std::to_string(n) + " (at most " +
+                        std::to_string(std::numeric_limits<graph::Vertex>::max()) + ")");
+  spec.n = static_cast<graph::Vertex>(n);
   spec.inserts = args.get_u64("inserts", 2 * static_cast<std::size_t>(spec.n));
-  spec.directed = args.get_bool("directed", false);
-  spec.acyclic = args.get_bool("acyclic", false);
   spec.seed = args.get_u64("seed", 1);
   const std::string out_path = args.get_string("out", "");
   args.reject_unknown();
@@ -60,8 +61,8 @@ int generate(const decycle::util::Args& args) {
     out.flush();
     DECYCLE_CHECK_MSG(out.good(), "failed writing --out file (disk full?): " + out_path);
   }
-  std::cerr << "decycle_incr: generated n=" << stream.n << " directed=" << stream.directed
-            << " inserts=" << stream.inserts.size() << " seed=" << stream.seed << "\n";
+  std::cerr << "decycle_incr: generated n=" << stream.n << " inserts=" << stream.inserts.size()
+            << " seed=" << stream.seed << "\n";
   return 0;
 }
 
@@ -69,28 +70,13 @@ int replay_timed(const decycle::incremental::InsertStream& stream) {
   using namespace decycle;
   using Clock = std::chrono::steady_clock;
   std::uint64_t closures = 0;
-  std::size_t applied = 0;
+  incremental::ForestConnectivity fc(stream.n);
   const Clock::time_point start = Clock::now();
-  if (stream.directed) {
-    incremental::DagLevels dag(stream.n);
-    for (const auto& [u, v] : stream.inserts) {
-      ++applied;
-      if (dag.insert(u, v).closed_cycle) {
-        ++closures;
-        break;  // DagLevels' contract ends at the first directed cycle
-      }
-    }
-  } else {
-    incremental::ForestConnectivity fc(stream.n);
-    for (const auto& [u, v] : stream.inserts) {
-      ++applied;
-      closures += fc.insert_fast(u, v) ? 1 : 0;
-    }
-  }
+  for (const auto& [u, v] : stream.inserts) closures += fc.insert_fast(u, v) ? 1 : 0;
   const double seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  const double rate = seconds > 0.0 ? static_cast<double>(applied) / seconds : 0.0;
-  std::cout << "replay: n=" << stream.n << " directed=" << stream.directed
-            << " inserts=" << applied << "/" << stream.inserts.size()
+  const double rate =
+      seconds > 0.0 ? static_cast<double>(stream.inserts.size()) / seconds : 0.0;
+  std::cout << "replay: n=" << stream.n << " inserts=" << stream.inserts.size()
             << " closures=" << closures << " inserts_per_sec=" << static_cast<std::uint64_t>(rate)
             << "\n";
   return 0;
