@@ -16,10 +16,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const auto k = static_cast<unsigned>(args.get_u64("k", 8));
+  const auto k = args.get<unsigned>("k", 8);
   args.reject_unknown();
 
   harness::ClaimSet claims("A1 pruning ablation");
@@ -74,4 +73,8 @@ int main(int argc, char** argv) {
   table.print(std::cout, "A1: bundle growth, Algorithm 1 vs naive (k=" + std::to_string(k) +
                              ", Lemma 3 bound = " + std::to_string(bound) + ")");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("a1_pruning_ablation", argc, argv, run);
 }

@@ -28,10 +28,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const std::size_t trials = args.get_u64("trials", 300);
+  const std::size_t trials = args.get<std::size_t>("trials", 300);
   args.reject_unknown();
 
   harness::ClaimSet claims("A2 concurrency (prioritized search)");
@@ -129,4 +128,8 @@ int main(int argc, char** argv) {
   table.print(std::cout,
               "A2: per-repetition detection — isolated-minimum model vs concurrent tester");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("a2_concurrency", argc, argv, run);
 }

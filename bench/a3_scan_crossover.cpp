@@ -18,10 +18,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const auto k = static_cast<unsigned>(args.get_u64("k", 5));
+  const auto k = args.get<unsigned>("k", 5);
   args.reject_unknown();
 
   harness::ClaimSet claims("A3 tester vs exhaustive scan");
@@ -98,4 +97,8 @@ int main(int argc, char** argv) {
               needle_inst.graph.num_edges(), k, needle_scan.found ? "yes" : "no",
               needle_scan.edges_checked, needle_inst.certified_epsilon());
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("a3_scan_crossover", argc, argv, run);
 }

@@ -33,10 +33,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const std::size_t trials = args.get_u64("trials", 40);
+  const std::size_t trials = args.get<std::size_t>("trials", 40);
   args.reject_unknown();
 
   harness::ClaimSet claims("B1 specialized-tester comparison");
@@ -116,4 +115,8 @@ int main(int argc, char** argv) {
   table.print(std::cout, "B1: this paper vs specialized distributed testers and centralized "
                          "color coding (same certified instances, one registry)");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("b1_specialized", argc, argv, run);
 }

@@ -50,8 +50,7 @@ graph::Graph two_c5_gadget(bool chord_on_x, graph::Vertex u, graph::Vertex v, gr
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const decycle::util::Args& args) {
   args.reject_unknown();
 
   harness::ClaimSet claims("C1 limitations (paper §4)");
@@ -147,4 +146,8 @@ int main(int argc, char** argv) {
               "C1: §4 limitations — pruning/pairing is chord-oblivious, so witness filtering is "
               "not a tester for H-freeness or induced Ck-freeness");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("c1_limitations", argc, argv, run);
 }

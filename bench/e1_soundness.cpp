@@ -18,13 +18,12 @@
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const auto kmax = static_cast<unsigned>(args.get_u64("kmax", 8));
-  const auto n = static_cast<graph::Vertex>(args.get_u64("n", 56));
-  const std::size_t trials = args.get_u64("trials", 6);
-  const double eps = args.get_double("eps", 0.15);
+  const auto kmax = args.get<unsigned>("kmax", 8);
+  const auto n = args.get<graph::Vertex>("n", 56);
+  const std::size_t trials = args.get<std::size_t>("trials", 6);
+  const double eps = args.get<double>("eps", 0.15);
   args.reject_unknown();
 
   harness::ClaimSet claims("E1 soundness (Theorem 1, 1-sided error)");
@@ -67,4 +66,8 @@ int main(int argc, char** argv) {
 
   table.print(std::cout, "T1: acceptance probability on Ck-free instances (must be 1.000)");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("e1_soundness", argc, argv, run);
 }

@@ -21,11 +21,10 @@
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const std::size_t trials = args.get_u64("trials", 48);
-  const std::size_t cycles = args.get_u64("cycles", 5);
+  const std::size_t trials = args.get<std::size_t>("trials", 48);
+  const std::size_t cycles = args.get<std::size_t>("cycles", 5);
   args.reject_unknown();
 
   harness::ClaimSet claims("E2 detection (Theorem 1, completeness)");
@@ -94,4 +93,8 @@ int main(int argc, char** argv) {
 
   table.print(std::cout, "T2: rejection rate on certified eps-far instances (bound: 2/3)");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("e2_detection", argc, argv, run);
 }

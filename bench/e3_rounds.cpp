@@ -16,10 +16,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const auto k = static_cast<unsigned>(args.get_u64("k", 5));
+  const auto k = args.get<unsigned>("k", 5);
   args.reject_unknown();
 
   harness::ClaimSet claims("E3 rounds (Theorem 1, O(1/eps))");
@@ -78,4 +77,8 @@ int main(int argc, char** argv) {
               "T3: round complexity vs 1/eps (k=" + std::to_string(k) +
                   ", slope = e^2 ln3 (k/2+2), B=" + std::to_string(bandwidth) + " bits)");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("e3_rounds", argc, argv, run);
 }

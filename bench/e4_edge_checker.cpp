@@ -18,12 +18,11 @@
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const auto n = static_cast<graph::Vertex>(args.get_u64("n", 18));
-  const std::size_t m = args.get_u64("m", 30);
-  const std::size_t graphs = args.get_u64("graphs", 4);
+  const auto n = args.get<graph::Vertex>("n", 18);
+  const std::size_t m = args.get<std::size_t>("m", 30);
+  const std::size_t graphs = args.get<std::size_t>("graphs", 4);
   args.reject_unknown();
 
   harness::ClaimSet claims("E4 single-edge checker exactness (Lemma 2)");
@@ -70,4 +69,8 @@ int main(int argc, char** argv) {
 
   table.print(std::cout, "T4: distributed checker vs exact oracle, every edge of G(n,m)");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("e4_edge_checker", argc, argv, run);
 }

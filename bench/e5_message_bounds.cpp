@@ -20,9 +20,8 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
   args.reject_unknown();
 
   harness::ClaimSet claims("E5 message bounds (Lemma 3)");
@@ -103,4 +102,8 @@ int main(int argc, char** argv) {
 
   table.print(std::cout, "T5: max sequences per message vs Lemma 3 bound (naive for contrast)");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("e5_message_bounds", argc, argv, run);
 }

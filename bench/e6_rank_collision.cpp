@@ -16,10 +16,9 @@
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const std::uint64_t budget = args.get_u64("draw_budget", 40'000'000);
+  const std::uint64_t budget = args.get<std::uint64_t>("draw_budget", 40'000'000);
   args.reject_unknown();
 
   harness::ClaimSet claims("E6 rank collisions (Lemma 5)");
@@ -53,4 +52,8 @@ int main(int argc, char** argv) {
 
   table.print(std::cout, "T6: empirical Pr[unique min rank] with ranks from [1, m^2]");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("e6_rank_collision", argc, argv, run);
 }

@@ -16,9 +16,8 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
   args.reject_unknown();
 
   harness::ClaimSet claims("E7 packing (Lemma 4)");
@@ -73,4 +72,8 @@ int main(int argc, char** argv) {
 
   table.print(std::cout, "T7: greedy edge-disjoint Ck packing vs Lemma 4 bound eps*m/k");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("e7_packing", argc, argv, run);
 }

@@ -41,9 +41,8 @@ decycle::graph::Graph figure1_gadget(unsigned width) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
   args.reject_unknown();
 
   harness::ClaimSet claims("F1 Figure 1 (C5 gadget)");
@@ -100,4 +99,8 @@ int main(int argc, char** argv) {
               "F1: Figure 1 gadget — pruning keeps enough sequences, single choice does not");
   std::printf("(the C5 exists in every row; only the forwarding strategy differs)\n");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("f1_figure1", argc, argv, run);
 }

@@ -21,9 +21,8 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
   args.reject_unknown();
 
   harness::ClaimSet claims("F2 fake IDs (Instruction 14 ablation)");
@@ -79,4 +78,8 @@ int main(int argc, char** argv) {
 
   table.print(std::cout, "F2: Instruction 14 ablation — C9 walkthrough of paper §3.3, generalized");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("f2_fake_ids", argc, argv, run);
 }

@@ -22,11 +22,10 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const std::size_t trials = args.get_u64("trials", 24);
-  const auto k = static_cast<unsigned>(args.get_u64("k", 5));
+  const std::size_t trials = args.get<std::size_t>("trials", 24);
+  const auto k = args.get<unsigned>("k", 5);
   args.reject_unknown();
 
   harness::ClaimSet claims("H1 hard instances (Behrend substitute)");
@@ -86,4 +85,8 @@ int main(int argc, char** argv) {
               "H1: layered C" + std::to_string(k) +
                   " packings — detection and bundle bounds under density");
   return claims.summarize();
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("h1_hard_instances", argc, argv, run);
 }

@@ -22,13 +22,13 @@
 /// n=10k and small query counts for CI.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/server.hpp"
 #include "serve/stats.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -95,13 +95,10 @@ bool check(bool okay, const char* what) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_serve.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-  }
+int run(const util::Args& args) {
+  const bool smoke = args.get_bool("smoke", false);
+  const std::string out_path = args.get_string("out", "BENCH_serve.json");
+  args.reject_unknown();
   bool ok = true;
 
   const std::vector<graph::Vertex> sizes = smoke ? std::vector<graph::Vertex>{10'000}
@@ -241,4 +238,8 @@ int main(int argc, char** argv) {
   }
 
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("m10_serve_micro", argc, argv, run);
 }

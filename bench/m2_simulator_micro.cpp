@@ -22,7 +22,6 @@
 /// equality is violated). --smoke shrinks every instance for CI.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,6 +31,7 @@
 #include "congest/simulator.hpp"
 #include "graph/generators.hpp"
 #include "support/alloc_probe.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -156,13 +156,10 @@ bool check(bool ok, const char* what) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_simulator.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-  }
+int run(const util::Args& args) {
+  const bool smoke = args.get_bool("smoke", false);
+  const std::string out_path = args.get_string("out", "BENCH_simulator.json");
+  args.reject_unknown();
   const int reps = smoke ? 1 : 3;
   bool ok = true;
 
@@ -304,4 +301,8 @@ int main(int argc, char** argv) {
   }
 
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("m2_simulator_micro", argc, argv, run);
 }

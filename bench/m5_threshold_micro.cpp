@@ -96,8 +96,7 @@ std::string algo_json(const char* mode, const AlgoResult& r, std::size_t trials)
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const decycle::util::Args& args) {
   const bool smoke = args.get_bool("smoke", false);
   const std::string out_path = args.get_string("out", "BENCH_threshold.json");
   args.reject_unknown();
@@ -194,4 +193,8 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("m5_threshold_micro", argc, argv, run);
 }

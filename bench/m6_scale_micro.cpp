@@ -18,7 +18,6 @@
 /// {10k, 50k} for CI. Exits 1 on any cross-check failure.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,6 +27,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -86,13 +86,10 @@ bool check(bool okay, const char* what) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_scale.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-  }
+int run(const util::Args& args) {
+  const bool smoke = args.get_bool("smoke", false);
+  const std::string out_path = args.get_string("out", "BENCH_scale.json");
+  args.reject_unknown();
   bool ok = true;
   constexpr std::uint32_t kHalfDegree = 4;  // C_n(1..4): 8-regular
 
@@ -207,4 +204,8 @@ int main(int argc, char** argv) {
   }
 
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("m6_scale_micro", argc, argv, run);
 }

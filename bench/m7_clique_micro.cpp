@@ -22,7 +22,6 @@
 /// ran on; --smoke shrinks n and the sweep for CI.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -32,6 +31,7 @@
 #include "graph/far_generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -71,13 +71,10 @@ std::uint64_t counter(const core::Verdict& v, std::string_view name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_clique.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-  }
+int run(const util::Args& args) {
+  const bool smoke = args.get_bool("smoke", false);
+  const std::string out_path = args.get_string("out", "BENCH_clique.json");
+  args.reject_unknown();
   bool ok = true;
 
   constexpr unsigned kK = 5;
@@ -190,4 +187,8 @@ int main(int argc, char** argv) {
   }
 
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("m7_clique_micro", argc, argv, run);
 }

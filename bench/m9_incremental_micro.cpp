@@ -22,7 +22,6 @@
 /// to {10k, 50k} for CI.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -33,6 +32,7 @@
 #include "incremental/incremental.hpp"
 #include "incremental/session.hpp"
 #include "incremental/stream.hpp"
+#include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -78,13 +78,10 @@ struct SizeRow {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_incremental.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-  }
+int run(const util::Args& args) {
+  const bool smoke = args.get_bool("smoke", false);
+  const std::string out_path = args.get_string("out", "BENCH_incremental.json");
+  args.reject_unknown();
   bool ok = true;
 
   const std::vector<graph::Vertex> sizes =
@@ -252,4 +249,8 @@ int main(int argc, char** argv) {
   }
 
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("m9_incremental_micro", argc, argv, run);
 }

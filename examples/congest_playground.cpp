@@ -17,13 +17,12 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
   using congest::Simulator;
-  const util::Args args(argc, argv);
-  const auto rows = static_cast<graph::Vertex>(args.get_u64("rows", 8));
-  const auto cols = static_cast<graph::Vertex>(args.get_u64("cols", 8));
-  const std::uint64_t seed = args.get_u64("seed", 2);
+  const auto rows = args.get<graph::Vertex>("rows", 8);
+  const auto cols = args.get<graph::Vertex>("cols", 8);
+  const std::uint64_t seed = args.get<std::uint64_t>("seed", 2);
   args.reject_unknown();
 
   const graph::Graph g = graph::grid(rows, cols);
@@ -81,4 +80,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(lead_stats.normalized_rounds(bandwidth)),
               static_cast<unsigned long long>(lead_stats.rounds_executed));
   return mismatches == 0 && agree == g.num_vertices() ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("example_congest_playground", argc, argv, run);
 }

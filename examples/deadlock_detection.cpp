@@ -35,14 +35,13 @@ std::string entity_name(Vertex v, Vertex transactions) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const auto transactions = static_cast<Vertex>(args.get_u64("transactions", 40));
-  const auto resources = static_cast<Vertex>(args.get_u64("resources", 40));
-  const std::size_t waits = args.get_u64("waits", 70);
-  const auto ring = static_cast<unsigned>(args.get_u64("ring", 4));  // deadlocked txns
-  const std::uint64_t seed = args.get_u64("seed", 3);
+  const auto transactions = args.get<Vertex>("transactions", 40);
+  const auto resources = args.get<Vertex>("resources", 40);
+  const std::size_t waits = args.get<std::size_t>("waits", 70);
+  const auto ring = args.get<unsigned>("ring", 4);  // deadlocked txns
+  const std::uint64_t seed = args.get<std::uint64_t>("seed", 3);
   args.reject_unknown();
 
   util::Rng rng(seed);
@@ -100,4 +99,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(verdict.stats.rounds_executed),
               verdict.stats.total_messages);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("example_deadlock_detection", argc, argv, run);
 }

@@ -44,13 +44,12 @@ decycle::graph::Graph make_family(const std::string& family, decycle::graph::Ver
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
   const std::string family = args.get_string("family", "smallworld");
-  const auto n = static_cast<graph::Vertex>(args.get_u64("n", 64));
-  const auto kmax = static_cast<unsigned>(args.get_u64("kmax", 8));
-  const std::uint64_t seed = args.get_u64("seed", 5);
+  const auto n = args.get<graph::Vertex>("n", 64);
+  const auto kmax = args.get<unsigned>("kmax", 8);
+  const std::uint64_t seed = args.get<std::uint64_t>("seed", 5);
   args.reject_unknown();
 
   util::Rng rng(seed);
@@ -93,4 +92,8 @@ int main(int argc, char** argv) {
   std::printf("note: 'accept' with count>0 is possible by design — the tester guarantees\n"
               "detection w.p. >= 2/3 only on eps-far instances; REJECT is always certified.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("example_motif_scan", argc, argv, run);
 }

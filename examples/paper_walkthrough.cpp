@@ -19,6 +19,7 @@
 #include "core/detect_state.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -98,7 +99,8 @@ bool trace_phase2(const graph::Graph& g, unsigned k, graph::Vertex u, graph::Ver
 
 }  // namespace
 
-int main() {
+int run(const decycle::util::Args& args) {
+  args.reject_unknown();
   std::printf("=== Part 1: the C9 walkthrough of paper section 3.3 ===\n");
   std::printf("Cycle with IDs 1..9, checking edge {1, 9} for a C9.\n\n");
   const graph::Graph c9 = graph::cycle(9);
@@ -129,4 +131,8 @@ int main() {
               with_fakes ? "detected" : "missed", without_fakes ? "detected" : "missed",
               fig1_found ? "detected" : "missed");
   return (with_fakes && !without_fakes && fig1_found) ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("example_paper_walkthrough", argc, argv, run);
 }

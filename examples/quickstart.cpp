@@ -13,14 +13,13 @@
 #include "graph/subgraph.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  const util::Args args(argc, argv);
-  const auto k = static_cast<unsigned>(args.get_u64("k", 5));
-  const auto n = static_cast<graph::Vertex>(args.get_u64("n", 64));
-  const std::size_t extra = args.get_u64("extra", 12);
-  const std::uint64_t seed = args.get_u64("seed", 7);
-  const double eps = args.get_double("eps", 0.1);
+  const auto k = args.get<unsigned>("k", 5);
+  const auto n = args.get<graph::Vertex>("n", 64);
+  const std::size_t extra = args.get<std::size_t>("extra", 12);
+  const std::uint64_t seed = args.get<std::uint64_t>("seed", 7);
+  const double eps = args.get<double>("eps", 0.1);
   args.reject_unknown();
 
   // 1. Build a network: a random connected graph with a few extra edges —
@@ -60,4 +59,8 @@ int main(int argc, char** argv) {
   std::printf("edge (%u,%u): checker=%s oracle=%s — always identical\n", probe.first, probe.second,
               found ? "C-found" : "none", truth ? "C-found" : "none");
   return found == truth ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("example_quickstart", argc, argv, run);
 }

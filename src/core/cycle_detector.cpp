@@ -59,9 +59,9 @@ class EdgeCheckerDetector final : public Detector {
     if (options.edge.has_value()) {
       target = *options.edge;
     } else {
-      DECYCLE_CHECK_MSG(g.num_edges() > 0,
-                        "edge_checker ran on an edgeless instance — nothing to draw a "
-                        "target edge from");
+      // An edgeless graph has no C_k, so a 1-sided tester accepts it
+      // without a target edge to draw.
+      if (g.num_edges() == 0) return Verdict{};
       util::Rng erng(util::splitmix64(options.seed ^ kEdgeTag));
       target = g.edge(static_cast<graph::EdgeId>(erng.next_below(g.num_edges())));
     }

@@ -1,45 +1,13 @@
 #include "core/threshold/budget.hpp"
 
-#include <charconv>
-
-#include "util/check.hpp"
+#include "util/kv.hpp"
 
 namespace decycle::core::threshold {
 
-namespace {
-
-constexpr std::size_t kMaxBudget = std::size_t{1} << 20;
-
-std::size_t parse_entry(std::string_view piece) {
-  std::size_t out = 0;
-  const auto [ptr, ec] = std::from_chars(piece.data(), piece.data() + piece.size(), out);
-  DECYCLE_CHECK_MSG(ec == std::errc() && ptr == piece.data() + piece.size(),
-                    "budget schedule: expected unsigned integer, got '" + std::string(piece) +
-                        "'");
-  DECYCLE_CHECK_MSG(out <= kMaxBudget,
-                    "budget schedule: cap " + std::string(piece) + " exceeds 2^20");
-  return out;
-}
-
-}  // namespace
-
 BudgetSchedule BudgetSchedule::parse(std::string_view token) {
-  DECYCLE_CHECK_MSG(!token.empty(), "budget schedule: empty token (use 'none' for unlimited)");
   if (token == "none" || token == "0") return none();
   BudgetSchedule out;
-  std::size_t start = 0;
-  while (start <= token.size()) {
-    const std::size_t comma = token.find(',', start);
-    const std::string_view piece =
-        token.substr(start, comma == std::string_view::npos ? comma : comma - start);
-    const std::size_t cap = parse_entry(piece);
-    DECYCLE_CHECK_MSG(cap != 0,
-                      "budget schedule: a zero entry inside a list would silence the "
-                      "algorithm (use 'none' for unlimited)");
-    out.per_round.push_back(cap);
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
+  out.per_round = util::parse_list<std::size_t>("budget", token, 1, std::size_t{1} << 20);
   return out;
 }
 

@@ -42,9 +42,10 @@ struct BudgetSchedule {
   }
 
   /// Parses a budget token: `none` (or `0`) for unlimited, `16` for a flat
-  /// cap, `4,8,16` for a per-round schedule (last value repeats). Throws
-  /// CheckError on malformed numbers, zero entries in a list, or caps above
-  /// 2^20 (which would defeat the point of a threshold algorithm).
+  /// cap, `4,8,16` for a per-round schedule (last value repeats). Any other
+  /// token is a util/kv.hpp integer list of entries in [1, 2^20] (a zero
+  /// entry would silence the algorithm; a cap above 2^20 would defeat the
+  /// point of a threshold algorithm); throws util::ParseError otherwise.
   [[nodiscard]] static BudgetSchedule parse(std::string_view token);
 
   /// Canonical token form (round-trips through parse()).

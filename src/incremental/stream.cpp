@@ -1,16 +1,15 @@
 #include "incremental/stream.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <istream>
-#include <limits>
 #include <ostream>
-#include <sstream>
+#include <span>
 #include <string>
 #include <unordered_set>
 
 #include "util/check.hpp"
+#include "util/kv.hpp"
 #include "util/rng.hpp"
 
 namespace decycle::incremental {
@@ -23,20 +22,6 @@ std::uint64_t insert_key(const Insert& e) {
   const graph::Vertex a = std::min(e.first, e.second);
   const graph::Vertex b = std::max(e.first, e.second);
   return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-/// Parses the whole of \p value as an unsigned integer no larger than
-/// \p max; the message names \p what (the header key or the count).
-std::uint64_t parse_bounded(const std::string& what, const std::string& value,
-                            std::uint64_t max) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-  const bool too_big = ec == std::errc::result_out_of_range || (ec == std::errc() && out > max);
-  DECYCLE_CHECK_MSG(!too_big, "stream parse: " + what + " out of range: '" + value +
-                                  "' (at most " + std::to_string(max) + ")");
-  DECYCLE_CHECK_MSG(ec == std::errc() && ptr == value.data() + value.size(),
-                    "stream parse: malformed " + what + ": '" + value + "'");
-  return out;
 }
 
 /// Decodes triangular index \p idx into the canonical pair (u < v) with
@@ -62,85 +47,66 @@ void write_stream(std::ostream& out, const InsertStream& stream) {
 
 InsertStream read_stream(std::istream& in) {
   std::string line;
-  auto next_content_line = [&](const char* what) {
+  const auto next_content_line = [&](std::string_view what) {
     while (std::getline(in, line)) {
       if (line.empty() || line[0] == '#') continue;
-      return;
+      return util::split_words(line);
     }
-    DECYCLE_CHECK_MSG(false, std::string("stream parse: unexpected end of file, expected ") + what);
+    throw util::ParseError("stream", "unexpected end of file, expected " + std::string(what));
   };
 
-  next_content_line("the 'stream n=... directed=0 seed=...' header");
-  std::istringstream header(line);
-  std::string tag;
-  header >> tag;
-  DECYCLE_CHECK_MSG(tag == "stream",
-                    "stream parse: header must start with 'stream', got '" + tag + "'");
-  InsertStream out;
-  bool saw_n = false;
-  bool saw_directed = false;
-  bool saw_seed = false;
-  std::string token;
-  while (header >> token) {
-    const std::size_t eq = token.find('=');
-    DECYCLE_CHECK_MSG(eq != std::string::npos,
-                      "stream parse: header token '" + token + "' is not key=value");
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "n") {
-      DECYCLE_CHECK_MSG(!saw_n, "stream parse: duplicate header key 'n'");
-      out.n = static_cast<graph::Vertex>(
-          parse_bounded("value for 'n'", value, std::numeric_limits<graph::Vertex>::max()));
-      saw_n = true;
-    } else if (key == "directed") {
-      DECYCLE_CHECK_MSG(!saw_directed, "stream parse: duplicate header key 'directed'");
-      DECYCLE_CHECK_MSG(value != "1",
-                        "stream parse: directed streams were removed; only directed=0 is read");
-      DECYCLE_CHECK_MSG(value == "0", "stream parse: directed must be 0, got '" + value + "'");
-      saw_directed = true;
-    } else if (key == "seed") {
-      DECYCLE_CHECK_MSG(!saw_seed, "stream parse: duplicate header key 'seed'");
-      out.seed = parse_bounded("value for 'seed'", value,
-                               std::numeric_limits<std::uint64_t>::max());
-      saw_seed = true;
-    } else {
-      DECYCLE_CHECK_MSG(false, "stream parse: unknown header key '" + key +
-                                   "' (accepted: n, directed, seed)");
-    }
+  const std::vector<std::string_view> header =
+      next_content_line("the 'stream n=... directed=0 seed=...' header");
+  if (header.empty() || header[0] != "stream") {
+    throw util::ParseError("stream", "header must start with 'stream', got '" +
+                                         std::string(header.empty() ? "" : header[0]) + "'");
   }
-  DECYCLE_CHECK_MSG(saw_n, "stream parse: header is missing n=");
-  DECYCLE_CHECK_MSG(saw_directed, "stream parse: header is missing directed=");
+  util::KvReader r = util::KvReader::from_tokens("stream header", std::span(header).subspan(1));
+  const auto required = [&r](std::string_view key) {
+    auto value = r.take_string(key);
+    if (!value) throw util::ParseError(key, "stream header is missing " + std::string(key) + "=");
+    return std::move(*value);
+  };
+  InsertStream out;
+  out.n = util::parse_value<graph::Vertex>("n", required("n"));
+  const std::string directed = required("directed");
+  if (directed == "1") {
+    throw util::ParseError("directed", "directed streams were removed; only directed=0 is read");
+  }
+  if (directed != "0") throw util::ParseError("directed", "must be 0, got '" + directed + "'");
+  out.seed = r.take("seed", out.seed);
+  r.finish();
 
   // A duplicate-free stream has at most n(n-1)/2 distinct edges to insert.
   // The buffers grow with the lines actually read, so a count the file does
   // not back allocates nothing before the parser reaches its end.
-  next_content_line("the insert count");
-  std::string count_token;
-  std::istringstream(line) >> count_token;
-  const std::uint64_t count =
-      parse_bounded("insert count", count_token, std::numeric_limits<std::uint64_t>::max());
+  const std::vector<std::string_view> count_line = next_content_line("the insert count");
+  if (count_line.size() != 1) {
+    throw util::ParseError("insert count", "expected one unsigned integer, got '" + line + "'");
+  }
+  const std::uint64_t count = util::parse_value<std::uint64_t>("insert count", count_line[0]);
   const std::uint64_t n = out.n;
-  DECYCLE_CHECK_MSG(count <= n * (n - 1) / 2,
-                    "stream parse: insert count " + count_token + " exceeds n(n-1)/2 = " +
-                        std::to_string(n * (n - 1) / 2) + ", the distinct edges on n=" +
-                        std::to_string(n) + " vertices");
+  if (count > n * (n - 1) / 2) {
+    throw util::ParseError("insert count", std::to_string(count) + " exceeds n(n-1)/2 = " +
+                                               std::to_string(n * (n - 1) / 2) +
+                                               ", the distinct edges on n=" + std::to_string(n) +
+                                               " vertices");
+  }
 
   std::unordered_set<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < count; ++i) {
-    next_content_line("an insert line");
-    std::istringstream edge_line(line);
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-    DECYCLE_CHECK_MSG(static_cast<bool>(edge_line >> a >> b),
-                      "stream parse: malformed insert " + std::to_string(i) + ": '" + line + "'");
-    DECYCLE_CHECK_MSG(a < out.n && b < out.n,
-                      "stream parse: insert " + std::to_string(i) + " endpoint out of range (n=" +
-                          std::to_string(out.n) + "): '" + line + "'");
-    DECYCLE_CHECK_MSG(a != b, "stream parse: insert " + std::to_string(i) + " is a self-loop");
-    const Insert e{static_cast<graph::Vertex>(a), static_cast<graph::Vertex>(b)};
-    DECYCLE_CHECK_MSG(seen.insert(insert_key(e)).second,
-                      "stream parse: insert " + std::to_string(i) +
-                          " duplicates an earlier insert (streams are duplicate-free)");
+    const std::vector<std::string_view> words = next_content_line("an insert line");
+    const std::string key = "insert " + std::to_string(i);
+    if (words.size() != 2) {
+      throw util::ParseError(key, "expected two vertex ids, got '" + line + "'");
+    }
+    // count >= 1 implies n >= 2, so n - 1 is the largest vertex id.
+    const Insert e{util::parse_value<graph::Vertex>(key, words[0], 0, out.n - 1),
+                   util::parse_value<graph::Vertex>(key, words[1], 0, out.n - 1)};
+    if (e.first == e.second) throw util::ParseError(key, "self-loop");
+    if (!seen.insert(insert_key(e)).second) {
+      throw util::ParseError(key, "duplicates an earlier insert (streams are duplicate-free)");
+    }
     out.inserts.push_back(e);
   }
   return out;

@@ -45,12 +45,14 @@ struct InsertStream {
 /// write round-trips identically).
 void write_stream(std::ostream& out, const InsertStream& stream);
 
-/// Parses the stream format. Throws CheckError on malformed headers,
+/// Parses the stream format; the header is read by util/kv.hpp's rules, the
+/// count line is exactly one unsigned integer and an insert line exactly two
+/// vertex ids below n. Throws util::ParseError on malformed headers,
 /// unknown/duplicate header keys, values that do not fit their field,
 /// `directed=1` (directed streams were removed), an insert count above
-/// n(n-1)/2, out-of-range endpoints, self-loops, or duplicate inserts —
-/// each message naming the offending key, line or insert index and the
-/// accepted alternatives.
+/// n(n-1)/2, a line with extra or missing tokens, out-of-range endpoints,
+/// self-loops, or duplicate inserts — each message naming the offending
+/// key, count or insert index and the accepted alternatives.
 [[nodiscard]] InsertStream read_stream(std::istream& in);
 
 /// What generate_stream draws.

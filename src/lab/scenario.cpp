@@ -1,15 +1,14 @@
 #include "lab/scenario.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <numeric>
-#include <set>
 
 #include "engine/lanes.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/generators.hpp"
 #include "lab/json.hpp"
 #include "util/check.hpp"
+#include "util/kv.hpp"
 
 namespace decycle::lab {
 
@@ -17,86 +16,16 @@ namespace {
 
 [[noreturn]] void fail(const std::string& msg) { DECYCLE_CHECK_MSG(false, msg); }
 
+/// The cycle lengths every family builds and every matrix sweeps.
+constexpr unsigned kMinK = 3;
+constexpr unsigned kMaxK = 64;
+
 std::string known_family_list() {
   std::string out;
   for (const FamilyInfo& info : known_families()) {
     if (!out.empty()) out += ", ";
     out += info.name;
   }
-  return out;
-}
-
-// --- token-level parsing helpers -----------------------------------------
-
-std::vector<std::string> split_commas(std::string_view value) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t comma = value.find(',', start);
-    const std::string_view piece =
-        value.substr(start, comma == std::string_view::npos ? comma : comma - start);
-    out.emplace_back(piece);
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-std::uint64_t parse_u64(std::string_view key, std::string_view piece) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(piece.data(), piece.data() + piece.size(), out);
-  if (ec != std::errc() || ptr != piece.data() + piece.size()) {
-    fail("scenario key '" + std::string(key) + "': expected unsigned integer, got '" +
-         std::string(piece) + "'");
-  }
-  return out;
-}
-
-double parse_double(std::string_view key, std::string_view piece) {
-  double out = 0;
-  const auto [ptr, ec] = std::from_chars(piece.data(), piece.data() + piece.size(), out);
-  if (ec != std::errc() || ptr != piece.data() + piece.size()) {
-    fail("scenario key '" + std::string(key) + "': expected number, got '" + std::string(piece) +
-         "'");
-  }
-  return out;
-}
-
-/// Integer axis values: comma list whose pieces may be `a..b` or `a..b:step`
-/// inclusive arithmetic ranges.
-std::vector<std::uint64_t> parse_u64_axis(std::string_view key, std::string_view value) {
-  std::vector<std::uint64_t> out;
-  for (const std::string& piece : split_commas(value)) {
-    const std::size_t dots = piece.find("..");
-    if (dots == std::string::npos) {
-      out.push_back(parse_u64(key, piece));
-      continue;
-    }
-    const std::uint64_t lo = parse_u64(key, std::string_view(piece).substr(0, dots));
-    std::string_view rest = std::string_view(piece).substr(dots + 2);
-    std::uint64_t step = 1;
-    if (const std::size_t colon = rest.find(':'); colon != std::string_view::npos) {
-      step = parse_u64(key, rest.substr(colon + 1));
-      rest = rest.substr(0, colon);
-    }
-    const std::uint64_t hi = parse_u64(key, rest);
-    if (step == 0) fail("scenario key '" + std::string(key) + "': range step must be positive");
-    if (lo > hi) {
-      fail("scenario key '" + std::string(key) + "': range " + std::string(piece) +
-           " is empty (lo > hi)");
-    }
-    for (std::uint64_t v = lo; v <= hi; v += step) {
-      out.push_back(v);
-      if (hi - v < step) break;  // overflow guard
-    }
-  }
-  if (out.empty()) fail("scenario key '" + std::string(key) + "': no values");
-  return out;
-}
-
-std::vector<double> parse_double_axis(std::string_view key, std::string_view value) {
-  std::vector<double> out;
-  for (const std::string& piece : split_commas(value)) out.push_back(parse_double(key, piece));
   return out;
 }
 
@@ -333,7 +262,9 @@ std::string validate_entry(const FamilyEntry* entry, std::string_view family, un
     return "unknown graph family '" + std::string(family) + "' (known: " + known_family_list() +
            ")";
   }
-  std::string err = entry->validate(k, n);
+  std::string err = k < kMinK || k > kMaxK
+                        ? "needs k in " + std::to_string(kMinK) + ".." + std::to_string(kMaxK)
+                        : entry->validate(k, n);
   if (!err.empty()) {
     err = "family '" + std::string(family) + "' with k=" + std::to_string(k) +
           " n=" + std::to_string(n) + ": " + err;
@@ -389,7 +320,8 @@ AdversarySpec parse_adversary(std::string_view token) {
   }
   if (name == "none") {
     if (colon != std::string_view::npos) {
-      fail("adversary 'none' takes no rate (got '" + std::string(token) + "')");
+      throw util::ParseError("adversary",
+                             "'none' takes no rate (got '" + std::string(token) + "')");
     }
     return spec;
   }
@@ -400,16 +332,14 @@ AdversarySpec parse_adversary(std::string_view token) {
   } else if (name == "late") {
     spec.kind = AdversarySpec::Kind::kLate;
   } else {
-    fail("unknown adversary '" + std::string(name) + "' (known: none, uniform:R, oneway:R, late:R)");
+    throw util::ParseError("adversary", "unknown adversary '" + std::string(name) +
+                                            "' (known: none, uniform:R, oneway:R, late:R)");
   }
   if (rate_str.empty()) {
-    fail("adversary '" + std::string(name) + "' needs a drop rate, e.g. " + std::string(name) +
-         ":0.2");
+    throw util::ParseError("adversary", "'" + std::string(name) + "' needs a drop rate, e.g. " +
+                                            std::string(name) + ":0.2");
   }
-  spec.rate = parse_double("adversary", rate_str);
-  if (spec.rate < 0.0 || spec.rate > 1.0) {
-    fail("adversary drop rate must be in [0, 1], got " + std::string(rate_str));
-  }
+  spec.rate = util::parse_value<double>("adversary", rate_str, 0.0, 1.0);
   return spec;
 }
 
@@ -453,113 +383,81 @@ std::uint64_t ScenarioCell::cell_seed() const {
                            key());
 }
 
-ScenarioSpec ScenarioSpec::parse(std::span<const std::pair<std::string, std::string>> pairs) {
+ScenarioSpec ScenarioSpec::parse(util::KvReader r) {
   ScenarioSpec spec;
-  std::set<std::string, std::less<>> seen;
-  for (const auto& [key, value] : pairs) {
-    // A silently overridden repeat would run a different matrix than half
-    // the command line reads (cf. util::Args, which rejects duplicate
-    // flags for the same reason — this guards the programmatic pair path).
-    if (!seen.insert(key).second) {
-      fail("scenario key '" + key +
-           "' given twice (merge the values into one comma list, e.g. " + key + "=v1,v2)");
+  if (auto families = r.take_list<std::string>("family"); !families.empty()) {
+    for (const std::string& name : families) {
+      if (find_family(name) == nullptr) {
+        throw util::ParseError("family", "unknown graph family '" + name +
+                                             "' (known: " + known_family_list() + ")");
+      }
     }
-    if (key == "family") {
-      spec.families = split_commas(value);
-      for (const std::string& name : spec.families) {
-        if (find_family(name) == nullptr) {
-          fail("unknown graph family '" + name + "' (known: " + known_family_list() + ")");
-        }
+    spec.families = std::move(families);
+  }
+  if (auto ks = r.take_list<unsigned>("k", kMinK, kMaxK); !ks.empty()) spec.ks = std::move(ks);
+  if (auto epsilons = r.take_list<double>("eps"); !epsilons.empty()) {
+    for (const double e : epsilons) {
+      if (!(e > 0.0 && e <= 1.0)) {
+        throw util::ParseError("eps", "epsilon must be in (0, 1], got " + json_double(e));
       }
-    } else if (key == "k") {
-      spec.ks.clear();
-      for (const std::uint64_t v : parse_u64_axis(key, value)) {
-        if (v < 3) fail("scenario key 'k': cycle length must be >= 3, got " + std::to_string(v));
-        if (v > 64) fail("scenario key 'k': cycle length must be <= 64, got " + std::to_string(v));
-        spec.ks.push_back(static_cast<unsigned>(v));
+    }
+    spec.epsilons = std::move(epsilons);
+  }
+  // Builders take 32-bit Vertex; a silent narrowing would build a different
+  // instance than the JSON record claims.
+  if (auto sizes = r.take_list<std::uint64_t>("n", 1, 0xFFFFFFFEULL); !sizes.empty()) {
+    spec.sizes = std::move(sizes);
+  }
+  if (const auto tokens = r.take_list<std::string>("adversary"); !tokens.empty()) {
+    spec.adversaries.clear();
+    for (const std::string& token : tokens) spec.adversaries.push_back(parse_adversary(token));
+  }
+  if (const auto names = r.take_list<std::string>("model"); !names.empty()) {
+    spec.models.clear();
+    for (const std::string& name : names) {
+      const congest::CommModel* model = congest::CommModel::find(name);
+      if (model == nullptr) {
+        throw util::ParseError("model", "unknown communication model '" + name + "' (known: " +
+                                            congest::CommModel::known_names() + ")");
       }
-    } else if (key == "eps") {
-      spec.epsilons = parse_double_axis(key, value);
-      for (const double e : spec.epsilons) {
-        if (!(e > 0.0 && e <= 1.0)) {
-          fail("scenario key 'eps': epsilon must be in (0, 1], got " + json_double(e));
-        }
-      }
-    } else if (key == "n") {
-      spec.sizes = parse_u64_axis(key, value);
-      for (const std::uint64_t v : spec.sizes) {
-        if (v == 0) fail("scenario key 'n': size must be positive");
-        // Builders take 32-bit Vertex; a silent narrowing would build a
-        // different instance than the JSON record claims.
-        if (v >= 0xFFFFFFFFULL) {
-          fail("scenario key 'n': " + std::to_string(v) + " does not fit a 32-bit vertex id");
-        }
-      }
-    } else if (key == "adversary") {
-      spec.adversaries.clear();
-      for (const std::string& token : split_commas(value)) {
-        spec.adversaries.push_back(parse_adversary(token));
-      }
-    } else if (key == "model") {
-      spec.models.clear();
-      for (const std::string& token : split_commas(value)) {
-        const congest::CommModel* model = congest::CommModel::find(token);
-        if (model == nullptr) {
-          fail("scenario key 'model': unknown communication model '" + token +
-               "' (known: " + congest::CommModel::known_names() + ")");
-        }
-        spec.models.push_back(model);
-      }
-    } else if (key == "algo") {
-      const core::DetectorRegistry& registry = core::DetectorRegistry::builtin();
-      spec.algos.clear();
-      for (const std::string& token : split_commas(value)) {
-        const core::Detector* detector = registry.find(token);
-        if (detector == nullptr) {
-          fail("scenario key 'algo': unknown algorithm '" + token +
-               "' (known: " + registry.known_names() + ")");
-        }
-        spec.algos.push_back(detector);
-      }
-    } else if (key == "trials") {
-      spec.trials = parse_u64(key, value);
-      if (spec.trials == 0) fail("scenario key 'trials': need at least one trial");
-    } else if (key == "seed") {
-      spec.seed = parse_u64(key, value);
-    } else if (key == "reps") {
-      spec.repetitions = parse_u64(key, value);
-    } else if (key == "budget") {
-      spec.budget = core::threshold::BudgetSchedule::parse(value);
-    } else if (key == "track") {
-      spec.track = parse_u64(key, value);
-    } else if (key == "seed_mode") {
-      if (value == "shared") {
-        spec.seed_mode = SeedMode::kSharedGraph;
-      } else if (value == "fresh") {
-        spec.seed_mode = SeedMode::kFreshGraph;
-      } else {
-        fail("scenario key 'seed_mode': expected shared or fresh, got '" + value + "'");
-      }
-    } else {
-      fail("unknown scenario key '" + key +
-           "' (axes: family, k, eps, n, adversary, model, algo; scalars: trials, seed, reps, "
-           "seed_mode, budget, track)");
+      spec.models.push_back(model);
     }
   }
+  if (const auto names = r.take_list<std::string>("algo"); !names.empty()) {
+    const core::DetectorRegistry& registry = core::DetectorRegistry::builtin();
+    spec.algos.clear();
+    for (const std::string& name : names) {
+      const core::Detector* detector = registry.find(name);
+      if (detector == nullptr) {
+        throw util::ParseError("algo", "unknown algorithm '" + name +
+                                           "' (known: " + registry.known_names() + ")");
+      }
+      spec.algos.push_back(detector);
+    }
+  }
+  spec.trials = r.take<std::size_t>("trials", spec.trials, 1);
+  spec.seed = r.take("seed", spec.seed);
+  spec.repetitions = r.take("reps", spec.repetitions);
+  if (const auto mode = r.take_string("seed_mode")) {
+    if (*mode == "shared") {
+      spec.seed_mode = SeedMode::kSharedGraph;
+    } else if (*mode == "fresh") {
+      spec.seed_mode = SeedMode::kFreshGraph;
+    } else {
+      throw util::ParseError("seed_mode", "expected shared or fresh, got '" + *mode + "'");
+    }
+  }
+  if (const auto budget = r.take_string("budget")) {
+    spec.budget = core::threshold::BudgetSchedule::parse(*budget);
+  }
+  spec.track = r.take("track", spec.track);
+  r.finish();
   return spec;
 }
 
 ScenarioSpec ScenarioSpec::parse_tokens(const std::vector<std::string>& tokens) {
-  std::vector<std::pair<std::string, std::string>> pairs;
-  pairs.reserve(tokens.size());
-  for (const std::string& token : tokens) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      fail("scenario token '" + token + "' is not of the form key=value");
-    }
-    pairs.emplace_back(token.substr(0, eq), token.substr(eq + 1));
-  }
-  return parse(pairs);
+  const std::vector<std::string_view> views(tokens.begin(), tokens.end());
+  return parse(util::KvReader::from_tokens("scenario", views));
 }
 
 std::vector<ScenarioCell> ScenarioSpec::expand() const {

@@ -3,26 +3,27 @@
 ///
 /// A scenario spec names axes (graph family × k × ε × size × adversary ×
 /// algorithm) and shared scalars (trials, seed policy, repetitions). Axes
-/// are parsed from `key=value` tokens — comma lists (`k=3,5,7`) and integer
-/// ranges (`n=32..128:32`) — the way Theorem 1's experiments sweep their
-/// instances; expand() takes the cross product into a flat list of fully
-/// instantiated cells. Unknown keys, unknown family names, and out-of-range
-/// values are rejected at parse time with messages that name the offender
-/// and the accepted alternatives, so a typo'd matrix never silently runs
-/// the default workload.
+/// are parsed from `key=value` tokens by util/kv.hpp — comma lists
+/// (`k=3,5,7`) and integer ranges (`n=32..128:32`) — the way Theorem 1's
+/// experiments sweep their instances; expand() takes the cross product into
+/// a flat list of fully instantiated cells. Unknown and repeated keys,
+/// unknown family names, and out-of-range or non-finite values are rejected
+/// at parse time with messages that name the offender and the accepted
+/// alternatives, so a typo'd matrix never silently runs the default
+/// workload.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "congest/simulator.hpp"
 #include "core/detector.hpp"
 #include "core/threshold/budget.hpp"
 #include "graph/graph.hpp"
+#include "util/kv.hpp"
 #include "util/rng.hpp"
 
 namespace decycle::lab {
@@ -110,12 +111,11 @@ struct ScenarioSpec {
   core::threshold::BudgetSchedule budget = core::threshold::BudgetSchedule::constant(16);
   std::uint64_t track = 8;
 
-  /// Parses `key=value` pairs (axis keys: family, k, eps, n, adversary,
+  /// Reads every key of \p reader (axis keys: family, k, eps, n, adversary,
   /// model, algo; scalar keys: trials, seed, reps, seed_mode, budget,
-  /// track). Throws CheckError naming the offending key/value and
+  /// track). Throws util::ParseError naming the offending key/value and
   /// the accepted options.
-  [[nodiscard]] static ScenarioSpec parse(
-      std::span<const std::pair<std::string, std::string>> pairs);
+  [[nodiscard]] static ScenarioSpec parse(util::KvReader reader);
 
   /// Convenience overload for "key=value" tokens (tests, scripts).
   [[nodiscard]] static ScenarioSpec parse_tokens(const std::vector<std::string>& tokens);
@@ -149,7 +149,8 @@ struct FamilyInfo {
 [[nodiscard]] std::span<const FamilyInfo> known_families();
 
 /// Empty string when (family, k, n) is buildable; otherwise a message
-/// explaining why not (unknown family names the known ones).
+/// explaining why not (unknown family names the known ones; every family
+/// needs k in 3..64).
 [[nodiscard]] std::string validate_family(std::string_view family, unsigned k, std::uint64_t n);
 
 /// Builds the instance for \p cell. All randomness comes from \p rng.
@@ -157,7 +158,8 @@ struct FamilyInfo {
 [[nodiscard]] BuiltTopology build_topology(const ScenarioCell& cell, util::Rng& rng);
 
 /// Parses an adversary token (`none`, `uniform:0.2`, `oneway:0.5`,
-/// `late:0.3`); throws CheckError on unknown names or rates outside [0,1].
+/// `late:0.3`); throws util::ParseError on unknown names or rates that are
+/// not finite numbers in [0, 1].
 [[nodiscard]] AdversarySpec parse_adversary(std::string_view token);
 
 /// Stateless deterministic drop filter implementing \p spec; pure in

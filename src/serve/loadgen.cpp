@@ -10,6 +10,7 @@
 #include "serve/server.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
+#include "util/kv.hpp"
 #include "util/rng.hpp"
 
 namespace decycle::serve {
@@ -148,7 +149,7 @@ LoadgenReport run_loadgen(const LoadgenSpec& spec, const ClientFactory& factory)
         continue;
       }
       fold_reply(d.outcome, reply);
-      d.n = static_cast<graph::Vertex>(std::stoull(std::string(reply_field(reply, "n"))));
+      d.n = util::parse_value<graph::Vertex>("n", reply_field(reply, "n"));
       lab::ScenarioCell cell;
       cell.family = d.outcome.family;
       cell.k = 5;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 
 #include "util/check.hpp"
+#include "util/kv.hpp"
 
 namespace decycle::serve {
 
@@ -17,30 +17,20 @@ constexpr std::string_view kVerbNames =
   throw ProtocolError(ErrorCode::kBadRequest, detail);
 }
 
+/// util::parse_value, its ParseError turned into a bad_request with the
+/// same text.
 template <typename T>
-T parse_uint(std::string_view key, std::string_view value) {
-  T out{};
-  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    bad_request("value of " + std::string(key) + "=" + std::string(value) +
-                " is not an unsigned integer");
+T value_of(std::string_view key, std::string_view value) {
+  try {
+    return util::parse_value<T>(key, value);
+  } catch (const util::ParseError& e) {
+    bad_request(e.what());
   }
-  return out;
-}
-
-double parse_double(std::string_view key, std::string_view value) {
-  double out{};
-  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size() || !std::isfinite(out)) {
-    bad_request("value of " + std::string(key) + "=" + std::string(value) +
-                " is not a finite number");
-  }
-  return out;
 }
 
 /// Splits "u-v,u-v,…" into inserts, enforcing the simple-graph contract
 /// the incremental detectors assume.
-std::vector<incremental::Insert> parse_edges(std::string_view value, graph::Vertex limit_hint,
+std::vector<incremental::Insert> parse_edges(std::string_view value,
                                              const ProtocolLimits& limits) {
   std::vector<incremental::Insert> out;
   std::size_t pos = 0;
@@ -49,18 +39,17 @@ std::vector<incremental::Insert> parse_edges(std::string_view value, graph::Vert
     if (comma == std::string_view::npos) comma = value.size();
     const std::string_view item = value.substr(pos, comma - pos);
     pos = comma + 1;
-    if (item.empty()) bad_request("edges= contains an empty item (want u-v,u-v,…)");
+    if (item.empty()) bad_request("edges: empty item (want u-v,u-v,…)");
     const std::size_t dash = item.find('-');
     if (dash == std::string_view::npos || dash == 0 || dash + 1 >= item.size()) {
-      bad_request("edge '" + std::string(item) + "' is not of the form <u>-<v>");
+      bad_request("edges: item '" + std::string(item) + "' is not of the form <u>-<v>");
     }
-    const auto u = parse_uint<graph::Vertex>("edges", item.substr(0, dash));
-    const auto v = parse_uint<graph::Vertex>("edges", item.substr(dash + 1));
+    const auto u = value_of<graph::Vertex>("edges", item.substr(0, dash));
+    const auto v = value_of<graph::Vertex>("edges", item.substr(dash + 1));
     if (u == v) {
       throw ProtocolError(ErrorCode::kBadInsert, "edge " + std::string(item) +
                                                      " is a self-loop (simple graphs only)");
     }
-    (void)limit_hint;  // endpoint-vs-n validation needs the tenant; server-side
     out.emplace_back(u, v);
     if (out.size() > limits.max_insert_edges) {
       throw ProtocolError(
@@ -207,7 +196,13 @@ Request parse_request(std::string_view payload, const ProtocolLimits& limits) {
     }
     const std::string_view key = token.substr(0, eq);
     const std::string_view value = token.substr(eq + 1);
-    if (value.empty()) bad_request("key '" + std::string(key) + "' has an empty value");
+    if (value.empty()) bad_request(std::string(key) + ": empty value");
+    // Last-one-wins would run a different request than half the line reads.
+    for (std::size_t j = 1; j < i; ++j) {
+      if (tokens[j].substr(0, tokens[j].find('=')) == key) {
+        bad_request(std::string(key) + ": request key given twice");
+      }
+    }
 
     auto expect_verbs = [&](std::initializer_list<Verb> verbs, std::string_view accepted) {
       if (std::find(verbs.begin(), verbs.end(), r.verb) == verbs.end()) {
@@ -217,7 +212,7 @@ Request parse_request(std::string_view payload, const ProtocolLimits& limits) {
     };
     const auto keys_for = [&]() -> std::string_view {
       switch (r.verb) {
-        case Verb::kCreate: return "tenant, n, family, seed";
+        case Verb::kCreate: return "tenant, n, family, k, seed";
         case Verb::kInsert: return "tenant, edges";
         case Verb::kQuery: return "tenant, algo, k, model, eps, seed, reps";
         case Verb::kCheckpoint: return "tenant";
@@ -231,13 +226,13 @@ Request parse_request(std::string_view payload, const ProtocolLimits& limits) {
       r.tenant = std::string(value);
     } else if (key == "n") {
       expect_verbs({Verb::kCreate}, keys_for());
-      r.n = parse_uint<graph::Vertex>(key, value);
+      r.n = value_of<graph::Vertex>(key, value);
     } else if (key == "family") {
       expect_verbs({Verb::kCreate}, keys_for());
       r.family = std::string(value);
     } else if (key == "edges") {
       expect_verbs({Verb::kInsert}, keys_for());
-      r.edges = parse_edges(value, r.n, limits);
+      r.edges = parse_edges(value, limits);
     } else if (key == "algo") {
       expect_verbs({Verb::kQuery}, keys_for());
       r.algo = core::DetectorRegistry::builtin().find(value);
@@ -247,7 +242,7 @@ Request parse_request(std::string_view payload, const ProtocolLimits& limits) {
       }
     } else if (key == "k") {
       expect_verbs({Verb::kQuery, Verb::kCreate}, keys_for());
-      r.k = parse_uint<unsigned>(key, value);
+      r.k = value_of<unsigned>(key, value);
       saw_k = true;
     } else if (key == "model") {
       expect_verbs({Verb::kQuery}, keys_for());
@@ -258,20 +253,20 @@ Request parse_request(std::string_view payload, const ProtocolLimits& limits) {
       }
     } else if (key == "eps") {
       expect_verbs({Verb::kQuery}, keys_for());
-      r.epsilon = parse_double(key, value);
+      r.epsilon = value_of<double>(key, value);
       if (r.epsilon <= 0.0 || r.epsilon > 1.0) {
-        bad_request("eps=" + std::string(value) + " outside (0, 1]");
+        bad_request("eps: " + std::string(value) + " outside (0, 1]");
       }
     } else if (key == "seed") {
       expect_verbs({Verb::kQuery, Verb::kCreate}, keys_for());
-      if (r.verb == Verb::kCreate) r.family_seed = parse_uint<std::uint64_t>(key, value);
-      else r.seed = parse_uint<std::uint64_t>(key, value);
+      if (r.verb == Verb::kCreate) r.family_seed = value_of<std::uint64_t>(key, value);
+      else r.seed = value_of<std::uint64_t>(key, value);
     } else if (key == "reps") {
       expect_verbs({Verb::kQuery}, keys_for());
-      r.repetitions = parse_uint<std::size_t>(key, value);
+      r.repetitions = value_of<std::size_t>(key, value);
     } else if (key == "id") {
       expect_verbs({Verb::kStall}, keys_for());
-      r.stall_id = parse_uint<std::uint64_t>(key, value);
+      r.stall_id = value_of<std::uint64_t>(key, value);
     } else {
       bad_request("unknown key '" + std::string(key) + "' for verb '" + std::string(verb) +
                   "' (accepted keys: " + std::string(keys_for()) + ")");

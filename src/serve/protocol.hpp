@@ -12,11 +12,12 @@
 /// and get a typed error (not a crash, not a hang) on garbage.
 ///
 /// Requests. A payload is `<verb> key=value key=value …`, in the
-/// ScenarioSpec::parse tradition: unknown verbs, unknown keys, unparsable
-/// values, unknown algorithms/models, capability-violating (algo, k,
-/// model) combinations, and oversized edge batches are each rejected with
-/// an error that names the offender and the accepted alternatives, so a
-/// typo'd client never silently runs the default workload.
+/// ScenarioSpec::parse tradition: unknown verbs, unknown or repeated keys,
+/// values util/kv.hpp's parse_value refuses, unknown algorithms/models,
+/// capability-violating (algo, k, model) combinations, and oversized edge
+/// batches are each rejected with an error that names the offender and the
+/// accepted alternatives, so a typo'd client never silently runs the
+/// default workload.
 ///
 /// Replies reuse the framing. The first token classifies the outcome:
 ///   `OK <verb> …`           success, verb-specific fields follow

@@ -6,6 +6,7 @@
 #include "graph/ids.hpp"
 #include "graph/subgraph.hpp"
 #include "util/check.hpp"
+#include "util/kv.hpp"
 #include "util/rng.hpp"
 
 namespace decycle::soak {
@@ -108,8 +109,8 @@ MismatchKind parse_mismatch_kind(std::string_view token) {
                                   MismatchKind::kDiverged}) {
     if (token == mismatch_kind_name(kind)) return kind;
   }
-  DECYCLE_CHECK_MSG(false, "unknown mismatch kind '" + std::string(token) +
-                               "' (known: none, unsound, missed_cycle, closure, diverged)");
+  throw util::ParseError("kind", "unknown mismatch kind '" + std::string(token) +
+                                     "' (known: none, unsound, missed_cycle, closure, diverged)");
 }
 
 bool exact_regime(const core::DetectorCapabilities& caps, const SoakScenario& s) {

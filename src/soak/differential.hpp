@@ -56,7 +56,7 @@ enum class MismatchKind : std::uint8_t {
 [[nodiscard]] std::string_view mismatch_kind_name(MismatchKind kind) noexcept;
 
 /// Parses "none" / "unsound" / "missed_cycle" / "closure" / "diverged";
-/// throws CheckError naming the accepted kinds otherwise.
+/// throws util::ParseError naming the accepted kinds otherwise.
 [[nodiscard]] MismatchKind parse_mismatch_kind(std::string_view token);
 
 /// One mismatch a contract reports (differential, prefix_contract and

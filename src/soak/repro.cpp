@@ -1,56 +1,24 @@
 #include "soak/repro.hpp"
 
-#include <charconv>
 #include <istream>
-#include <limits>
 #include <ostream>
-#include <set>
-#include <sstream>
+#include <span>
 #include <string_view>
 #include <vector>
 
+#include "lab/json.hpp"
 #include "soak/prefix_contract.hpp"
 #include "soak/serve_contract.hpp"
-#include "util/check.hpp"
+#include "util/kv.hpp"
 
 namespace decycle::soak {
 
 namespace {
 
-constexpr std::string_view kAcceptedKeys =
-    "contract, detector, kind, k, eps, reps, budget, track, adversary, seed";
-
 constexpr std::string_view kLayout =
     "a decycle_soak repro v2 is a 'scenario contract=... kind=... k=...' line followed by a "
     "'stream n=... directed=0 seed=...' insert list (edge-list bodies and request "
     "transcripts are not read)";
-
-[[noreturn]] void fail(const std::string& msg) { DECYCLE_CHECK_MSG(false, msg); }
-
-std::uint64_t parse_u64(std::string_view key, std::string_view value,
-                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec == std::errc::result_out_of_range || (ec == std::errc() && out > max)) {
-    fail("repro scenario key '" + std::string(key) + "': value '" + std::string(value) +
-         "' out of range (at most " + std::to_string(max) + ")");
-  }
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
-    fail("repro scenario key '" + std::string(key) + "': expected unsigned integer, got '" +
-         std::string(value) + "'");
-  }
-  return out;
-}
-
-double parse_double(std::string_view key, std::string_view value) {
-  double out = 0;
-  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
-    fail("repro scenario key '" + std::string(key) + "': expected number, got '" +
-         std::string(value) + "'");
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -67,7 +35,8 @@ Contract parse_contract(std::string_view token) {
   for (const Contract c : {Contract::kOracle, Contract::kPrefix, Contract::kServe}) {
     if (token == contract_name(c)) return c;
   }
-  fail("unknown contract '" + std::string(token) + "' (known: oracle, prefix, serve)");
+  throw util::ParseError("contract", "unknown contract '" + std::string(token) +
+                                         "' (known: oracle, prefix, serve)");
 }
 
 std::vector<CaseMismatch> check_case(const ReproCase& c, const core::DetectorRegistry& registry) {
@@ -112,79 +81,57 @@ ReproCase read_repro(std::istream& in) {
   std::string line;
   for (;;) {
     if (!std::getline(in, line)) {
-      fail("repro file: missing 'scenario' line; " + std::string(kLayout));
+      throw util::ParseError("repro file", "missing 'scenario' line; " + std::string(kLayout));
     }
     if (line.empty() || line[0] == '#') continue;
     break;
   }
-  std::istringstream ls(line);
-  std::string head;
-  ls >> head;
-  if (head != "scenario") {
-    fail("repro file: expected a line starting with 'scenario', got '" + head + "'; " +
-         std::string(kLayout));
+  const std::vector<std::string_view> words = util::split_words(line);
+  if (words.empty() || words[0] != "scenario") {
+    throw util::ParseError("repro file", "expected a line starting with 'scenario', got '" +
+                                             std::string(words.empty() ? "" : words[0]) +
+                                             "'; " + std::string(kLayout));
   }
 
+  util::KvReader r =
+      util::KvReader::from_tokens("repro scenario", std::span(words).subspan(1));
+  const auto required = [&r](std::string_view key) {
+    auto value = r.take_string(key);
+    if (!value) {
+      throw util::ParseError(key, "repro scenario line is missing the '" + std::string(key) +
+                                      "' key; " + std::string(kLayout));
+    }
+    return std::move(*value);
+  };
   ReproCase repro;
-  bool have_contract = false;
-  bool have_k = false;
-  std::set<std::string> seen;
-  std::string token;
-  while (ls >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      fail("repro scenario token '" + token + "' is not of the form key=value");
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (!seen.insert(key).second) {
-      fail("repro scenario key '" + key + "' given twice");
-    }
-    if (key == "contract") {
-      repro.contract = parse_contract(value);
-      have_contract = true;
-    } else if (key == "detector") {
-      if (value.empty()) fail("repro scenario key 'detector': empty name");
-      repro.detector = value;
-    } else if (key == "kind") {
-      repro.kind = parse_mismatch_kind(value);
-    } else if (key == "k") {
-      repro.scenario.k =
-          static_cast<unsigned>(parse_u64(key, value, std::numeric_limits<unsigned>::max()));
-      have_k = true;
-    } else if (key == "eps") {
-      repro.scenario.epsilon = parse_double(key, value);
-    } else if (key == "reps") {
-      repro.scenario.repetitions = parse_u64(key, value);
-    } else if (key == "budget") {
-      repro.scenario.budget = core::threshold::BudgetSchedule::parse(value);
-    } else if (key == "track") {
-      repro.scenario.track = parse_u64(key, value);
-    } else if (key == "adversary") {
-      repro.scenario.adversary = lab::parse_adversary(value);
-    } else if (key == "seed") {
-      repro.scenario.seed = parse_u64(key, value);
-    } else {
-      fail("unknown repro scenario key '" + key + "' (accepted: " + std::string(kAcceptedKeys) +
-           ")");
-    }
+  repro.contract = parse_contract(required("contract"));
+  repro.detector = r.take_string("detector").value_or("");
+  if (const auto kind = r.take_string("kind")) repro.kind = parse_mismatch_kind(*kind);
+  SoakScenario& s = repro.scenario;
+  s.k = util::parse_value<unsigned>("k", required("k"));
+  s.epsilon = r.take("eps", s.epsilon);
+  if (!(s.epsilon > 0.0 && s.epsilon <= 1.0)) {
+    throw util::ParseError("eps", "epsilon must be in (0, 1], got " + lab::json_double(s.epsilon));
   }
-  if (!have_contract) {
-    fail("repro scenario line is missing the 'contract' key; " + std::string(kLayout));
+  s.repetitions = r.take("reps", s.repetitions);
+  if (const auto budget = r.take_string("budget")) {
+    s.budget = core::threshold::BudgetSchedule::parse(*budget);
   }
-  if (!have_k) {
-    fail("repro scenario line is missing the 'k' key (accepted keys: " +
-         std::string(kAcceptedKeys) + ")");
+  s.track = r.take("track", s.track);
+  if (const auto adversary = r.take_string("adversary")) {
+    s.adversary = lab::parse_adversary(*adversary);
   }
+  s.seed = r.take("seed", s.seed);
+  r.finish();
   if (repro.contract == Contract::kOracle && repro.kind != MismatchKind::kNone &&
       repro.detector.empty()) {
-    fail("repro scenario line is missing the 'detector' key (an oracle mismatch belongs to a "
-         "detector)");
+    throw util::ParseError("detector", "repro scenario line is missing the 'detector' key (an "
+                                       "oracle mismatch belongs to a detector)");
   }
   try {
     repro.stream = incremental::read_stream(in);
-  } catch (const util::CheckError& e) {
-    fail(std::string(e.what()) + "; " + std::string(kLayout));
+  } catch (const util::ParseError& e) {
+    throw util::ParseError("repro file", std::string(e.what()) + "; " + std::string(kLayout));
   }
   return repro;
 }

@@ -20,9 +20,9 @@
 /// serve cases store the instance's edges in canonical order; prefix cases
 /// store them in insertion order. Nothing else is needed: probe edges, drop
 /// coins, insertion orders and serve transcripts all derive from the case.
-/// `decycle_soak --repro FILE` replays any case. Parsing is loud in the lab
-/// parser's tradition: unknown keys, bad kinds and contracts, malformed
-/// values and bodies name the accepted alternatives.
+/// `decycle_soak --repro FILE` replays any case. Parsing follows util/kv.hpp:
+/// unknown keys, bad kinds and contracts, malformed values and bodies name
+/// the accepted alternatives.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +47,8 @@ enum class Contract : std::uint8_t {
 
 [[nodiscard]] std::string_view contract_name(Contract contract) noexcept;
 
-/// Parses "oracle" / "prefix" / "serve"; throws CheckError naming the three
-/// contracts otherwise.
+/// Parses "oracle" / "prefix" / "serve"; throws util::ParseError naming the
+/// three contracts otherwise.
 [[nodiscard]] Contract parse_contract(std::string_view token);
 
 /// One recorded case: contract + detector + kind + scenario knobs + instance.
@@ -77,11 +77,13 @@ struct ReproCase {
 /// round-trips identically).
 void write_repro(std::ostream& out, const ReproCase& repro);
 
-/// Parses the repro format. Throws CheckError on unknown/duplicate/missing
-/// scenario keys, values that do not fit their field, bad kinds or
-/// contracts, or a malformed insert list — each
-/// message naming the accepted alternatives; an edge-list (v1) or
-/// request-transcript body fails with a message naming the v2 layout.
+/// Parses the repro format; the scenario line is read by util/kv.hpp's
+/// rules. Throws util::ParseError on unknown/duplicate/missing scenario
+/// keys, values that do not fit their field (a non-finite eps or adversary
+/// rate included), bad kinds or contracts, or a malformed insert list —
+/// each message naming the key and the accepted alternatives; an edge-list
+/// (v1) or request-transcript body fails with a message naming the v2
+/// layout.
 [[nodiscard]] ReproCase read_repro(std::istream& in);
 
 struct ReplayResult {

@@ -14,8 +14,9 @@
 
 namespace decycle::util {
 
-/// Exception thrown when a DECYCLE_CHECK condition fails.
-class CheckError final : public std::logic_error {
+/// Exception thrown when a DECYCLE_CHECK condition fails. Malformed input
+/// throws the derived util::ParseError (kv.hpp), which carries no location.
+class CheckError : public std::logic_error {
  public:
   explicit CheckError(const std::string& what) : std::logic_error(what) {}
 };

@@ -1,19 +1,24 @@
 /// \file cli.hpp
-/// \brief Tiny --key=value command-line parser for examples and benches.
+/// \brief Command-line flags for the tools, benches and examples.
 ///
-/// Every experiment binary accepts overrides like `--n=100000 --k=7
-/// --seed=42`; unknown keys are an error so typos do not silently run the
-/// default workload. Not a general-purpose CLI library — exactly what the
-/// executables in this repository need.
+/// Every binary accepts overrides like `--n=100000 --k 7 --smoke`. Values
+/// are read by util/kv.hpp's rules — whole, within the field's type and
+/// limits, finite, never repeated — and reject_unknown() turns a typo into
+/// an error instead of a silent default workload. run_main() wraps a
+/// binary's body so that a bad argument prints `<name>: <message>` and
+/// exits 2, and any other failure exits 3, never std::terminate. Not a
+/// general-purpose CLI library — exactly what the executables in this
+/// repository need.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <optional>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/kv.hpp"
 
 namespace decycle::util {
 
@@ -21,36 +26,49 @@ class Args {
  public:
   /// Parses argv. Accepts "--key=value", "--key value" (the next token is
   /// the value when it does not start with "--") and "--flag" (value "1").
-  /// Throws CheckError on a bare token or a repeated key.
+  /// Throws ParseError on a bare token or a repeated key.
   Args(int argc, const char* const* argv);
 
-  /// Typed access with defaults. Throws CheckError if the value does not parse.
-  [[nodiscard]] std::uint64_t get_u64(std::string_view key, std::uint64_t fallback) const;
-  [[nodiscard]] std::int64_t get_i64(std::string_view key, std::int64_t fallback) const;
-  [[nodiscard]] double get_double(std::string_view key, double fallback) const;
+  /// The value of --key read as a T in [lo, hi] (kv.hpp's parse_value), or
+  /// \p fallback when the flag is absent. T is the field's own type.
+  template <class T>
+  [[nodiscard]] T get(std::string_view key, T fallback,
+                      std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+                      std::type_identity_t<T> hi = std::numeric_limits<T>::max()) const {
+    return reader_.take<T>(key, fallback, lo, hi);
+  }
+
+  /// The comma list under --key (kv.hpp's parse_list), or \p fallback.
+  template <class T>
+  [[nodiscard]] std::vector<T> get_list(std::string_view key, std::vector<T> fallback) const {
+    std::vector<T> list = reader_.take_list<T>(key);
+    return list.empty() ? std::move(fallback) : list;
+  }
+
   [[nodiscard]] bool get_bool(std::string_view key, bool fallback) const;
   [[nodiscard]] std::string get_string(std::string_view key, std::string_view fallback) const;
 
   [[nodiscard]] bool has(std::string_view key) const;
 
-  /// Keys that were provided but never read — call at the end of main to
-  /// reject typos. Returns empty vector when everything was consumed.
-  [[nodiscard]] std::vector<std::string> unused() const;
+  /// Key=value pairs not read so far, in command-line order, marked as
+  /// read. Lets a binary peel off its own flags and forward the rest to a
+  /// second parser that owns the error reporting (decycle_lab forwards
+  /// these as scenario-matrix tokens).
+  [[nodiscard]] std::vector<std::pair<std::string, std::string>> take_unconsumed() const {
+    return reader_.take_rest();
+  }
 
-  /// Key=value pairs not read so far, in key order, marked as consumed.
-  /// Lets a binary peel off its own flags and forward the rest to a second
-  /// parser that owns the error reporting (decycle_lab forwards these as
-  /// scenario-matrix tokens).
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>> take_unconsumed() const;
-
-  /// Convenience: throws if unused() is non-empty.
+  /// Throws ParseError ("unknown arguments: --a --b") if a flag was never read.
   void reject_unknown() const;
 
  private:
-  [[nodiscard]] std::optional<std::string> lookup(std::string_view key) const;
-
-  std::map<std::string, std::string, std::less<>> values_;
-  mutable std::map<std::string, bool, std::less<>> used_;
+  mutable KvReader reader_;
 };
+
+/// Runs \p body on the parsed command line: prints `<name>: <what>` on
+/// stderr and returns 2 for a CheckError (ParseError included) and 3 for
+/// any other exception; otherwise returns \p body's exit code.
+int run_main(std::string_view name, int argc, const char* const* argv,
+             int (*body)(const Args&));
 
 }  // namespace decycle::util

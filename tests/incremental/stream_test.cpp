@@ -12,7 +12,7 @@
 #include <utility>
 
 #include "incremental/stream.hpp"
-#include "util/check.hpp"
+#include "util/kv.hpp"
 
 namespace decycle::incremental {
 namespace {
@@ -32,8 +32,8 @@ InsertStream from_text(const std::string& text) {
 void expect_parse_error(const std::string& text, std::initializer_list<const char*> fragments) {
   try {
     (void)from_text(text);
-    FAIL() << "expected CheckError for:\n" << text;
-  } catch (const util::CheckError& e) {
+    FAIL() << "expected ParseError for:\n" << text;
+  } catch (const util::ParseError& e) {
     const std::string what = e.what();
     for (const char* fragment : fragments) {
       EXPECT_NE(what.find(fragment), std::string::npos)
@@ -79,44 +79,56 @@ TEST(Stream, CommentsAndBlankLinesAreIgnored) {
 
 TEST(Stream, ParserNamesTheOffense) {
   // Missing header keys.
-  expect_parse_error("stream directed=0\n0\n", {"missing n="});
-  expect_parse_error("stream n=4\n0\n", {"missing directed="});
+  expect_parse_error("stream directed=0\n0\n", {"n: stream header is missing n="});
+  expect_parse_error("stream n=4\n0\n", {"directed: stream header is missing directed="});
   // Wrong leading tag and unknown key name the accepted alternatives.
   expect_parse_error("river n=4 directed=0\n0\n", {"must start with 'stream'", "river"});
   expect_parse_error("stream n=4 directed=0 sed=1\n0\n",
-                     {"unknown header key 'sed'", "n, directed, seed"});
-  expect_parse_error("stream n=4 directed=2\n0\n", {"directed must be 0", "'2'"});
+                     {"sed: unknown stream header key", "n, directed, seed"});
+  expect_parse_error("stream n=4 directed=2\n0\n", {"directed: must be 0", "'2'"});
   expect_parse_error("stream n=4 directed=1\n0\n",
                      {"directed streams were removed", "only directed=0 is read"});
-  expect_parse_error("stream n=x directed=0\n0\n", {"malformed value for 'n'"});
-  expect_parse_error("stream n=4 n=5 directed=0\n0\n", {"duplicate header key 'n'"});
+  expect_parse_error("stream n=x directed=0\n0\n", {"n: expected unsigned integer, got 'x'"});
+  expect_parse_error("stream n=4 n=5 directed=0\n0\n", {"n: stream header key given twice"});
   expect_parse_error("stream n=4 directed=0 seed=1 seed=2\n0\n",
-                     {"duplicate header key 'seed'"});
+                     {"seed: stream header key given twice"});
   // A value that does not fit its field is rejected, not narrowed.
   expect_parse_error("stream n=4294967300 directed=0\n0\n",
-                     {"value for 'n' out of range", "'4294967300'", "4294967295"});
+                     {"n: 4294967300 out of range", "4294967295"});
   expect_parse_error("stream n=4 directed=0 seed=18446744073709551616\n0\n",
-                     {"value for 'seed' out of range"});
+                     {"seed: 18446744073709551616 out of range"});
   // The insert count is bounded by the n(n-1)/2 distinct edges, and no
   // buffer is sized from it before the inserts are read.
-  expect_parse_error("stream n=4 directed=0\n7\n", {"insert count 7 exceeds n(n-1)/2 = 6"});
+  expect_parse_error("stream n=4 directed=0\n7\n", {"insert count: 7 exceeds n(n-1)/2 = 6"});
   expect_parse_error("stream n=4 directed=0\n1000000000000000\n0 1\n",
-                     {"insert count 1000000000000000 exceeds"});
+                     {"insert count: 1000000000000000 exceeds"});
   expect_parse_error("stream n=100000000 directed=0\n1000000000000000\n0 1\n",
                      {"unexpected end of file", "insert line"});
-  expect_parse_error("stream n=4 directed=0\n-1\n", {"malformed insert count", "'-1'"});
+  expect_parse_error("stream n=4 directed=0\n-1\n",
+                     {"insert count: expected unsigned integer", "'-1'"});
   // Truncation, malformed counts and inserts name what was expected.
   expect_parse_error("stream n=4 directed=0\n", {"unexpected end of file", "insert count"});
-  expect_parse_error("stream n=4 directed=0\nmany\n", {"malformed insert count", "many"});
+  expect_parse_error("stream n=4 directed=0\nmany\n",
+                     {"insert count: expected unsigned integer", "many"});
   expect_parse_error("stream n=4 directed=0\n2\n0 1\n", {"unexpected end of file", "insert line"});
-  expect_parse_error("stream n=4 directed=0\n1\n0 q\n", {"malformed insert 0"});
+  expect_parse_error("stream n=4 directed=0\n1\n0 q\n", {"insert 0: expected unsigned integer"});
+  // A count line is exactly one integer and an insert line exactly two:
+  // trailing tokens and a leading '+' are errors, not ignored.
+  expect_parse_error("stream n=4 directed=0\n2 extra\n0 1 3\n1 2 junk\n",
+                     {"insert count: expected one unsigned integer", "'2 extra'"});
+  expect_parse_error("stream n=4 directed=0\n2\n0 1 3\n1 2\n",
+                     {"insert 0: expected two vertex ids", "'0 1 3'"});
+  expect_parse_error("stream n=4 directed=0\n2\n0 1\n1 2 junk\n",
+                     {"insert 1: expected two vertex ids", "'1 2 junk'"});
+  expect_parse_error("stream n=4 directed=0\n1\n+0 1\n",
+                     {"insert 0: expected unsigned integer, got '+0'"});
+  expect_parse_error("stream n=4 directed=0\n1\n0\n", {"insert 0: expected two vertex ids"});
   // Range, self-loop, and duplicate violations name the insert index.
-  expect_parse_error("stream n=4 directed=0\n1\n0 4\n",
-                     {"insert 0 endpoint out of range", "n=4"});
-  expect_parse_error("stream n=4 directed=0\n1\n2 2\n", {"insert 0 is a self-loop"});
+  expect_parse_error("stream n=4 directed=0\n1\n0 4\n", {"insert 0: 4 out of range 0..3"});
+  expect_parse_error("stream n=4 directed=0\n1\n2 2\n", {"insert 0: self-loop"});
   // (1,0) duplicates (0,1): inserts are compared as unordered pairs.
   expect_parse_error("stream n=4 directed=0\n2\n0 1\n1 0\n",
-                     {"insert 1 duplicates", "duplicate-free"});
+                     {"insert 1: duplicates", "duplicate-free"});
 }
 
 TEST(Stream, GeneratorIsDeterministicInTheSpec) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -75,6 +76,21 @@ TEST(DetectorRegistryCross, EveryDetectorAcceptsAcyclicAndHighGirthInstances) {
     check_accepts(graph::path(12), "a path");
     check_accepts(graph::ck_free_instance(graph::CkFreeFamily::kHighGirth, k, 40, rng),
                   "a girth-(>k) instance");
+  }
+}
+
+TEST(DetectorRegistryCross, EveryDetectorAcceptsEdgelessGraphs) {
+  // No edges, no C_k: a 1-sided tester must accept, including the edge
+  // checker, which has no target edge to draw.
+  for (const Detector* det : DetectorRegistry::builtin().detectors()) {
+    const unsigned k = supported_k(*det);
+    for (const graph::Vertex n : {16u, 1u}) {
+      const graph::Graph g = graph::Graph::from_edges(n, std::span<const graph::Edge>{});
+      const auto ids = graph::IdAssignment::identity(n);
+      const Verdict v = det->run_fresh(g, ids, certain_options(k));
+      EXPECT_TRUE(v.accepted) << det->name() << " on " << n << " isolated vertices";
+      EXPECT_TRUE(v.witness.empty()) << det->name();
+    }
   }
 }
 

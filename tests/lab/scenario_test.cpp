@@ -58,7 +58,7 @@ TEST(ScenarioSpec, RangeWithoutStepAndSingletons) {
 
 TEST(ScenarioSpec, UnknownKeyNamesItselfAndTheAlternatives) {
   const std::string err = parse_error({"famly=cycle"});
-  EXPECT_NE(err.find("unknown scenario key 'famly'"), std::string::npos) << err;
+  EXPECT_NE(err.find("famly: unknown scenario key"), std::string::npos) << err;
   EXPECT_NE(err.find("family"), std::string::npos) << err;
 }
 
@@ -71,11 +71,11 @@ TEST(ScenarioSpec, UnknownFamilyListsKnownOnes) {
 
 TEST(ScenarioSpec, BadValuesAreRejectedWithClearMessages) {
   EXPECT_NE(parse_error({"k=abc"}).find("expected unsigned integer"), std::string::npos);
-  EXPECT_NE(parse_error({"k=2"}).find("must be >= 3"), std::string::npos);
+  EXPECT_NE(parse_error({"k=2"}).find("k: 2 out of range 3..64"), std::string::npos);
   EXPECT_NE(parse_error({"eps=0"}).find("(0, 1]"), std::string::npos);
   EXPECT_NE(parse_error({"eps=1.5"}).find("(0, 1]"), std::string::npos);
-  EXPECT_NE(parse_error({"trials=0"}).find("at least one trial"), std::string::npos);
-  EXPECT_NE(parse_error({"n=0"}).find("positive"), std::string::npos);
+  EXPECT_NE(parse_error({"trials=0"}).find("trials: 0 out of range 1.."), std::string::npos);
+  EXPECT_NE(parse_error({"n=0"}).find("n: 0 out of range 1.."), std::string::npos);
   EXPECT_NE(parse_error({"algo=quantum"}).find("unknown algorithm 'quantum'"),
             std::string::npos);
   EXPECT_NE(parse_error({"seed_mode=both"}).find("shared or fresh"), std::string::npos);
@@ -89,9 +89,9 @@ TEST(ScenarioSpec, RetiredExecutionKnobsAreUnknownKeys) {
                                                           {"reuse=0", "reuse"}};
   for (const auto& [token, key] : retired) {
     const std::string err = parse_error({token});
-    EXPECT_NE(err.find("unknown scenario key '" + key + "'"), std::string::npos) << err;
+    EXPECT_NE(err.find(key + ": unknown scenario key"), std::string::npos) << err;
     EXPECT_NE(err.find("seed_mode, budget, track"), std::string::npos) << err;
-    EXPECT_EQ(err.find("delivery", err.find("(axes:")), std::string::npos) << err;
+    EXPECT_EQ(err.find("delivery", err.find("(accepted:")), std::string::npos) << err;
   }
 }
 
@@ -111,14 +111,16 @@ TEST(ScenarioSpec, ThresholdAlgoAndKnobsParse) {
 
   // Unknown-algo errors now advertise the threshold family too.
   EXPECT_NE(parse_error({"algo=quantum"}).find("threshold"), std::string::npos);
-  EXPECT_NE(parse_error({"budget=bogus"}).find("budget schedule"), std::string::npos);
-  EXPECT_NE(parse_error({"budget=4,0"}).find("zero entry"), std::string::npos);
+  EXPECT_NE(parse_error({"budget=bogus"}).find("budget: expected unsigned integer"),
+            std::string::npos);
+  EXPECT_NE(parse_error({"budget=4,0"}).find("budget: 0 out of range 1..1048576"),
+            std::string::npos);
 }
 
 TEST(ScenarioSpec, RejectsSizesBeyondVertexWidth) {
   // Builders take 32-bit Vertex ids; truncation would silently build a
   // different instance than the JSON record claims.
-  EXPECT_NE(parse_error({"n=4294967299"}).find("does not fit a 32-bit vertex id"),
+  EXPECT_NE(parse_error({"n=4294967299"}).find("n: 4294967299 out of range 1..4294967294"),
             std::string::npos);
   EXPECT_NE(validate_family("grid", 4, 70000).find("overflow"), std::string::npos);
 }
@@ -132,7 +134,7 @@ TEST(ScenarioSpec, MalformedRangeNamesTheKeyAndTheOffendingRange) {
   // The error must carry enough to fix the command line: the key it was
   // parsed under and the literal range that is empty.
   const std::string err = parse_error({"n=100..10"});
-  EXPECT_NE(err.find("scenario key 'n'"), std::string::npos) << err;
+  EXPECT_NE(err.find("n: "), std::string::npos) << err;
   EXPECT_NE(err.find("100..10"), std::string::npos) << err;
   EXPECT_NE(err.find("empty (lo > hi)"), std::string::npos) << err;
 }
@@ -142,8 +144,8 @@ TEST(ScenarioSpec, DuplicateKeysAreRejectedWithTheMergeHint) {
   // override half the matrix. The message names the key and the accepted
   // alternative (one comma list).
   const std::string err = parse_error({"k=4", "k=5"});
-  EXPECT_NE(err.find("scenario key 'k' given twice"), std::string::npos) << err;
-  EXPECT_NE(err.find("k=v1,v2"), std::string::npos) << err;
+  EXPECT_NE(err.find("k: scenario key given twice"), std::string::npos) << err;
+  EXPECT_NE(err.find("comma-separated"), std::string::npos) << err;
   // Any key, not just axes.
   EXPECT_NE(parse_error({"trials=2", "trials=3"}).find("given twice"), std::string::npos);
   // Distinct keys still parse.
@@ -370,6 +372,20 @@ TEST(FamilyRegistry, ValidateExplainsConstraints) {
   EXPECT_NE(validate_family("hypercube", 5, 30).find("n > 20"), std::string::npos);
   EXPECT_NE(validate_family("noisy", 8, 10).find("2k"), std::string::npos);
   EXPECT_NE(validate_family("nope", 5, 10).find("unknown graph family"), std::string::npos);
+}
+
+TEST(FamilyRegistry, EveryFamilyRefusesCycleLengthsOutsideTheLabRange) {
+  // The daemon's create verb reaches validate_family without the scenario
+  // parser's k bound: planted k=0 divides by zero and layered k=1 never
+  // finds a coprime layer size unless the family check refuses them.
+  for (const FamilyInfo& info : known_families()) {
+    for (const unsigned k : {0u, 1u, 2u, 65u}) {
+      const std::string err = validate_family(info.name, k, 16);
+      EXPECT_NE(err.find("k=" + std::to_string(k)), std::string::npos) << info.name << " " << err;
+      EXPECT_NE(err.find("needs k in 3..64"), std::string::npos) << info.name << " " << err;
+    }
+    EXPECT_EQ(validate_family(info.name, 3, 1).find("needs k"), std::string::npos) << info.name;
+  }
 }
 
 }  // namespace

@@ -42,6 +42,40 @@ TEST(ServeServer, CreateInsertQueryCheckpointRoundTrip) {
   server.stop();
 }
 
+TEST(ServeServer, CreateRefusesCycleLengthsTheFamiliesCannotBuild) {
+  // Unless the family check refuses them, planted k=0 divides by zero in
+  // the worker and layered k=1 spins forever; each must be a bad_request,
+  // and the server must keep serving.
+  Server server(small_options());
+  server.start();
+  for (const char* payload : {"create tenant=p n=16 family=planted k=0 seed=1",
+                              "create tenant=l n=16 family=layered k=1 seed=1",
+                              "create tenant=z n=16 family=noisy k=0 seed=1"}) {
+    const std::string reply = server.call(payload);
+    EXPECT_EQ(reply.rfind("ERROR bad_request family '", 0), 0u) << reply;
+    EXPECT_NE(reply.find("needs k in 3..64"), std::string::npos) << reply;
+    EXPECT_EQ(reply.find(".cpp:"), std::string::npos) << reply;
+  }
+  const std::string stats = server.call("stats");
+  EXPECT_TRUE(is_ok(stats)) << stats;
+  server.stop();
+}
+
+TEST(ServeServer, EdgeCheckerAcceptsAnEdgelessTenant) {
+  Server server(small_options());
+  server.start();
+  for (const char* create : {"create tenant=e n=16", "create tenant=one n=1"}) {
+    ASSERT_TRUE(is_ok(server.call(create)));
+  }
+  for (const char* query : {"query tenant=e algo=edge_checker k=3",
+                            "query tenant=one algo=edge_checker k=3"}) {
+    const std::string reply = server.call(query);
+    EXPECT_EQ(reply.rfind("OK query accepted=1 ", 0), 0u) << reply;
+    EXPECT_NE(reply.find("witness=-"), std::string::npos) << reply;
+  }
+  server.stop();
+}
+
 TEST(ServeServer, UnknownTenantNamesStoredOnes) {
   Server server(small_options());
   server.start();

@@ -86,7 +86,7 @@ TEST(Repro, ScenarioLineToleratesLeadingComments) {
 TEST(Repro, UnknownKeyNamesTheAcceptedOnes) {
   const std::string err =
       read_error("scenario contract=oracle detector=tester k=5 flavor=spicy\n");
-  EXPECT_NE(err.find("unknown repro scenario key 'flavor'"), std::string::npos) << err;
+  EXPECT_NE(err.find("flavor: unknown repro scenario key"), std::string::npos) << err;
   for (const char* accepted :
        {"contract", "detector", "kind", "eps", "budget", "adversary", "seed"}) {
     EXPECT_NE(err.find(accepted), std::string::npos) << err;
@@ -100,8 +100,8 @@ TEST(Repro, DuplicateAndMalformedKeysAreLoud) {
   EXPECT_NE(read_error(line + "k=abc\n").find("expected unsigned integer"), std::string::npos);
   // A value that does not fit its field is rejected, not narrowed.
   const std::string wide = read_error(line + "k=4294967300\n");
-  EXPECT_NE(wide.find("key 'k': value '4294967300' out of range"), std::string::npos) << wide;
-  EXPECT_NE(read_error(line + "k=5 seed=18446744073709551616\n").find("key 'seed'"),
+  EXPECT_NE(wide.find("k: 4294967300 out of range"), std::string::npos) << wide;
+  EXPECT_NE(read_error(line + "k=5 seed=18446744073709551616\n").find("seed: "),
             std::string::npos);
   EXPECT_NE(read_error(line + "k=5 kind=flaky\n").find("unknown mismatch kind"),
             std::string::npos);

@@ -14,13 +14,12 @@
 /// and replay it with `decycle_soak --repro FILE` (soak/repro.hpp).
 ///
 /// Flags (both --key=value and "--key value" forms are accepted):
-///   --gen            generate a stream (requires --n < 2^32; --inserts
+///   --gen            generate a stream (requires 2 <= --n < 2^32; --inserts
 ///                    --seed optional; --out=FILE or stdout)
 ///   --replay=FILE    replay a stream file ("-" reads stdin)
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #include "incremental/incremental.hpp"
@@ -40,14 +39,10 @@ decycle::incremental::InsertStream load_stream(const std::string& path) {
 int generate(const decycle::util::Args& args) {
   using namespace decycle;
   incremental::StreamSpec spec;
-  DECYCLE_CHECK_MSG(args.has("n"), "--gen requires --n");
-  const std::uint64_t n = args.get_u64("n", 0);
-  DECYCLE_CHECK_MSG(n <= std::numeric_limits<graph::Vertex>::max(),
-                    "--n out of range: " + std::to_string(n) + " (at most " +
-                        std::to_string(std::numeric_limits<graph::Vertex>::max()) + ")");
-  spec.n = static_cast<graph::Vertex>(n);
-  spec.inserts = args.get_u64("inserts", 2 * static_cast<std::size_t>(spec.n));
-  spec.seed = args.get_u64("seed", 1);
+  if (!args.has("n")) throw util::ParseError("n", "--gen requires --n");
+  spec.n = args.get<graph::Vertex>("n", 0, 2);
+  spec.inserts = args.get("inserts", 2 * static_cast<std::size_t>(spec.n));
+  spec.seed = args.get("seed", spec.seed);
   const std::string out_path = args.get_string("out", "");
   args.reject_unknown();
 
@@ -82,25 +77,21 @@ int replay_timed(const decycle::incremental::InsertStream& stream) {
   return 0;
 }
 
+int run(const decycle::util::Args& args) {
+  using namespace decycle;
+  if (args.get_bool("gen", false)) {
+    return generate(args);
+  }
+  const std::string replay_path = args.get_string("replay", "");
+  args.reject_unknown();
+  if (replay_path.empty()) {
+    throw util::ParseError("replay", "decycle_incr needs a mode: --gen or --replay=FILE");
+  }
+  return replay_timed(load_stream(replay_path));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace decycle;
-  try {
-    const util::Args args(argc, argv);
-    if (args.get_bool("gen", false)) {
-      return generate(args);
-    }
-    const std::string replay_path = args.get_string("replay", "");
-    args.reject_unknown();
-    DECYCLE_CHECK_MSG(!replay_path.empty(),
-                      "decycle_incr needs a mode: --gen or --replay=FILE (see file header)");
-    return replay_timed(load_stream(replay_path));
-  } catch (const util::CheckError& e) {
-    std::cerr << "decycle_incr: " << e.what() << "\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "decycle_incr: " << e.what() << "\n";
-    return 3;
-  }
+  return decycle::util::run_main("decycle_incr", argc, argv, run);
 }

@@ -37,71 +37,68 @@
 #include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const decycle::util::Args& args) {
   using namespace decycle;
-  try {
-    const util::Args args(argc, argv);
-    if (args.get_bool("list", false)) {
-      for (const lab::FamilyInfo& info : lab::known_families()) {
-        std::cout << info.name << " — " << info.summary << "\n";
-      }
-      return 0;
-    }
-    if (args.get_bool("list-algos", false)) {
-      // Straight from the registry, so this listing can never drift from
-      // what the scenario parser actually accepts.
-      for (const core::Detector* d : core::DetectorRegistry::builtin().detectors()) {
-        std::cout << core::capability_line(*d) << "\n";
-      }
-      return 0;
-    }
-    const std::uint64_t threads = args.get_u64("threads", 0);
-    const std::string out_path = args.get_string("out", "");
-    const bool timing = args.get_bool("timing", false);
-    const bool progress = args.get_bool("progress", false);
-    const bool engine_stats = args.get_bool("engine-stats", false);
-
-    // Everything not consumed above is a scenario token; unknown-key errors
-    // belong to the scenario parser, which names the accepted keys.
-    const auto scenario_pairs = args.take_unconsumed();
-    const lab::ScenarioSpec spec = lab::ScenarioSpec::parse(scenario_pairs);
-    const std::vector<lab::ScenarioCell> cells = spec.expand();
-
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
-
-    lab::LabOptions opts;
-    opts.pool = pool.get();
-    opts.include_timing = timing;
-    opts.progress = progress ? &std::cerr : nullptr;
-
-    const lab::LabRunner runner(opts);
-    const std::vector<lab::CellResult> results = runner.run_matrix(cells);
-    const std::string doc = lab::matrix_jsonl(spec, results, timing);
-    if (engine_stats) {
-      const engine::SessionStats s = runner.session_stats();
-      std::cerr << "[engine] sessions: hits=" << s.hits << " misses=" << s.misses
-                << " evictions=" << s.evictions << " purges=" << s.purges
-                << " purged_sessions=" << s.purged_sessions << "\n";
-    }
-
-    if (out_path.empty()) {
-      std::cout << doc;
-    } else {
-      std::ofstream out(out_path, std::ios::binary);
-      DECYCLE_CHECK_MSG(out.good(), "cannot open --out file: " + out_path);
-      out << doc;
-      out.flush();
-      DECYCLE_CHECK_MSG(out.good(), "failed writing --out file (disk full?): " + out_path);
+  if (args.get_bool("list", false)) {
+    for (const lab::FamilyInfo& info : lab::known_families()) {
+      std::cout << info.name << " — " << info.summary << "\n";
     }
     return 0;
-  } catch (const util::CheckError& e) {
-    std::cerr << "decycle_lab: " << e.what() << "\n";
-    return 2;
-  } catch (const std::exception& e) {
-    // bad_alloc on a huge matrix, system_error from thread creation, ...:
-    // still a loud diagnostic and a controlled exit, never SIGABRT.
-    std::cerr << "decycle_lab: " << e.what() << "\n";
-    return 3;
   }
+  if (args.get_bool("list-algos", false)) {
+    // Straight from the registry, so this listing can never drift from
+    // what the scenario parser actually accepts.
+    for (const core::Detector* d : core::DetectorRegistry::builtin().detectors()) {
+      std::cout << core::capability_line(*d) << "\n";
+    }
+    return 0;
+  }
+  const std::size_t threads = args.get<std::size_t>("threads", 0);
+  const std::string out_path = args.get_string("out", "");
+  const bool timing = args.get_bool("timing", false);
+  const bool progress = args.get_bool("progress", false);
+  const bool engine_stats = args.get_bool("engine-stats", false);
+
+  // Everything not consumed above is a scenario token; unknown-key errors
+  // belong to the scenario parser, which names the accepted keys.
+  const lab::ScenarioSpec spec =
+      lab::ScenarioSpec::parse(util::KvReader("scenario", args.take_unconsumed()));
+  const std::vector<lab::ScenarioCell> cells = spec.expand();
+
+  std::unique_ptr<util::ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+
+  lab::LabOptions opts;
+  opts.pool = pool.get();
+  opts.include_timing = timing;
+  opts.progress = progress ? &std::cerr : nullptr;
+
+  const lab::LabRunner runner(opts);
+  const std::vector<lab::CellResult> results = runner.run_matrix(cells);
+  const std::string doc = lab::matrix_jsonl(spec, results, timing);
+  if (engine_stats) {
+    const engine::SessionStats s = runner.session_stats();
+    std::cerr << "[engine] sessions: hits=" << s.hits << " misses=" << s.misses
+              << " evictions=" << s.evictions << " purges=" << s.purges
+              << " purged_sessions=" << s.purged_sessions << "\n";
+  }
+
+  if (out_path.empty()) {
+    std::cout << doc;
+  } else {
+    std::ofstream out(out_path, std::ios::binary);
+    DECYCLE_CHECK_MSG(out.good(), "cannot open --out file: " + out_path);
+    out << doc;
+    out.flush();
+    DECYCLE_CHECK_MSG(out.good(), "failed writing --out file (disk full?): " + out_path);
+  }
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return decycle::util::run_main("decycle_lab", argc, argv, run);
 }

@@ -34,7 +34,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,16 +48,6 @@
 #include "util/cli.hpp"
 
 namespace {
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::istringstream in(csv);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 /// Blocking request/reply client over one AF_UNIX connection.
 class SocketClient final : public decycle::serve::Client {
@@ -106,36 +95,26 @@ class SocketClient final : public decycle::serve::Client {
 
 decycle::serve::LoadgenSpec parse_spec(const decycle::util::Args& args) {
   decycle::serve::LoadgenSpec spec;
-  spec.tenants = args.get_u64("tenants", spec.tenants);
-  spec.client_threads = args.get_u64("threads", 2);
-  spec.n = static_cast<decycle::graph::Vertex>(args.get_u64("n", spec.n));
-  spec.ops_per_tenant = args.get_u64("ops", spec.ops_per_tenant);
-  spec.mutate_ratio = args.get_double("mutate", spec.mutate_ratio);
-  spec.checkpoint_ratio = args.get_double("checkpoints", spec.checkpoint_ratio);
-  spec.seed = args.get_u64("seed", spec.seed);
-  spec.repetitions = args.get_u64("reps", spec.repetitions);
-  if (const std::string csv = args.get_string("algos", ""); !csv.empty()) {
-    spec.algos = split_csv(csv);
-  }
-  if (const std::string csv = args.get_string("ks", ""); !csv.empty()) {
-    spec.ks.clear();
-    for (const std::string& k : split_csv(csv)) {
-      spec.ks.push_back(static_cast<unsigned>(std::stoul(k)));
-    }
-  }
-  if (const std::string csv = args.get_string("eps", ""); !csv.empty()) {
-    spec.epsilons.clear();
-    for (const std::string& e : split_csv(csv)) spec.epsilons.push_back(std::stod(e));
-  }
+  spec.tenants = args.get("tenants", spec.tenants);
+  spec.client_threads = args.get<std::size_t>("threads", 2);
+  spec.n = args.get("n", spec.n);
+  spec.ops_per_tenant = args.get("ops", spec.ops_per_tenant);
+  spec.mutate_ratio = args.get("mutate", spec.mutate_ratio);
+  spec.checkpoint_ratio = args.get("checkpoints", spec.checkpoint_ratio);
+  spec.seed = args.get("seed", spec.seed);
+  spec.repetitions = args.get("reps", spec.repetitions);
+  spec.algos = args.get_list("algos", spec.algos);
+  spec.ks = args.get_list("ks", spec.ks);
+  spec.epsilons = args.get_list("eps", spec.epsilons);
   return spec;
 }
 
 decycle::serve::ServerOptions parse_server_options(const decycle::util::Args& args) {
   decycle::serve::ServerOptions options;
-  options.workers = args.get_u64("workers", 8);
-  options.queue_capacity = args.get_u64("queue-capacity", options.queue_capacity);
-  options.tenant_inflight_cap = args.get_u64("tenant-cap", options.tenant_inflight_cap);
-  options.verdict_cache_capacity = args.get_u64("cache", options.verdict_cache_capacity);
+  options.workers = args.get<std::size_t>("workers", 8);
+  options.queue_capacity = args.get("queue-capacity", options.queue_capacity);
+  options.tenant_inflight_cap = args.get("tenant-cap", options.tenant_inflight_cap);
+  options.verdict_cache_capacity = args.get("cache", options.verdict_cache_capacity);
   return options;
 }
 
@@ -192,15 +171,17 @@ int run(const decycle::util::Args& args) {
   args.reject_unknown();
 
   if (want_shutdown) {
-    DECYCLE_CHECK_MSG(!socket_path.empty(), "--shutdown requires --socket=PATH");
+    if (socket_path.empty()) throw util::ParseError("shutdown", "requires --socket=PATH");
     SocketClient client(socket_path);
     std::cout << client.call("shutdown") << "\n";
     return 0;
   }
 
   if (check_determinism) {
-    DECYCLE_CHECK_MSG(socket_path.empty(),
-                      "--check-determinism is in-process only (it owns the worker count)");
+    if (!socket_path.empty()) {
+      throw util::ParseError("check-determinism",
+                             "in-process only (it owns the worker count); drop --socket");
+    }
     serve::ServerOptions single = options;
     single.workers = 1;
     const serve::LoadgenReport base = run_in_process(spec, std::move(single), false);
@@ -235,14 +216,5 @@ int run(const decycle::util::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace decycle;
-  try {
-    return run(util::Args(argc, argv));
-  } catch (const util::CheckError& e) {
-    std::cerr << "decycle_loadgen: " << e.what() << "\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "decycle_loadgen: " << e.what() << "\n";
-    return 3;
-  }
+  return decycle::util::run_main("decycle_loadgen", argc, argv, run);
 }

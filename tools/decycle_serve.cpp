@@ -104,12 +104,12 @@ int run(const decycle::util::Args& args) {
   using namespace decycle;
 
   const std::string socket_path = args.get_string("socket", "");
-  DECYCLE_CHECK_MSG(!socket_path.empty(), "decycle_serve requires --socket=PATH");
+  if (socket_path.empty()) throw util::ParseError("socket", "decycle_serve requires --socket=PATH");
   serve::ServerOptions options;
-  options.workers = args.get_u64("workers", options.workers);
-  options.queue_capacity = args.get_u64("queue-capacity", options.queue_capacity);
-  options.tenant_inflight_cap = args.get_u64("tenant-cap", options.tenant_inflight_cap);
-  options.verdict_cache_capacity = args.get_u64("cache", options.verdict_cache_capacity);
+  options.workers = args.get("workers", options.workers);
+  options.queue_capacity = args.get("queue-capacity", options.queue_capacity);
+  options.tenant_inflight_cap = args.get("tenant-cap", options.tenant_inflight_cap);
+  options.verdict_cache_capacity = args.get("cache", options.verdict_cache_capacity);
   options.enable_stall = args.get_bool("enable-stall", false);
   const std::string stats_out = args.get_string("stats-out", "");
   args.reject_unknown();
@@ -183,14 +183,5 @@ int run(const decycle::util::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace decycle;
-  try {
-    return run(util::Args(argc, argv));
-  } catch (const util::CheckError& e) {
-    std::cerr << "decycle_serve: " << e.what() << "\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "decycle_serve: " << e.what() << "\n";
-    return 3;
-  }
+  return decycle::util::run_main("decycle_serve", argc, argv, run);
 }

@@ -67,73 +67,67 @@ int replay(const std::string& path) {
   return result.reproduced ? 0 : 1;
 }
 
+int run(const decycle::util::Args& args) {
+  using namespace decycle;
+  const std::string repro_path = args.get_string("repro", "");
+  if (!repro_path.empty()) {
+    args.reject_unknown();
+    return replay(repro_path);
+  }
+
+  soak::CampaignOptions opts;
+  opts.contract = soak::parse_contract(args.get_string("contract", "oracle"));
+  opts.seed = args.get("seed", opts.seed);
+  opts.instances = args.get("instances", opts.instances);
+  opts.seconds = args.get("seconds", opts.seconds);
+  opts.repro_dir = args.get_string("repro-dir", "");
+  opts.space.max_k = args.get("max-k", opts.space.max_k);
+  opts.space.max_n = args.get("max-n", opts.space.max_n);
+  const std::size_t threads = args.get<std::size_t>("threads", 0);
+  const std::string out_path = args.get_string("out", "");
+  const bool progress = args.get_bool("progress", false);
+  args.reject_unknown();
+
+  if (!opts.repro_dir.empty()) {
+    std::filesystem::create_directories(opts.repro_dir);
+  }
+  std::unique_ptr<util::ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+  opts.pool = pool.get();
+  if (progress) opts.progress = &std::cerr;
+
+  const soak::CampaignSummary summary = soak::run_campaign(opts);
+
+  if (out_path.empty()) {
+    std::cout << summary.jsonl;
+  } else {
+    std::ofstream out(out_path, std::ios::binary);
+    DECYCLE_CHECK_MSG(out.good(), "cannot open --out file: " + out_path);
+    out << summary.jsonl;
+    out.flush();
+    DECYCLE_CHECK_MSG(out.good(), "failed writing --out file (disk full?): " + out_path);
+  }
+
+  std::cerr << "decycle_soak --contract=" << soak::contract_name(opts.contract) << ": "
+            << summary.instances << " instances, " << summary.detector_runs
+            << " detector runs, " << summary.mismatches.size() << " mismatches, far audit "
+            << summary.far_rejections << "/" << summary.far_trials << "\n";
+  for (const soak::MismatchRecord& m : summary.mismatches) {
+    std::cerr << "  mismatch instance=" << m.instance_index << " detector="
+              << (m.repro.detector.empty() ? "-" : m.repro.detector)
+              << " kind=" << soak::mismatch_kind_name(m.repro.kind) << " shrunk to "
+              << m.repro.stream.n << "v/" << m.repro.stream.inserts.size() << "e"
+              << (m.repro_path.empty() ? "" : " repro=" + m.repro_path) << "\n";
+  }
+  if (summary.completeness_violation) {
+    std::cerr << "  completeness violation: certified-far amplified rejection rate "
+                 "below 2/3\n";
+  }
+  return summary.failed() ? 1 : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace decycle;
-  try {
-    const util::Args args(argc, argv);
-    const std::string repro_path = args.get_string("repro", "");
-    if (!repro_path.empty()) {
-      args.reject_unknown();
-      return replay(repro_path);
-    }
-
-    soak::CampaignOptions opts;
-    opts.contract = soak::parse_contract(args.get_string("contract", "oracle"));
-    opts.seed = args.get_u64("seed", 1);
-    opts.instances = args.get_u64("instances", 0);
-    opts.seconds = args.get_double("seconds", 0.0);
-    opts.repro_dir = args.get_string("repro-dir", "");
-    opts.space.max_k = static_cast<unsigned>(args.get_u64("max-k", opts.space.max_k));
-    opts.space.max_n =
-        static_cast<graph::Vertex>(args.get_u64("max-n", opts.space.max_n));
-    const std::uint64_t threads = args.get_u64("threads", 0);
-    const std::string out_path = args.get_string("out", "");
-    const bool progress = args.get_bool("progress", false);
-    args.reject_unknown();
-
-    if (!opts.repro_dir.empty()) {
-      std::filesystem::create_directories(opts.repro_dir);
-    }
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
-    opts.pool = pool.get();
-    if (progress) opts.progress = &std::cerr;
-
-    const soak::CampaignSummary summary = soak::run_campaign(opts);
-
-    if (out_path.empty()) {
-      std::cout << summary.jsonl;
-    } else {
-      std::ofstream out(out_path, std::ios::binary);
-      DECYCLE_CHECK_MSG(out.good(), "cannot open --out file: " + out_path);
-      out << summary.jsonl;
-      out.flush();
-      DECYCLE_CHECK_MSG(out.good(), "failed writing --out file (disk full?): " + out_path);
-    }
-
-    std::cerr << "decycle_soak --contract=" << soak::contract_name(opts.contract) << ": "
-              << summary.instances << " instances, " << summary.detector_runs
-              << " detector runs, " << summary.mismatches.size() << " mismatches, far audit "
-              << summary.far_rejections << "/" << summary.far_trials << "\n";
-    for (const soak::MismatchRecord& m : summary.mismatches) {
-      std::cerr << "  mismatch instance=" << m.instance_index << " detector="
-                << (m.repro.detector.empty() ? "-" : m.repro.detector)
-                << " kind=" << soak::mismatch_kind_name(m.repro.kind) << " shrunk to "
-                << m.repro.stream.n << "v/" << m.repro.stream.inserts.size() << "e"
-                << (m.repro_path.empty() ? "" : " repro=" + m.repro_path) << "\n";
-    }
-    if (summary.completeness_violation) {
-      std::cerr << "  completeness violation: certified-far amplified rejection rate "
-                   "below 2/3\n";
-    }
-    return summary.failed() ? 1 : 0;
-  } catch (const util::CheckError& e) {
-    std::cerr << "decycle_soak: " << e.what() << "\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "decycle_soak: " << e.what() << "\n";
-    return 3;
-  }
+  return decycle::util::run_main("decycle_soak", argc, argv, run);
 }
