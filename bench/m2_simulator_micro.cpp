@@ -27,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "congest/algorithms/flood_max.hpp"
 #include "congest/simulator.hpp"
 #include "graph/generators.hpp"
 #include "support/alloc_probe.hpp"
@@ -64,6 +63,32 @@ class ChattyAllPorts final : public congest::NodeProgram {
 
  private:
   std::uint64_t horizon_;
+};
+
+/// Flood-max leader election: every node floods the largest ID it has seen
+/// until nothing improves — a real algorithm mixing computation with
+/// delivery, active wherever the maximum is still spreading.
+class FloodMax final : public congest::NodeProgram {
+ public:
+  void on_round(congest::Context& ctx, std::span<const congest::Envelope> inbox) override {
+    bool improved = ctx.round() == 0;
+    if (improved) leader_ = ctx.my_id();
+    for (const auto& env : inbox) {
+      congest::MessageReader r(env.payload);
+      const graph::NodeId candidate = r.get_u64();
+      if (candidate > leader_) {
+        leader_ = candidate;
+        improved = true;
+      }
+    }
+    if (!improved) return;
+    congest::MessageWriter w;
+    w.put_u64(leader_);
+    ctx.send_all(w.finish());
+  }
+
+ private:
+  graph::NodeId leader_ = 0;
 };
 
 /// Relay around a huge ring: only the token front is active, and every hop
@@ -192,9 +217,7 @@ int run(const util::Args& args) {
     const graph::Graph g = graph::grid(side, side);
     util::Rng id_rng(3);
     const graph::IdAssignment ids = graph::IdAssignment::shuffled(g.num_vertices(), id_rng);
-    const auto factory = [](graph::Vertex) {
-      return std::make_unique<congest::FloodMaxProgram>();
-    };
+    const auto factory = [](graph::Vertex) { return std::make_unique<FloodMax>(); };
     Scenario s;
     s.name = smoke ? "floodmax_grid32" : "floodmax_grid96";
     s.n = g.num_vertices();

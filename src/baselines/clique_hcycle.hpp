@@ -8,7 +8,7 @@
 /// abound, so an algorithm that examines doubling samples exits early on
 /// cycle-rich inputs and only pays for the full graph when cycles are rare
 /// or absent. This file implements that schedule as a leader-coordinated
-/// protocol on the simulator's CliqueModel:
+/// protocol under the simulator's clique model:
 ///
 ///   * A shared seed orders the vertices by a random permutation rank;
 ///     phase p samples S_p = the min(n, s0·2^p) lowest-ranked vertices

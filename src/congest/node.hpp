@@ -13,15 +13,16 @@
 /// count by one and nothing else.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <new>
 #include <span>
 #include <vector>
 
-#include "congest/comm_model.hpp"
 #include "congest/message.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
+#include "util/check.hpp"
 #include "util/pool_alloc.hpp"
 
 namespace decycle::congest {
@@ -87,34 +88,18 @@ class Context {
   friend class Simulator;
   friend struct SimRuntime;
 
-  /// \p g is the *communication* graph the model picked (== the input graph
-  /// for congest/broadcast, K_n for clique). \p rev_ports may be null
+  /// \p g is the *communication* graph the model picked (the input graph
+  /// under congest, K_n under clique). \p rev_ports may be null
   /// (Simulator::run_reference resolves receiver ports by binary search).
   /// Send-slot stamps are sized to the graph's maximum degree.
-  Context(const graph::Graph& g, const graph::IdAssignment& ids, const std::uint32_t* rev_ports,
-          const CommModel& model)
-      : graph_(&g),
-        ids_(&ids),
-        rev_ports_(rev_ports),
-        model_kind_(model.kind()),
-        bandwidth_bits_(model.bandwidth_bits()) {
+  Context(const graph::Graph& g, const graph::IdAssignment& ids, const std::uint32_t* rev_ports)
+      : graph_(&g), ids_(&ids), rev_ports_(rev_ports) {
     port_stamp_.resize(g.max_degree(), 0);
   }
-
-  /// Broadcast-model send discipline (one identical <= B-bit message per
-  /// node per round); throws CheckError on violations. Out of line — the
-  /// congest hot path only pays the kind branch in send().
-  void enforce_broadcast(const Message& msg) const;
 
   const graph::Graph* graph_;
   const graph::IdAssignment* ids_;
   const std::uint32_t* rev_ports_;  ///< CSR-aligned reverse ports, or null
-  CommModelKind model_kind_ = CommModelKind::kCongest;
-  std::uint64_t bandwidth_bits_ = 0;  ///< 0 = accounted, not enforced
-  /// out_payload_ size at reset(): this node's sends for the current step
-  /// start here (the round's outbox is shared by every node stepped in it),
-  /// so the broadcast check can compare against the node's first message.
-  std::size_t step_out_base_ = 0;
   std::vector<OutMeta>* out_meta_ = nullptr;     ///< round outbox (owned by the simulator)
   std::vector<Message>* out_payload_ = nullptr;  ///< payloads, in lockstep with out_meta_
   std::span<const Vertex> nbrs_;
@@ -137,7 +122,6 @@ class Context {
     out_payload_ = payload;
     nbrs_ = graph_->neighbors(v);
     wakeup_ = kNoWakeup;
-    step_out_base_ = payload->size();
     ++step_serial_;
   }
 };
@@ -174,7 +158,6 @@ inline void Context::send(std::uint32_t port, Message msg) {
   DECYCLE_CHECK_MSG(port < degree(), "send: port out of range");
   DECYCLE_CHECK_MSG(port_stamp_[port] != step_serial_,
                     "CONGEST violation: two messages on one link in a round");
-  if (model_kind_ == CommModelKind::kBroadcastCongest) enforce_broadcast(msg);
   port_stamp_[port] = step_serial_;
   const std::uint32_t rport =
       rev_ports_ != nullptr ? rev_ports_[adj_base_ + port] : ~std::uint32_t{0};

@@ -5,6 +5,7 @@
 #include <map>
 #include <numeric>
 
+#include "graph/generators.hpp"
 #include "util/check.hpp"
 
 namespace decycle::congest {
@@ -64,8 +65,8 @@ struct SimRuntime {
   std::size_t pending_wakeups = 0;
 
   SimRuntime(const graph::Graph& g, const graph::IdAssignment& ids,
-             const std::uint32_t* rev_ports, const CommModel& model)
-      : ctx(g, ids, rev_ports, model) {
+             const std::uint32_t* rev_ports)
+      : ctx(g, ids, rev_ports) {
     const Vertex n = g.num_vertices();
     inbox_stamp.resize(n);
     count.resize(n);
@@ -134,27 +135,18 @@ struct SimRuntime {
 };
 
 Simulator::Simulator(const graph::Graph& g, const graph::IdAssignment& ids,
-                     const CommModel& model, const ProgramFactory& factory)
-    : Simulator(g, ids, model) {
+                     const ProgramFactory& factory)
+    : Simulator(g, ids) {
   reset(factory);
 }
-
-Simulator::Simulator(const graph::Graph& g, const graph::IdAssignment& ids,
-                     const ProgramFactory& factory)
-    : Simulator(g, ids, CommModel::congest(), factory) {}
-
-Simulator::Simulator(const graph::Graph& g, const graph::IdAssignment& ids)
-    : Simulator(g, ids, CommModel::congest()) {}
 
 Simulator::Simulator(const graph::Graph& g, const graph::IdAssignment& ids,
                      const CommModel& model)
     : graph_(&g), ids_(&ids), model_(&model) {
   DECYCLE_CHECK_MSG(ids.num_vertices() == g.num_vertices(),
                     "ID assignment size does not match graph");
-  link_graph_ = model.build_links(g);
+  if (model.kind() == CommModelKind::kClique) link_graph_ = graph::complete(g.num_vertices());
   comm_graph_ = link_graph_.has_value() ? &*link_graph_ : &g;
-  DECYCLE_CHECK_MSG(comm_graph_->num_vertices() == g.num_vertices(),
-                    "communication model changed the vertex set");
   const graph::Graph& cg = *comm_graph_;
   const Vertex n = cg.num_vertices();
 
@@ -209,7 +201,7 @@ RunStats Simulator::run(const Options& options) {
   check_programmed();
   const Vertex n = graph_->num_vertices();
   if (runtime_ == nullptr) {
-    runtime_ = std::make_unique<SimRuntime>(*comm_graph_, *ids_, rev_ports_.data(), *model_);
+    runtime_ = std::make_unique<SimRuntime>(*comm_graph_, *ids_, rev_ports_.data());
   }
   SimRuntime& rt = *runtime_;
   rt.begin_run(n);
@@ -363,7 +355,7 @@ RunStats Simulator::run_reference(const Options& options) {
     }
 
     std::vector<ReferenceStepResult> results(active.size());
-    Context ctx(*comm_graph_, *ids_, nullptr, *model_);
+    Context ctx(*comm_graph_, *ids_, nullptr);
     for (std::size_t i = 0; i < active.size(); ++i) {
       const Vertex v = active[i];
       ctx.reset(v, round, adj_offsets_[v], &results[i].meta, &results[i].payload);

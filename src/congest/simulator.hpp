@@ -17,13 +17,11 @@
 /// targets. A steady-state round performs no heap allocation.
 ///
 /// Communication models (DESIGN.md §11): the simulator is constructed with
-/// a CommModel (comm_model.hpp) that decides the link topology and the
-/// per-round bandwidth contract — classic CONGEST (the default; links are
-/// the input edges), Broadcast-CONGEST (one B-bit broadcast per node per
-/// round, enforced at send time), or the Congested Clique (all-to-all
-/// links). graph() always returns the INPUT graph (the object under test);
-/// comm_graph() is the model's link topology, which every delivery
-/// structure above is built from.
+/// a CommModel (comm_model.hpp) that decides the link topology — classic
+/// CONGEST (the default; links are the input edges) or the Congested Clique
+/// (all-to-all links). graph() always returns the INPUT graph (the object
+/// under test); comm_graph() is the model's link topology, which every
+/// delivery structure above is built from.
 ///
 /// Determinism: a run executes on the thread that calls run(), stepping
 /// nodes in ascending vertex order. Every inbox, every statistic, and the
@@ -63,51 +61,23 @@ class Simulator {
   /// parallel engine lanes may share one filter, so it must be thread-safe.
   using DropFilter = std::function<bool(std::uint64_t round, Vertex from, Vertex to)>;
 
-  /// Run options. The struct stays an aggregate — designated/aggregate
-  /// initialization (`run({.max_rounds = 8})`) keeps working — and the
-  /// `with_*` builders below are the fluent alternative for call sites that
-  /// set several knobs: each mutates in place and returns *this, so they
-  /// chain on lvalues and temporaries alike
-  /// (`sim.run(Options{}.with_max_rounds(8).with_drop(filter))`). Both styles
-  /// configure the same public fields; mixing them is well-defined (last
-  /// write wins).
+  /// Run options.
   struct Options {
     std::uint64_t max_rounds = 1'000'000;  ///< safety cap
     bool record_rounds = false;            ///< keep per-round stats (for T3/T5)
     DropFilter drop;                       ///< optional message-loss adversary
-
-    Options& with_max_rounds(std::uint64_t v) {
-      max_rounds = v;
-      return *this;
-    }
-    Options& with_record_rounds(bool v = true) {
-      record_rounds = v;
-      return *this;
-    }
-    Options& with_drop(DropFilter f) {
-      drop = std::move(f);
-      return *this;
-    }
   };
 
-  /// Constructs under \p model: the model decides the communication
-  /// topology (graph() keeps returning the *input* graph — the object the
-  /// algorithms reason about — while delivery, ports, and Context neighbor
-  /// views run over comm_graph()). The model must outlive the simulator;
-  /// the CommModel singletons always do.
-  Simulator(const graph::Graph& g, const graph::IdAssignment& ids, const CommModel& model,
-            const ProgramFactory& factory);
+  /// Topology-only construction under \p model: builds the link topology
+  /// and its CSR reverse-port table but no programs; reset() must be called
+  /// before run(). graph() keeps returning the *input* graph — the object
+  /// the algorithms reason about — while delivery, ports and Context
+  /// neighbor views run over comm_graph().
+  Simulator(const graph::Graph& g, const graph::IdAssignment& ids,
+            const CommModel& model = CommModel::congest());
 
-  /// Topology-only construction under \p model (reuse workflows): builds
-  /// the CSR reverse-port table but no programs. reset() must be called
-  /// before run().
-  Simulator(const graph::Graph& g, const graph::IdAssignment& ids, const CommModel& model);
-
-  /// Classic CONGEST construction — identical to passing
-  /// CommModel::congest(); every pre-model call site compiles and behaves
-  /// byte-identically.
+  /// CONGEST construction with every program built by \p factory.
   Simulator(const graph::Graph& g, const graph::IdAssignment& ids, const ProgramFactory& factory);
-  Simulator(const graph::Graph& g, const graph::IdAssignment& ids);
 
   ~Simulator();
 
@@ -139,7 +109,7 @@ class Simulator {
   [[nodiscard]] const NodeProgram& program(Vertex v) const { return *programs_[v]; }
 
   /// The INPUT graph — what the algorithms test for cycles. Identical to
-  /// comm_graph() under congest/broadcast; under clique the two differ.
+  /// comm_graph() under congest; under clique the two differ.
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
   [[nodiscard]] const graph::IdAssignment& ids() const noexcept { return *ids_; }
 
@@ -164,9 +134,9 @@ class Simulator {
   const graph::IdAssignment* ids_;
   const CommModel* model_;
 
-  /// Model-owned link topology (the clique model's K_n); disengaged when
-  /// the model communicates on the input graph itself. comm_graph_ points
-  /// here or at graph_ and is what every delivery structure is built from.
+  /// The clique model's K_n; disengaged under congest, which communicates
+  /// on the input graph itself. comm_graph_ points here or at graph_ and is
+  /// what every delivery structure is built from.
   std::optional<graph::Graph> link_graph_;
   const graph::Graph* comm_graph_;
 

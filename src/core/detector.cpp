@@ -33,9 +33,8 @@ congest::Simulator::Options simulator_options(const DetectorOptions& options,
 const congest::CommModel& default_comm_model(const DetectorCapabilities& caps) {
   // Congest first: the historical default, and the choice that keeps every
   // pre-model run_fresh call byte-identical.
-  if (supports_model(caps, congest::CommModelKind::kCongest)) return congest::CommModel::congest();
-  if (supports_model(caps, congest::CommModelKind::kClique)) return congest::CommModel::clique();
-  return congest::CommModel::broadcast();
+  return supports_model(caps, congest::CommModelKind::kCongest) ? congest::CommModel::congest()
+                                                                  : congest::CommModel::clique();
 }
 
 Verdict Detector::run_fresh(const graph::Graph& g, const graph::IdAssignment& ids,

@@ -90,8 +90,8 @@ struct DetectorCapabilities {
 }
 
 /// The model run_fresh (and the soak) builds for a detector: congest when
-/// the mask admits it (the historical behaviour, byte-identical), otherwise
-/// the first model the mask names.
+/// the mask admits it (the historical behaviour, byte-identical), clique
+/// otherwise.
 [[nodiscard]] const congest::CommModel& default_comm_model(const DetectorCapabilities& caps);
 
 /// How a per-trial counter aggregates across a cell's trials.

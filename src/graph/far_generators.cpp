@@ -8,7 +8,6 @@
 #include "graph/generators.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
-#include "util/logging.hpp"
 
 namespace decycle::graph {
 
@@ -94,10 +93,6 @@ Graph high_girth_graph(Vertex n, std::size_t m_target, unsigned k, util::Rng& rn
     current = Graph::from_edges(n, accepted);  // rebuild; fine at generator scale
     stale = 0;
   }
-  if (accepted.size() < m_target) {
-    DECYCLE_LOG_WARN << "high_girth_graph: placed " << accepted.size() << "/" << m_target
-                     << " edges (girth constraint saturated)";
-  }
   return current;
 }
 
@@ -143,6 +138,13 @@ FarInstance noisy_far_instance(const NoisyFarOptions& opt, util::Rng& rng) {
   out.description = "noisy(" + std::to_string(opt.num_cycles) + "xC" + std::to_string(opt.k) +
                     " over girth>" + std::to_string(opt.k) + " background)";
   return out;
+}
+
+Vertex coprime_layer_size(std::uint64_t wanted, unsigned k) {
+  DECYCLE_CHECK_MSG(k >= 3, "cycle length must be at least 3");
+  std::uint64_t s = std::max<std::uint64_t>(wanted, 2);
+  while (std::gcd(s, std::uint64_t{k} - 1) != 1) ++s;
+  return static_cast<Vertex>(s);
 }
 
 FarInstance layered_instance(unsigned k, Vertex layer_size, unsigned shifts, util::Rng& rng) {

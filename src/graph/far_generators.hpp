@@ -66,6 +66,10 @@ struct NoisyFarOptions {
 /// combinations may create additional k-cycles (which only adds farness).
 [[nodiscard]] FarInstance noisy_far_instance(const NoisyFarOptions& opt, util::Rng& rng);
 
+/// Smallest s >= max(wanted, 2) with gcd(s, k-1) == 1: the layer size
+/// layered_instance accepts for \p k. Requires k >= 3.
+[[nodiscard]] Vertex coprime_layer_size(std::uint64_t wanted, unsigned k);
+
 /// Dense layered instance: k layers of s vertices; for every shift
 /// σ ∈ {0..shifts-1} and start i, the vertices L_j[(i + jσ) mod s] form a
 /// k-cycle. All s·shifts cycles are pairwise edge-disjoint (requires

@@ -1,7 +1,6 @@
 #include "lab/scenario.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "engine/lanes.hpp"
 #include "graph/far_generators.hpp"
@@ -14,7 +13,7 @@ namespace decycle::lab {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& msg) { DECYCLE_CHECK_MSG(false, msg); }
+[[noreturn]] void fail(const std::string& msg) { throw util::CheckError(msg); }
 
 /// The cycle lengths every family builds and every matrix sweeps.
 constexpr unsigned kMinK = 3;
@@ -57,14 +56,6 @@ BuiltTopology from_ck_free(graph::CkFreeFamily family, const ScenarioCell& cell,
   out.description = std::string(graph::family_name(family));
   out.truth = GroundTruth::kCkFree;
   return out;
-}
-
-/// Smallest s >= wanted with gcd(s, k-1) == 1 (layered_instance requires
-/// coprimality so the shifted cycles stay edge-disjoint).
-graph::Vertex coprime_layer_size(std::uint64_t wanted, unsigned k) {
-  std::uint64_t s = std::max<std::uint64_t>(wanted, 2);
-  while (std::gcd(s, static_cast<std::uint64_t>(k - 1)) != 1) ++s;
-  return as_vertex(s);
 }
 
 constexpr FamilyEntry kFamilies[] = {
@@ -199,7 +190,7 @@ constexpr FamilyEntry kFamilies[] = {
      no_constraint,
      [](const ScenarioCell& cell, util::Rng& rng) {
        return from_far(
-           graph::layered_instance(cell.k, coprime_layer_size(cell.n, cell.k), 2, rng));
+           graph::layered_instance(cell.k, graph::coprime_layer_size(cell.n, cell.k), 2, rng));
      }},
     {{"ckfree_forest", "random forest (soundness family)"},
      [](unsigned, std::uint64_t n) {
@@ -461,6 +452,17 @@ ScenarioSpec ScenarioSpec::parse_tokens(const std::vector<std::string>& tokens) 
 }
 
 std::vector<ScenarioCell> ScenarioSpec::expand() const {
+  // In double the product of seven axes cannot overflow, and it is exact
+  // far beyond the cap.
+  double count = 1;
+  for (const std::size_t axis : {families.size(), ks.size(), epsilons.size(), sizes.size(),
+                                 adversaries.size(), models.size(), algos.size()}) {
+    count *= static_cast<double>(axis);
+  }
+  if (count > static_cast<double>(kMaxCells)) {
+    fail("scenario matrix has " + util::count_text(count) + " cells; the limit is " +
+         std::to_string(kMaxCells) + " (split it into several runs)");
+  }
   std::vector<ScenarioCell> cells;
   for (const std::string& family : families) {
     for (const unsigned k : ks) {

@@ -63,7 +63,7 @@ struct ScenarioCell {
   std::uint64_t n = 64;  ///< family size parameter (vertices, or dimension for hypercube)
   AdversarySpec adversary;
   /// Communication model the cell's simulators are built under — one of the
-  /// CommModel singletons, never null after parsing. Detectors whose
+  /// two CommModel instances, never null after parsing. Detectors whose
   /// capability mask excludes the model are rejected at expand() time.
   const congest::CommModel* model = &congest::CommModel::congest();
   /// Which detection algorithm this cell exercises — a registry-owned
@@ -126,8 +126,12 @@ struct ScenarioSpec {
   /// (algo, k) and (algo, model) pair against the detector's capabilities
   /// (e.g. algo=c4 accepts k=4 only; algo=tester refuses model=clique),
   /// throwing errors that name the accepted alternatives, so an unsupported
-  /// matrix never silently produces meaningless cells.
+  /// matrix never silently produces meaningless cells. A matrix of more
+  /// than kMaxCells cells is refused before any cell is built.
   [[nodiscard]] std::vector<ScenarioCell> expand() const;
+
+  /// Far above every matrix in CI, the nightly run (80 cells) and the docs.
+  static constexpr std::size_t kMaxCells = 65536;
 };
 
 [[nodiscard]] std::string_view seed_mode_name(SeedMode m) noexcept;

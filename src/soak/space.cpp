@@ -1,7 +1,6 @@
 #include "soak/space.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "engine/lanes.hpp"
 #include "graph/far_generators.hpp"
@@ -15,14 +14,6 @@ namespace decycle::soak {
 namespace {
 
 constexpr std::uint64_t kInstanceTag = 0x736f616b5f763120ULL;  // "soak_v1 "
-
-/// Smallest s >= wanted with gcd(s, k-1) == 1 (layered_instance needs the
-/// shifted cycles edge-disjoint).
-graph::Vertex coprime_layer_size(std::uint64_t wanted, unsigned k) {
-  std::uint64_t s = std::max<std::uint64_t>(wanted, 2);
-  while (std::gcd(s, static_cast<std::uint64_t>(k - 1)) != 1) ++s;
-  return static_cast<graph::Vertex>(s);
-}
 
 /// Adds \p count fresh vertex-disjoint C_k's to \p base, each bridged to a
 /// random existing vertex so the composition stays connected-ish. Fresh
@@ -136,7 +127,7 @@ BaseDraw draw_base(unsigned k, graph::Vertex n, util::Rng& rng) {
       return out;
     }
     default: {
-      const graph::Vertex layer = coprime_layer_size(std::max<graph::Vertex>(n / k, 2), k);
+      const graph::Vertex layer = graph::coprime_layer_size(std::max<graph::Vertex>(n / k, 2), k);
       graph::FarInstance far = graph::layered_instance(k, layer, 2, rng);
       out.certified_epsilon = far.certified_epsilon();
       out.description = "layered(s=" + std::to_string(layer) + ")";

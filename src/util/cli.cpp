@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <iostream>
 
@@ -7,7 +8,10 @@ namespace decycle::util {
 
 namespace {
 
-std::vector<std::pair<std::string, std::string>> argv_pairs(int argc, const char* const* argv) {
+/// The key=value pairs of argv; a bare --flag gets the value "1" and its
+/// key goes to \p bare.
+std::vector<std::pair<std::string, std::string>> argv_pairs(int argc, const char* const* argv,
+                                                             std::vector<std::string>& bare) {
   const auto is_flag = [](std::string_view token) { return token.substr(0, 2) == "--"; };
   std::vector<std::pair<std::string, std::string>> pairs;
   for (int i = 1; i < argc; ++i) {
@@ -25,6 +29,8 @@ std::vector<std::pair<std::string, std::string>> argv_pairs(int argc, const char
       // bare token is never accepted on its own, so this changes no command
       // line that parsed before).
       value = argv[++i];
+    } else {
+      bare.emplace_back(body);
     }
     pairs.emplace_back(body.substr(0, eq), std::move(value));
   }
@@ -33,7 +39,14 @@ std::vector<std::pair<std::string, std::string>> argv_pairs(int argc, const char
 
 }  // namespace
 
-Args::Args(int argc, const char* const* argv) : reader_("command-line", argv_pairs(argc, argv)) {}
+Args::Args(int argc, const char* const* argv)
+    : reader_("command-line", argv_pairs(argc, argv, bare_)) {}
+
+void Args::require_value(std::string_view key) const {
+  if (std::find(bare_.begin(), bare_.end(), key) != bare_.end()) {
+    throw ParseError(key, "needs a value (--" + std::string(key) + "=VALUE)");
+  }
+}
 
 bool Args::get_bool(std::string_view key, bool fallback) const {
   const auto raw = reader_.take_string(key);
@@ -44,10 +57,17 @@ bool Args::get_bool(std::string_view key, bool fallback) const {
 }
 
 std::string Args::get_string(std::string_view key, std::string_view fallback) const {
+  require_value(key);
   return reader_.take_string(key).value_or(std::string(fallback));
 }
 
 bool Args::has(std::string_view key) const { return reader_.take_string(key).has_value(); }
+
+std::vector<std::pair<std::string, std::string>> Args::take_unconsumed() const {
+  auto rest = reader_.take_rest();
+  for (const auto& [key, value] : rest) require_value(key);
+  return rest;
+}
 
 void Args::reject_unknown() const {
   std::string keys;

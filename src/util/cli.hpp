@@ -25,8 +25,9 @@ namespace decycle::util {
 class Args {
  public:
   /// Parses argv. Accepts "--key=value", "--key value" (the next token is
-  /// the value when it does not start with "--") and "--flag" (value "1").
-  /// Throws ParseError on a bare token or a repeated key.
+  /// the value when it does not start with "--") and a bare "--flag",
+  /// which only get_bool (true) and has() accept. Throws ParseError on a
+  /// bare token or a repeated key.
   Args(int argc, const char* const* argv);
 
   /// The value of --key read as a T in [lo, hi] (kv.hpp's parse_value), or
@@ -35,12 +36,14 @@ class Args {
   [[nodiscard]] T get(std::string_view key, T fallback,
                       std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
                       std::type_identity_t<T> hi = std::numeric_limits<T>::max()) const {
+    require_value(key);
     return reader_.take<T>(key, fallback, lo, hi);
   }
 
   /// The comma list under --key (kv.hpp's parse_list), or \p fallback.
   template <class T>
   [[nodiscard]] std::vector<T> get_list(std::string_view key, std::vector<T> fallback) const {
+    require_value(key);
     std::vector<T> list = reader_.take_list<T>(key);
     return list.empty() ? std::move(fallback) : list;
   }
@@ -53,15 +56,17 @@ class Args {
   /// Key=value pairs not read so far, in command-line order, marked as
   /// read. Lets a binary peel off its own flags and forward the rest to a
   /// second parser that owns the error reporting (decycle_lab forwards
-  /// these as scenario-matrix tokens).
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>> take_unconsumed() const {
-    return reader_.take_rest();
-  }
+  /// these as scenario-matrix tokens). A bare flag among them throws.
+  [[nodiscard]] std::vector<std::pair<std::string, std::string>> take_unconsumed() const;
 
   /// Throws ParseError ("unknown arguments: --a --b") if a flag was never read.
   void reject_unknown() const;
 
  private:
+  /// Throws ParseError when --key was given without a value.
+  void require_value(std::string_view key) const;
+
+  std::vector<std::string> bare_;  ///< keys given as a bare --flag
   mutable KvReader reader_;
 };
 

@@ -10,13 +10,15 @@
 ///     [lo, hi] — by default the range of the field's own type, so a value
 ///     is never narrowed — and a double must be finite;
 ///   - a list is comma-separated with no empty items; integer lists also
-///     accept inclusive ranges `lo..hi` and `lo..hi:step`.
+///     accept inclusive ranges `lo..hi` and `lo..hi:step`; a list expands
+///     to at most kMaxListItems items, counted before a range is expanded.
 /// A violation throws ParseError, whose what() is `<key>: <message>` and
 /// never carries a source location.
 #pragma once
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
@@ -38,6 +40,18 @@ class ParseError : public CheckError {
   ParseError(std::string_view key, std::string_view message)
       : CheckError(std::string(key) + ": " + std::string(message)) {}
 };
+
+/// The most items a list may expand to: far above every matrix axis, so a
+/// slip like `n=3..300000000` is refused before anything is allocated.
+inline constexpr std::size_t kMaxListItems = 4096;
+
+/// A count held in a double, so that sums and products of list lengths
+/// cannot overflow: plain digits up to 10^17, scientific notation beyond.
+[[nodiscard]] inline std::string count_text(double count) {
+  char buf[32];
+  return std::string(
+      buf, std::to_chars(buf, buf + sizeof(buf), count, std::chars_format::general, 17).ptr);
+}
 
 /// Reads the whole of \p text as a T (an integer type or double) within
 /// [lo, hi]. Throws ParseError naming \p key otherwise.
@@ -80,12 +94,17 @@ template <class T>
     std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
     std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
   if (text.empty()) throw ParseError(key, "empty value");
+  const auto too_long = [key](double items) {
+    return ParseError(key, "list expands to at least " + count_text(items) +
+                               " items; the limit is " + std::to_string(kMaxListItems));
+  };
   std::vector<T> out;
   for (std::size_t start = 0;;) {
     const std::size_t comma = text.find(',', start);
     const std::string_view item = text.substr(start, comma - start);
     const std::size_t dots = item.find("..");
     if (item.empty()) throw ParseError(key, "empty item in list '" + std::string(text) + "'");
+    if (out.size() == kMaxListItems) throw too_long(kMaxListItems + 1);
     if constexpr (std::is_same_v<T, std::string>) {
       out.emplace_back(item);
     } else if (std::is_integral_v<T> && dots != std::string_view::npos) {
@@ -100,6 +119,12 @@ template <class T>
       const T last = parse_value<T>(key, rest, lo, hi);
       if (first > last) {
         throw ParseError(key, "range " + std::string(item) + " is empty (lo > hi)");
+      }
+      const std::uint64_t more =  // items after `first`, in modular arithmetic
+          (static_cast<std::uint64_t>(last) - static_cast<std::uint64_t>(first)) /
+          static_cast<std::uint64_t>(step);
+      if (more >= kMaxListItems - out.size()) {
+        throw too_long(static_cast<double>(out.size()) + static_cast<double>(more) + 1);
       }
       for (T v = first;; v += step) {
         out.push_back(v);

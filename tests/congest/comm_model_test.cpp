@@ -1,8 +1,8 @@
 /// \file comm_model_test.cpp
-/// \brief CommModel layer: singleton registry and lookup errors, the
+/// \brief CommModel layer: the two instances and their lookup, the
 /// kind/mask correspondence, link-topology construction (clique = K_n while
-/// graph() stays the input), Broadcast-CONGEST send-time enforcement, and
-/// byte-identity of the congest model with the pre-model constructors.
+/// graph() stays the input), and byte-identity of the factory constructor
+/// with a topology-only congest build plus reset().
 #include "congest/comm_model.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 
 #include "congest/simulator.hpp"
 #include "graph/generators.hpp"
-#include "util/check.hpp"
 
 namespace decycle::congest {
 namespace {
@@ -21,49 +20,32 @@ using graph::Graph;
 using graph::IdAssignment;
 using graph::Vertex;
 
-TEST(CommModel, SingletonsExposeNamesKindsAndBandwidth) {
+TEST(CommModel, InstancesExposeNamesAndKinds) {
   EXPECT_EQ(CommModel::congest().name(), "congest");
-  EXPECT_EQ(CommModel::broadcast().name(), "broadcast");
   EXPECT_EQ(CommModel::clique().name(), "clique");
   EXPECT_EQ(CommModel::congest().kind(), CommModelKind::kCongest);
-  EXPECT_EQ(CommModel::broadcast().kind(), CommModelKind::kBroadcastCongest);
   EXPECT_EQ(CommModel::clique().kind(), CommModelKind::kClique);
-  // Only broadcast enforces a budget; congest/clique account in RunStats.
-  EXPECT_EQ(CommModel::congest().bandwidth_bits(), 0u);
-  EXPECT_EQ(CommModel::clique().bandwidth_bits(), 0u);
-  EXPECT_EQ(CommModel::broadcast().bandwidth_bits(),
-            BroadcastCongestModel::kDefaultBandwidthBits);
 }
 
-TEST(CommModel, FindRequireAndKnownNames) {
+TEST(CommModel, FindAndKnownNames) {
   EXPECT_EQ(CommModel::find("congest"), &CommModel::congest());
-  EXPECT_EQ(CommModel::find("broadcast"), &CommModel::broadcast());
   EXPECT_EQ(CommModel::find("clique"), &CommModel::clique());
   EXPECT_EQ(CommModel::find("CLIQUE"), nullptr);  // names are exact
   EXPECT_EQ(CommModel::find(""), nullptr);
-  EXPECT_EQ(&CommModel::require("clique"), &CommModel::clique());
-  EXPECT_EQ(CommModel::known_names(), "congest, broadcast, clique");
-  try {
-    (void)CommModel::require("quantum");
-    FAIL() << "expected CheckError";
-  } catch (const util::CheckError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("quantum"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("congest, broadcast, clique"), std::string::npos) << msg;
-  }
+  EXPECT_EQ(CommModel::find("broadcast"), nullptr);  // removed, like any unknown name
+  EXPECT_EQ(CommModel::known_names(), "congest, clique");
 }
 
 TEST(CommModel, KindBitsAndMaskNames) {
   // The enum values ARE the mask bit positions — the static mask constants
   // and model_bit() can never drift apart.
   EXPECT_EQ(model_bit(CommModelKind::kCongest), kModelCongest);
-  EXPECT_EQ(model_bit(CommModelKind::kBroadcastCongest), kModelBroadcast);
   EXPECT_EQ(model_bit(CommModelKind::kClique), kModelClique);
-  EXPECT_EQ(kModelCongest | kModelBroadcast | kModelClique, kModelAll);
+  EXPECT_EQ(kModelCongest | kModelClique, kModelAll);
 
-  EXPECT_EQ(model_mask_names(kModelAll), "congest, broadcast, clique");
+  EXPECT_EQ(model_mask_names(kModelAll), "congest, clique");
   EXPECT_EQ(model_mask_names(kModelClique), "clique");
-  EXPECT_EQ(model_mask_names(kModelCongest | kModelClique), "congest, clique");
+  EXPECT_EQ(model_mask_names(kModelCongest), "congest");
   EXPECT_EQ(model_mask_names(0), "");
 }
 
@@ -82,18 +64,18 @@ TEST(CommModel, CliqueBuildsCompleteLinksWhileGraphStaysInput) {
   EXPECT_EQ(&sim.model(), &CommModel::clique());
 }
 
-TEST(CommModel, CongestAndBroadcastCommunicateOnTheInputGraph) {
+TEST(CommModel, CongestCommunicatesOnTheInputGraph) {
   const Graph input = graph::cycle(7);
   const IdAssignment ids = IdAssignment::identity(7);
-  Simulator congest_sim(input, ids, CommModel::congest());
-  Simulator bcast_sim(input, ids, CommModel::broadcast());
+  Simulator congest_sim(input, ids);
   // No copy: the simulator communicates on the input graph itself.
   EXPECT_EQ(&congest_sim.comm_graph(), &input);
-  EXPECT_EQ(&bcast_sim.comm_graph(), &input);
+  EXPECT_EQ(&congest_sim.model(), &CommModel::congest());
 }
 
-/// Round 0: broadcast one small message everywhere (model-compliant).
-class CompliantBroadcaster final : public NodeProgram {
+/// Round 0: send one small message on every port; afterwards count what
+/// arrives.
+class Announcer final : public NodeProgram {
  public:
   void on_round(Context& ctx, std::span<const Envelope> inbox) override {
     if (ctx.round() == 0) {
@@ -107,86 +89,14 @@ class CompliantBroadcaster final : public NodeProgram {
   std::size_t heard_ = 0;
 };
 
-/// Round 0: one oversized message on port 0.
-class OversizedSender final : public NodeProgram {
- public:
-  void on_round(Context& ctx, std::span<const Envelope>) override {
-    if (ctx.round() != 0 || ctx.degree() == 0) return;
-    MessageWriter w;
-    for (int i = 0; i < 64; ++i) w.put_u64(0xFFFF'FFFF'FFFF'FFFFULL);
-    ctx.send(0, w.finish());
-  }
-};
-
-/// Round 0: two *different* messages on two ports — legal CONGEST, a
-/// violation under broadcast.
-class TwoFacedSender final : public NodeProgram {
- public:
-  void on_round(Context& ctx, std::span<const Envelope>) override {
-    if (ctx.round() != 0 || ctx.degree() < 2) return;
-    MessageWriter a;
-    a.put_u64(1);
-    ctx.send(0, a.finish());
-    MessageWriter b;
-    b.put_u64(2);
-    ctx.send(1, b.finish());
-  }
-};
-
-TEST(CommModel, BroadcastAcceptsOneIdenticalSmallMessage) {
-  const Graph g = graph::cycle(5);
-  const IdAssignment ids = IdAssignment::identity(5);
-  Simulator sim(g, ids, CommModel::broadcast(),
-                [](Vertex) { return std::make_unique<CompliantBroadcaster>(); });
-  const RunStats stats = sim.run();
-  EXPECT_TRUE(stats.halted);
-  for (Vertex v = 0; v < 5; ++v) {
-    EXPECT_EQ(static_cast<const CompliantBroadcaster&>(sim.program(v)).heard_, 2u);
-  }
-}
-
-TEST(CommModel, BroadcastRejectsOversizedMessageNamingTheBudget) {
-  const Graph g = graph::path(4);
-  const IdAssignment ids = IdAssignment::identity(4);
-  // A tiny custom budget makes even a single varint word oversized.
-  const BroadcastCongestModel tight(16);
-  Simulator sim(g, ids, tight, [](Vertex) { return std::make_unique<OversizedSender>(); });
-  try {
-    (void)sim.run();
-    FAIL() << "expected CheckError";
-  } catch (const util::CheckError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("Broadcast-CONGEST violation"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("B=16"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("round 0"), std::string::npos) << msg;
-  }
-}
-
-TEST(CommModel, BroadcastRejectsTwoDifferentMessagesInOneRound) {
-  const Graph g = graph::star(4);  // hub 0 has degree 3
-  const IdAssignment ids = IdAssignment::identity(4);
-  Simulator sim(g, ids, CommModel::broadcast(),
-                [](Vertex) { return std::make_unique<TwoFacedSender>(); });
-  try {
-    (void)sim.run();
-    FAIL() << "expected CheckError";
-  } catch (const util::CheckError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("two different messages"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("one identical broadcast"), std::string::npos) << msg;
-  }
-  // The same program is legal CONGEST: no budget, per-link slots only.
-  Simulator ok(g, ids, [](Vertex) { return std::make_unique<TwoFacedSender>(); });
-  EXPECT_TRUE(ok.run().halted);
-}
-
-TEST(CommModel, CongestModelMatchesPreModelConstructorByteForByte) {
+TEST(CommModel, FactoryConstructorMatchesTopologyOnlyBuildPlusReset) {
   const Graph g = graph::cycle(9);
   const IdAssignment ids = IdAssignment::identity(9);
-  const auto factory = [](Vertex) { return std::make_unique<CompliantBroadcaster>(); };
-  Simulator legacy_ctor(g, ids, factory);
-  Simulator explicit_model(g, ids, CommModel::congest(), factory);
-  const RunStats a = legacy_ctor.run();
+  const auto factory = [](Vertex) { return std::make_unique<Announcer>(); };
+  Simulator with_factory(g, ids, factory);
+  Simulator explicit_model(g, ids, CommModel::congest());
+  explicit_model.reset(factory);
+  const RunStats a = with_factory.run();
   const RunStats b = explicit_model.run();
   EXPECT_EQ(a.rounds_executed, b.rounds_executed);
   EXPECT_EQ(a.total_messages, b.total_messages);
@@ -194,8 +104,8 @@ TEST(CommModel, CongestModelMatchesPreModelConstructorByteForByte) {
   EXPECT_EQ(a.max_link_bits, b.max_link_bits);
   EXPECT_EQ(a.halted, b.halted);
   for (Vertex v = 0; v < 9; ++v) {
-    EXPECT_EQ(static_cast<const CompliantBroadcaster&>(legacy_ctor.program(v)).heard_,
-              static_cast<const CompliantBroadcaster&>(explicit_model.program(v)).heard_);
+    EXPECT_EQ(static_cast<const Announcer&>(with_factory.program(v)).heard_, 2u);
+    EXPECT_EQ(static_cast<const Announcer&>(explicit_model.program(v)).heard_, 2u);
   }
 }
 

@@ -108,6 +108,73 @@ TEST(Simulator, EventDrivenRelayTiming) {
   EXPECT_EQ(stats.max_active_nodes, 6u);
 }
 
+/// Flood-max leader election: every node floods the largest ID it has
+/// seen, and is stepped again only when a neighbor's message arrives.
+class FloodMaxProgram final : public NodeProgram {
+ public:
+  void on_round(Context& ctx, std::span<const Envelope> inbox) override {
+    bool improved = ctx.round() == 0;
+    if (improved) leader_ = ctx.my_id();
+    for (const Envelope& env : inbox) {
+      MessageReader r(env.payload);
+      const NodeId candidate = r.get_u64();
+      if (candidate > leader_) {
+        leader_ = candidate;
+        improved = true;
+      }
+    }
+    if (!improved) return;
+    MessageWriter w;
+    w.put_u64(leader_);
+    ctx.send_all(w.finish());
+  }
+  NodeId leader_ = 0;
+};
+
+/// Runs flood-max to quiescence and checks that every node learned the
+/// largest assigned ID: my_id() must report the assignment, shuffled or
+/// sparse, not the vertex index.
+void expect_leader_is_max(const Graph& g, const IdAssignment& ids) {
+  Simulator sim(g, ids, [](Vertex) { return std::make_unique<FloodMaxProgram>(); });
+  EXPECT_TRUE(sim.run().halted);
+  NodeId max_id = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) max_id = std::max(max_id, ids.id_of(v));
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(static_cast<const FloodMaxProgram&>(sim.program(v)).leader_, max_id) << v;
+  }
+}
+
+TEST(FloodMax, ElectsMaxOnCycle) {
+  expect_leader_is_max(graph::cycle(9), IdAssignment::identity(9));
+}
+
+TEST(FloodMax, ElectsMaxWithShuffledIds) {
+  util::Rng rng(4);
+  const Graph g = graph::grid(5, 5);
+  expect_leader_is_max(g, IdAssignment::shuffled(g.num_vertices(), rng));
+}
+
+TEST(FloodMax, ElectsMaxWithSparseRandomIds) {
+  util::Rng rng(5);
+  const Graph g = graph::random_connected(40, 60, rng);
+  expect_leader_is_max(g, IdAssignment::random_quadratic(g.num_vertices(), rng));
+}
+
+/// Event-driven relay timing with send_all: the maximum travels one hop per
+/// round from one end of a path, nodes that learn nothing new stay silent,
+/// and the run halts exactly when the front's last echo has been heard.
+TEST(FloodMax, ConvergesWithinDiameterPlusOneRounds) {
+  const Graph g = graph::path(20);  // worst case: max at one end
+  std::vector<NodeId> ids_vec(20);
+  for (Vertex v = 0; v < 20; ++v) ids_vec[v] = 19 - v;  // max ID at vertex 0
+  const IdAssignment ids = IdAssignment::from_ids(ids_vec);
+  Simulator sim(g, ids, [](Vertex) { return std::make_unique<FloodMaxProgram>(); });
+  const RunStats stats = sim.run();
+  EXPECT_TRUE(stats.halted);
+  EXPECT_EQ(stats.rounds_executed, 21u);  // diameter 19, plus round 0 and the last hearing
+  EXPECT_EQ(static_cast<const FloodMaxProgram&>(sim.program(19)).leader_, 19u);
+}
+
 class WakeupProgram final : public NodeProgram {
  public:
   void on_round(Context& ctx, std::span<const Envelope>) override {

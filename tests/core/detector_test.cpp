@@ -103,8 +103,6 @@ TEST(DetectorRegistry, ModelCapabilitiesAndValidation) {
 
   EXPECT_EQ(registry.names_supporting_model(congest::CommModelKind::kClique),
             "color_coding, clique_hcycle");
-  EXPECT_EQ(registry.names_supporting_model(congest::CommModelKind::kBroadcastCongest),
-            "color_coding");
 }
 
 TEST(DetectorRegistry, ValidateKNamesRangeAndAlternatives) {
@@ -162,6 +160,7 @@ TEST(DetectorRegistry, CapabilityLineDescribesEachDetector) {
 
   const std::string cc = capability_line(registry.require("color_coding"));
   EXPECT_NE(cc.find("centralized"), std::string::npos) << cc;
+  EXPECT_NE(cc.find("; models: congest, clique — "), std::string::npos) << cc;
 
   const std::string edge = capability_line(registry.require("edge_checker"));
   EXPECT_NE(edge.find("knobs: none"), std::string::npos) << edge;

@@ -50,11 +50,10 @@ TEST(SessionPool, DistinctKeysNeverShareSessions) {
   { (void)pool.lease(g, congest::CommModel::congest()); }
   // Different models are different keys: all misses.
   { (void)pool.lease(g, congest::CommModel::clique()); }
-  { (void)pool.lease(g, congest::CommModel::broadcast()); }
   const SessionStats s = pool.stats();
   EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(pool.idle_count(), 3u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(pool.idle_count(), 2u);
 }
 
 TEST(SessionPool, EpochBumpRetiresCachedSessions) {

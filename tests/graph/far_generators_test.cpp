@@ -121,6 +121,22 @@ TEST(LayeredInstance, RejectsNonCoprimeLayerSize) {
   EXPECT_THROW((void)layered_instance(5, 8, 2, rng), util::CheckError);  // gcd(8,4)=4
 }
 
+TEST(LayeredInstance, CoprimeLayerSizeIsTheSmallestAcceptedSize) {
+  EXPECT_EQ(coprime_layer_size(9, 5), 9u);    // gcd(9, 4) = 1
+  EXPECT_EQ(coprime_layer_size(8, 5), 9u);    // 8 shares 2 with k-1 = 4
+  EXPECT_EQ(coprime_layer_size(12, 4), 13u);  // 12 shares 3 with k-1 = 3
+  EXPECT_EQ(coprime_layer_size(1, 7), 5u);    // floor 2; 2, 3, 4 share a factor with 6
+  EXPECT_EQ(coprime_layer_size(0, 3), 3u);
+  // k - 1 = 0 would never reach gcd 1: every k below 3 is refused up front.
+  for (const unsigned k : {0U, 1U, 2U}) {
+    EXPECT_THROW((void)coprime_layer_size(10, k), util::CheckError) << "k=" << k;
+  }
+  util::Rng rng(10);
+  for (unsigned k = 3; k <= 8; ++k) {
+    EXPECT_NO_THROW((void)layered_instance(k, coprime_layer_size(10, k), 2, rng)) << "k=" << k;
+  }
+}
+
 TEST(CkFreeFamilies, ListDependsOnParity) {
   const auto odd = ck_free_families_for(5);
   const auto even = ck_free_families_for(6);

@@ -92,7 +92,7 @@ TEST(LabRunner, BaselineAlgosDetectAndStaySound) {
 /// The model axis end-to-end: clique cells run the clique-only detector,
 /// stay exact on both ground truths, tag every JSONL line with the model
 /// column, and honor the same byte-identity contract as congest cells.
-TEST(LabRunner, CliqueModelCellsRunExactAndTagTheModelColumn) {
+TEST(LabRunner, CliqueCellsRunExactAndTagTheModelColumn) {
   const std::vector<std::string> tokens = {
       "family=planted,ckfree_highgirth", "k=5", "n=24", "trials=6", "seed=12",
       "model=clique", "algo=clique_hcycle"};

@@ -130,6 +130,21 @@ TEST(ScenarioSpec, BadRangesAreRejected) {
   EXPECT_NE(parse_error({"n=3..9:0"}).find("step must be positive"), std::string::npos);
 }
 
+TEST(ScenarioSpec, ExpandRefusesMatricesOverTheCellCap) {
+  // 17 cycle lengths x 4096 sizes: each list is within the list cap, the
+  // product (69632 cells) is not.
+  const ScenarioSpec spec =
+      ScenarioSpec::parse_tokens({"family=cycle", "k=3..19", "n=3..4098"});
+  try {
+    (void)spec.expand();
+    FAIL() << "a 69632-cell matrix expanded";
+  } catch (const util::CheckError& e) {
+    EXPECT_STREQ(e.what(),
+                 "scenario matrix has 69632 cells; the limit is 65536 (split it into several "
+                 "runs)");
+  }
+}
+
 TEST(ScenarioSpec, MalformedRangeNamesTheKeyAndTheOffendingRange) {
   // The error must carry enough to fix the command line: the key it was
   // parsed under and the literal range that is empty.
@@ -269,7 +284,10 @@ TEST(ScenarioSpec, ModelAxisParsesExpandsAndTagsKeys) {
 TEST(ScenarioSpec, UnknownModelListsKnownOnes) {
   const std::string err = parse_error({"model=quantum"});
   EXPECT_NE(err.find("unknown communication model 'quantum'"), std::string::npos) << err;
-  EXPECT_NE(err.find("congest, broadcast, clique"), std::string::npos) << err;
+  EXPECT_NE(err.find("(known: congest, clique)"), std::string::npos) << err;
+  // The broadcast model was removed: its name is as unknown as any other.
+  EXPECT_EQ(parse_error({"model=broadcast"}),
+            "model: unknown communication model 'broadcast' (known: congest, clique)");
 }
 
 TEST(ScenarioSpec, ExpandRejectsModelCapabilityViolations) {

@@ -197,7 +197,12 @@ TEST(ServeProtocol, UnknownAlgoNamesRegisteredOnes) {
 TEST(ServeProtocol, UnknownModelNamesRegisteredOnes) {
   const ProtocolError e = expect_protocol_error("query tenant=a algo=tester k=5 model=telepathy");
   EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
-  EXPECT_NE(std::string(e.what()).find("registered:"), std::string::npos);
+  EXPECT_NE(std::string(e.what()).find("registered: congest, clique"), std::string::npos);
+  // The broadcast model was removed: its name is as unknown as any other.
+  const ProtocolError removed =
+      expect_protocol_error("query tenant=a algo=color_coding k=5 model=broadcast");
+  EXPECT_EQ(removed.code(), ErrorCode::kBadRequest);
+  EXPECT_NE(std::string(removed.what()).find("unknown model 'broadcast'"), std::string::npos);
 }
 
 TEST(ServeProtocol, CapabilityViolationsAreTyped) {

@@ -24,6 +24,33 @@ TEST(Args, BareFlagIsTrue) {
   EXPECT_TRUE(args.get_bool("verbose", false));
 }
 
+TEST(Args, BareFlagIsRefusedWhereAValueIsNeeded) {
+  // `--out` with no value must not write to a file named "1".
+  const Args args = make_args({"--out", "--n", "--ks"});
+  const auto error_of = [](const auto& read) {
+    try {
+      read();
+    } catch (const ParseError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error_of([&] { (void)args.get_string("out", "x.json"); }),
+            "out: needs a value (--out=VALUE)");
+  EXPECT_EQ(error_of([&] { (void)args.get<std::uint64_t>("n", 0); }),
+            "n: needs a value (--n=VALUE)");
+  EXPECT_EQ(error_of([&] { (void)args.get_list<unsigned>("ks", {3}); }),
+            "ks: needs a value (--ks=VALUE)");
+  // A forwarded bare flag is refused too: a second parser would read "1".
+  EXPECT_EQ(error_of([&] { (void)args.take_unconsumed(); }),
+            "out: needs a value (--out=VALUE)");
+  // Presence and boolean reads still accept it.
+  const Args flags = make_args({"--smoke", "--gen"});
+  EXPECT_TRUE(flags.get_bool("smoke", false));
+  EXPECT_TRUE(flags.has("gen"));
+  EXPECT_NO_THROW(flags.reject_unknown());
+}
+
 TEST(Args, FallbacksWhenMissing) {
   const Args args = make_args({});
   EXPECT_EQ(args.get<std::uint64_t>("n", 7), 7u);

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "util/hash.hpp"
-#include "util/logging.hpp"
 #include "util/timer.hpp"
 
 namespace decycle::util {
@@ -30,28 +29,6 @@ TEST(Hash, FewCollisionsOnSequentialKeys) {
     values.insert(hasher({i, i + 1}));
   }
   EXPECT_EQ(values.size(), 1000u);  // sequential pairs should not collide
-}
-
-TEST(Logging, LevelGateIsRespected) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(LogLevel::kDebug);
-  EXPECT_EQ(log_level(), LogLevel::kDebug);
-  set_log_level(original);
-}
-
-TEST(Logging, MacroShortCircuitsBelowLevel) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::kError);
-  int evaluations = 0;
-  const auto expensive = [&] {
-    ++evaluations;
-    return "payload";
-  };
-  DECYCLE_LOG_DEBUG << expensive();  // must not evaluate at error level
-  EXPECT_EQ(evaluations, 0);
-  set_log_level(original);
 }
 
 TEST(Timer, MeasuresElapsedTime) {

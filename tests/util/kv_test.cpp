@@ -83,6 +83,23 @@ TEST(ParseList, CommaListsAndIntegerRanges) {
             "");
 }
 
+TEST(ParseList, RefusesListsLongerThanTheCapBeforeExpandingThem) {
+  EXPECT_EQ(error_of([] { (void)util::parse_list<std::uint64_t>("n", "1..100000"); }),
+            "n: list expands to at least 100000 items; the limit is 4096");
+  EXPECT_EQ(error_of([] { (void)util::parse_list<std::int64_t>("d", "-5000..5000:2"); }),
+            "d: list expands to at least 5001 items; the limit is 4096");
+  // Ranges, plain items and string items all count toward one total.
+  EXPECT_EQ(util::parse_list<unsigned>("k", "1..4095,9").size(), 4096u);
+  EXPECT_EQ(error_of([] { (void)util::parse_list<unsigned>("k", "1..4095,9,10"); }),
+            "k: list expands to at least 4097 items; the limit is 4096");
+  EXPECT_EQ(error_of([] { (void)util::parse_list<unsigned>("k", "7,1..4096"); }),
+            "k: list expands to at least 4097 items; the limit is 4096");
+  std::string names = "a";
+  for (int i = 0; i < 4096; ++i) names += ",a";
+  EXPECT_EQ(error_of([&] { (void)util::parse_list<std::string>("family", names); }),
+            "family: list expands to at least 4097 items; the limit is 4096");
+}
+
 TEST(KvReader, RejectsMalformedRepeatedAndUnknownKeys) {
   const std::vector<std::string_view> bare = {"k"};
   EXPECT_EQ(error_of([&] { (void)util::KvReader::from_tokens("test", bare); }),

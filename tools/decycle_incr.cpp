@@ -32,7 +32,7 @@ namespace {
 decycle::incremental::InsertStream load_stream(const std::string& path) {
   if (path == "-") return decycle::incremental::read_stream(std::cin);
   std::ifstream in(path, std::ios::binary);
-  DECYCLE_CHECK_MSG(in.good(), "cannot open --replay file: " + path);
+  if (!in.good()) throw decycle::util::CheckError("cannot open --replay file: " + path);
   return decycle::incremental::read_stream(in);
 }
 
@@ -51,10 +51,12 @@ int generate(const decycle::util::Args& args) {
     incremental::write_stream(std::cout, stream);
   } else {
     std::ofstream out(out_path, std::ios::binary);
-    DECYCLE_CHECK_MSG(out.good(), "cannot open --out file: " + out_path);
+    if (!out.good()) throw util::CheckError("cannot open --out file: " + out_path);
     incremental::write_stream(out, stream);
     out.flush();
-    DECYCLE_CHECK_MSG(out.good(), "failed writing --out file (disk full?): " + out_path);
+    if (!out.good()) {
+      throw util::CheckError("failed writing --out file (disk full?): " + out_path);
+    }
   }
   std::cerr << "decycle_incr: generated n=" << stream.n << " inserts=" << stream.inserts.size()
             << " seed=" << stream.seed << "\n";

@@ -89,10 +89,12 @@ int run(const decycle::util::Args& args) {
     std::cout << doc;
   } else {
     std::ofstream out(out_path, std::ios::binary);
-    DECYCLE_CHECK_MSG(out.good(), "cannot open --out file: " + out_path);
+    if (!out.good()) throw util::CheckError("cannot open --out file: " + out_path);
     out << doc;
     out.flush();
-    DECYCLE_CHECK_MSG(out.good(), "failed writing --out file (disk full?): " + out_path);
+    if (!out.good()) {
+      throw util::CheckError("failed writing --out file (disk full?): " + out_path);
+    }
   }
   return 0;
 }

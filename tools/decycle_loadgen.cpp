@@ -55,12 +55,16 @@ class SocketClient final : public decycle::serve::Client {
   explicit SocketClient(const std::string& path) {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    DECYCLE_CHECK_MSG(path.size() < sizeof(addr.sun_path), "--socket path too long");
+    if (path.size() >= sizeof(addr.sun_path)) {
+      throw decycle::util::CheckError("--socket path too long");
+    }
     std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
     fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    DECYCLE_CHECK_MSG(fd_ >= 0, "socket() failed");
-    DECYCLE_CHECK_MSG(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0,
-                      "connect() failed on " + path + " (is decycle_serve running?)");
+    if (fd_ < 0) throw decycle::util::CheckError("socket() failed");
+    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+      throw decycle::util::CheckError("connect() failed on " + path +
+                                      " (is decycle_serve running?)");
+    }
   }
 
   ~SocketClient() override {
@@ -72,18 +76,19 @@ class SocketClient final : public decycle::serve::Client {
     std::size_t sent = 0;
     while (sent < frame.size()) {
       const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
-      DECYCLE_CHECK_MSG(n > 0, "send() failed (daemon gone?)");
+      if (n <= 0) throw decycle::util::CheckError("send() failed (daemon gone?)");
       sent += static_cast<std::size_t>(n);
     }
     for (;;) {
       std::string reply;
       const auto status = reader_.next(reply);
       if (status == decycle::serve::FrameReader::Status::kFrame) return reply;
-      DECYCLE_CHECK_MSG(status == decycle::serve::FrameReader::Status::kNeedMore,
-                        "garbled reply stream: " + reader_.error());
+      if (status != decycle::serve::FrameReader::Status::kNeedMore) {
+        throw decycle::util::CheckError("garbled reply stream: " + reader_.error());
+      }
       char buf[4096];
       const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      DECYCLE_CHECK_MSG(n > 0, "connection closed mid-reply");
+      if (n <= 0) throw decycle::util::CheckError("connection closed mid-reply");
       reader_.feed(std::string_view(buf, static_cast<std::size_t>(n)));
     }
   }
@@ -152,7 +157,7 @@ void write_report(const decycle::serve::LoadgenReport& report, const std::string
   std::cout << jsonl;
   if (!out_path.empty()) {
     std::ofstream out(out_path, std::ios::binary);
-    DECYCLE_CHECK_MSG(out.good(), "cannot open --out file: " + out_path);
+    if (!out.good()) throw decycle::util::CheckError("cannot open --out file: " + out_path);
     out << jsonl;
   }
 }

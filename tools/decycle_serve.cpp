@@ -116,17 +116,18 @@ int run(const decycle::util::Args& args) {
 
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  DECYCLE_CHECK_MSG(socket_path.size() < sizeof(addr.sun_path),
-                    "--socket path too long for sockaddr_un");
+  if (socket_path.size() >= sizeof(addr.sun_path)) {
+    throw util::CheckError("--socket path too long for sockaddr_un");
+  }
   std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
 
   const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  DECYCLE_CHECK_MSG(listen_fd >= 0, "socket() failed");
+  if (listen_fd < 0) throw util::CheckError("socket() failed");
   ::unlink(socket_path.c_str());
-  DECYCLE_CHECK_MSG(
-      ::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0,
-      "bind() failed on " + socket_path);
-  DECYCLE_CHECK_MSG(::listen(listen_fd, 64) == 0, "listen() failed");
+  if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    throw util::CheckError("bind() failed on " + socket_path);
+  }
+  if (::listen(listen_fd, 64) != 0) throw util::CheckError("listen() failed");
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
@@ -172,7 +173,7 @@ int run(const decycle::util::Args& args) {
   const std::string stats = server.stats_jsonl();
   if (!stats_out.empty()) {
     std::ofstream out(stats_out, std::ios::binary);
-    DECYCLE_CHECK_MSG(out.good(), "cannot open --stats-out file: " + stats_out);
+    if (!out.good()) throw util::CheckError("cannot open --stats-out file: " + stats_out);
     out << stats;
   }
   std::cerr << stats;

@@ -49,7 +49,7 @@ namespace {
 int replay(const std::string& path) {
   using namespace decycle::soak;
   std::ifstream in(path, std::ios::binary);
-  DECYCLE_CHECK_MSG(in.good(), "cannot open --repro file: " + path);
+  if (!in.good()) throw decycle::util::CheckError("cannot open --repro file: " + path);
   const ReproCase repro = read_repro(in);
   const ReplayResult result = replay_repro(repro);
   std::cout << "repro: contract=" << contract_name(repro.contract)
@@ -102,10 +102,12 @@ int run(const decycle::util::Args& args) {
     std::cout << summary.jsonl;
   } else {
     std::ofstream out(out_path, std::ios::binary);
-    DECYCLE_CHECK_MSG(out.good(), "cannot open --out file: " + out_path);
+    if (!out.good()) throw util::CheckError("cannot open --out file: " + out_path);
     out << summary.jsonl;
     out.flush();
-    DECYCLE_CHECK_MSG(out.good(), "failed writing --out file (disk full?): " + out_path);
+    if (!out.good()) {
+      throw util::CheckError("failed writing --out file (disk full?): " + out_path);
+    }
   }
 
   std::cerr << "decycle_soak --contract=" << soak::contract_name(opts.contract) << ": "
