@@ -13,30 +13,29 @@
 ///     memoized reply bodies — the cost of asking an answered question.
 ///     Swept over server worker counts {1, 4, 8}; every sweep's reply
 ///     multiset (commutative FNV fold) must agree with workers=1, and the
-///     server's own ServeStats supplies p50/p95/p99.
+///     server's own ServeStats supplies p50/p95/p99. A worker count above
+///     the machine's hardware threads still runs and is cross-checked, but
+///     its timings are not reported.
 ///
 /// Full-mode acceptance (skipped under --smoke): the hit path at n=10k,
 /// 8 workers must sustain >= 50k queries/sec with p99 < 5 ms.
 ///
-/// Writes BENCH_serve.json (override with --out=PATH); --smoke shrinks to
-/// n=10k and small query counts for CI.
-#include <chrono>
+/// Writes BENCH_serve.json (override with --out=PATH; bench_common.hpp);
+/// --smoke shrinks to n=10k and small query counts for CI.
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "serve/server.hpp"
 #include "serve/stats.hpp"
 #include "util/cli.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
 using namespace decycle;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 std::uint64_t fnv1a(std::string_view s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -60,13 +59,10 @@ serve::ServerOptions server_options(std::size_t workers) {
   return options;
 }
 
-void create_bench_tenant(serve::Server& server, graph::Vertex n, bool& ok) {
+void create_bench_tenant(serve::Server& server, graph::Vertex n, harness::ClaimSet& claims) {
   const std::string reply =
       server.call("create tenant=bench n=" + std::to_string(n) + " family=cycle k=5 seed=7");
-  if (!serve::is_ok(reply)) {
-    std::fprintf(stderr, "FAILED: create: %s\n", reply.c_str());
-    ok = false;
-  }
+  claims.check("create answered OK: " + reply, serve::is_ok(reply));
 }
 
 struct HitRow {
@@ -88,18 +84,13 @@ struct SizeRow {
   std::vector<HitRow> hits;
 };
 
-bool check(bool okay, const char* what) {
-  if (!okay) std::fprintf(stderr, "FAILED: %s\n", what);
-  return okay;
-}
-
 }  // namespace
 
 int run(const util::Args& args) {
   const bool smoke = args.get_bool("smoke", false);
   const std::string out_path = args.get_string("out", "BENCH_serve.json");
   args.reject_unknown();
-  bool ok = true;
+  harness::ClaimSet claims("m10_serve_micro");
 
   const std::vector<graph::Vertex> sizes = smoke ? std::vector<graph::Vertex>{10'000}
                                                  : std::vector<graph::Vertex>{10'000, 100'000};
@@ -111,6 +102,7 @@ int run(const util::Args& args) {
   for (const graph::Vertex n : sizes) {
     SizeRow row;
     row.n = n;
+    const std::string at = "n=" + std::to_string(n);
     row.distinct = distinct;
     row.miss_queries = smoke ? 8 : (n >= 100'000 ? 16 : 64);
     // Total hit-path queries across clients: large enough that queueing and
@@ -121,20 +113,19 @@ int run(const util::Args& args) {
     {
       serve::Server server(server_options(8));
       server.start();
-      create_bench_tenant(server, n, ok);
+      create_bench_tenant(server, n, claims);
       (void)server.call(query_payload(999'999));  // warm the engine session
-      const auto t0 = std::chrono::steady_clock::now();
+      std::string failed;  ///< the first reply that was not OK
+      const util::WallTimer timer;
       for (std::size_t q = 0; q < row.miss_queries; ++q) {
         const std::string reply = server.call(query_payload(1'000 + q));
-        if (!serve::is_ok(reply)) {
-          std::fprintf(stderr, "FAILED: miss query: %s\n", reply.c_str());
-          ok = false;
-        }
+        if (!serve::is_ok(reply) && failed.empty()) failed = reply;
       }
-      row.miss_ms_per_query =
-          seconds_since(t0) * 1e3 / static_cast<double>(row.miss_queries);
+      row.miss_ms_per_query = timer.millis() / static_cast<double>(row.miss_queries);
+      claims.check(at + ": every miss query answered OK" + (failed.empty() ? "" : ": " + failed),
+                   failed.empty());
       const serve::Server::CacheStats cache = server.verdict_cache_stats();
-      ok &= check(cache.hits == 0, "miss phase saw a verdict-cache hit");
+      claims.check(at + ": miss phase sees no verdict-cache hit", cache.hits == 0);
       server.stop();
     }
 
@@ -142,12 +133,12 @@ int run(const util::Args& args) {
     for (const std::size_t workers : worker_counts) {
       serve::Server server(server_options(workers));
       server.start();
-      create_bench_tenant(server, n, ok);
+      create_bench_tenant(server, n, claims);
       for (std::size_t q = 0; q < distinct; ++q) (void)server.call(query_payload(q));
 
       const std::size_t per_thread = row.hit_queries / client_threads;
       std::vector<std::uint64_t> folds(client_threads, 0);
-      const auto t0 = std::chrono::steady_clock::now();
+      const util::WallTimer timer;
       {
         std::vector<std::thread> clients;
         clients.reserve(client_threads);
@@ -166,7 +157,7 @@ int run(const util::Args& args) {
       }
       HitRow hit;
       hit.workers = workers;
-      hit.seconds = seconds_since(t0);
+      hit.seconds = timer.seconds();
       hit.qps = hit.seconds > 0
                     ? static_cast<double>(per_thread * client_threads) / hit.seconds
                     : 0;
@@ -175,18 +166,25 @@ int run(const util::Args& args) {
       hit.p50_ms = snap.p50_ms;
       hit.p95_ms = snap.p95_ms;
       hit.p99_ms = snap.p99_ms;
-      ok &= check(server.stats().queue().shed_total == 0, "hit phase shed requests");
+      claims.check(at + ": workers=" + std::to_string(workers) + " hit phase sheds nothing",
+                   server.stats().queue().shed_total == 0);
       server.stop();
       row.hits.push_back(hit);
     }
     for (const HitRow& hit : row.hits) {
-      ok &= check(hit.multiset == row.hits.front().multiset,
-                  "reply multiset differs across worker counts");
+      claims.check(at + ": workers=" + std::to_string(hit.workers) +
+                       " reply multiset equals workers=1",
+                   hit.multiset == row.hits.front().multiset);
     }
 
     rows.push_back(row);
     std::printf("n=%-8u miss %8.3f ms/q\n", row.n, row.miss_ms_per_query);
     for (const HitRow& hit : row.hits) {
+      if (!bench::timed(hit.workers)) {
+        std::printf("  cached workers=%zu  (untimed: over %u hardware threads)\n", hit.workers,
+                    bench::hardware_threads());
+        continue;
+      }
       std::printf("  cached workers=%zu  %9.1f q/s  p50 %6.3f ms  p95 %6.3f ms  p99 %6.3f ms\n",
                   hit.workers, hit.qps, hit.p50_ms, hit.p95_ms, hit.p99_ms);
     }
@@ -199,45 +197,36 @@ int run(const util::Args& args) {
       if (row.n != 10'000) continue;
       for (const HitRow& hit : row.hits) {
         if (hit.workers != 8) continue;
-        ok &= check(hit.qps >= 50'000.0, "cached 10k serving under 50k queries/sec");
-        ok &= check(hit.p99_ms < 5.0, "cached 10k serving p99 >= 5 ms");
+        claims.check("cached 10k serving at 8 workers >= 50k queries/sec", hit.qps >= 50'000.0);
+        claims.check("cached 10k serving at 8 workers has p99 < 5 ms", hit.p99_ms < 5.0);
       }
     }
   }
 
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"m10_serve_micro\",\n  \"smoke\": %s,\n",
-                 smoke ? "true" : "false");
-    std::fprintf(f, "  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"workload\": \"edge_checker k=5 on family=cycle, %zu client threads\",\n",
-                 client_threads);
-    std::fprintf(f, "  \"sizes\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const SizeRow& r = rows[i];
-      std::fprintf(f,
-                   "    {\"n\": %u, \"miss_queries\": %zu, \"miss_ms_per_query\": %.4f,\n"
-                   "     \"hit_queries\": %zu, \"distinct\": %zu,\n     \"cached\": [",
-                   r.n, r.miss_queries, r.miss_ms_per_query, r.hit_queries, r.distinct);
-      for (std::size_t j = 0; j < r.hits.size(); ++j) {
-        const HitRow& h = r.hits[j];
-        std::fprintf(f,
-                     "%s\n       {\"workers\": %zu, \"seconds\": %.6f, "
-                     "\"queries_per_sec\": %.1f, \"p50_ms\": %.4f, \"p95_ms\": %.4f, "
-                     "\"p99_ms\": %.4f}",
-                     j == 0 ? "" : ",", h.workers, h.seconds, h.qps, h.p50_ms, h.p95_ms,
-                     h.p99_ms);
+  bench::BenchFile file("m10_serve_micro", smoke);
+  file.field("workload", "edge_checker k=5 on family=cycle, " + std::to_string(client_threads) +
+                             " client threads");
+  file.rows("sizes", rows, [](lab::JsonWriter& w, const SizeRow& r) {
+    w.field("n", r.n)
+        .field("miss_queries", r.miss_queries)
+        .field("miss_ms_per_query", r.miss_ms_per_query)
+        .field("hit_queries", r.hit_queries)
+        .field("distinct", r.distinct);
+    w.key("cached").begin_array();
+    for (const HitRow& h : r.hits) {
+      w.begin_object().field("workers", h.workers);
+      if (bench::timed(h.workers)) {
+        w.field("seconds", h.seconds)
+            .field("queries_per_sec", h.qps)
+            .field("p50_ms", h.p50_ms)
+            .field("p95_ms", h.p95_ms)
+            .field("p99_ms", h.p99_ms);
       }
-      std::fprintf(f, "\n     ]}%s\n", i + 1 == rows.size() ? "" : ",");
+      w.end_object();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "FAILED: cannot open %s for writing\n", out_path.c_str());
-    ok = false;
-  }
-
-  return ok ? 0 : 1;
+    w.end_array();
+  });
+  return file.write(out_path, claims);
 }
 
 int main(int argc, char** argv) {

@@ -16,22 +16,22 @@
 ///
 /// Every run is single-threaded: a simulation runs on the thread that calls
 /// it. Writes machine-readable before/after numbers to BENCH_simulator.json
-/// (override with --out=PATH), with the machine they ran on, and asserts
-/// that steady-state arena rounds perform zero heap allocations (the process
+/// (override with --out=PATH; bench_common.hpp), and asserts that
+/// steady-state arena rounds perform zero heap allocations (the process
 /// exits 1 if either the zero-allocation invariant or cross-mode stats
 /// equality is violated). --smoke shrinks every instance for CI.
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "congest/simulator.hpp"
 #include "graph/generators.hpp"
 #include "support/alloc_probe.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -162,11 +162,11 @@ Measurement measure(const graph::Graph& g, const graph::IdAssignment& ids,
     std::unique_ptr<Simulator> fresh;
     if (!rerunnable) fresh = std::make_unique<Simulator>(g, ids, factory);
     Simulator& sim = rerunnable ? *shared : *fresh;
-    const auto start = std::chrono::steady_clock::now();
+    const util::WallTimer timer;
     const congest::RunStats stats = run(sim);
-    const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - start;
-    if (rep == 0 || dt.count() < best.seconds) {
-      best.seconds = dt.count();
+    const double dt = timer.seconds();
+    if (rep == 0 || dt < best.seconds) {
+      best.seconds = dt;
       best.messages = stats.total_messages;
       best.rounds = stats.rounds_executed;
     }
@@ -174,9 +174,15 @@ Measurement measure(const graph::Graph& g, const graph::IdAssignment& ids,
   return best;
 }
 
-bool check(bool ok, const char* what) {
-  if (!ok) std::fprintf(stderr, "FAILED: %s\n", what);
-  return ok;
+/// One side of a scenario row: "before" (legacy) or "after" (arena).
+void write_side(lab::JsonWriter& w, const char* mode, const Measurement& m) {
+  w.begin_object()
+      .field("mode", mode)
+      .field("seconds", m.seconds)
+      .field("messages", m.messages)
+      .field("rounds", m.rounds)
+      .field("msgs_per_sec", m.msgs_per_sec())
+      .end_object();
 }
 
 }  // namespace
@@ -186,7 +192,7 @@ int run(const util::Args& args) {
   const std::string out_path = args.get_string("out", "BENCH_simulator.json");
   args.reject_unknown();
   const int reps = smoke ? 1 : 3;
-  bool ok = true;
+  harness::ClaimSet claims("m2_simulator_micro");
 
   std::vector<Scenario> scenarios;
 
@@ -206,8 +212,8 @@ int run(const util::Args& args) {
     s.edges = g.num_edges();
     s.legacy = measure(g, ids, factory, kReference, reps, /*rerunnable=*/true);
     s.arena = measure(g, ids, factory, kRun, reps, /*rerunnable=*/true);
-    ok &= check(s.legacy.messages == s.arena.messages && s.legacy.rounds == s.arena.rounds,
-                "dense: legacy and arena disagree on totals");
+    claims.check("dense: legacy and arena agree on totals",
+                 s.legacy.messages == s.arena.messages && s.legacy.rounds == s.arena.rounds);
     scenarios.push_back(s);
   }
 
@@ -224,8 +230,8 @@ int run(const util::Args& args) {
     s.edges = g.num_edges();
     s.legacy = measure(g, ids, factory, kReference, reps, /*rerunnable=*/false);
     s.arena = measure(g, ids, factory, kRun, reps, /*rerunnable=*/false);
-    ok &= check(s.legacy.messages == s.arena.messages && s.legacy.rounds == s.arena.rounds,
-                "floodmax: legacy and arena disagree on totals");
+    claims.check("floodmax: legacy and arena agree on totals",
+                 s.legacy.messages == s.arena.messages && s.legacy.rounds == s.arena.rounds);
     scenarios.push_back(s);
   }
 
@@ -244,8 +250,8 @@ int run(const util::Args& args) {
     s.edges = g.num_edges();
     s.legacy = measure(g, ids, factory, kReference, reps, /*rerunnable=*/true);
     s.arena = measure(g, ids, factory, kRun, reps, /*rerunnable=*/true);
-    ok &= check(s.legacy.messages == s.arena.messages && s.legacy.rounds == s.arena.rounds,
-                "ring: legacy and arena disagree on totals");
+    claims.check("ring: legacy and arena agree on totals",
+                 s.legacy.messages == s.arena.messages && s.legacy.rounds == s.arena.rounds);
     scenarios.push_back(s);
   }
 
@@ -266,7 +272,7 @@ int run(const util::Args& args) {
     const congest::RunStats stats = sim.run();
     steady_allocs = decycle::testsupport::allocation_count() - before;
     steady_rounds = stats.rounds_executed;
-    ok &= check(steady_allocs == 0, "steady-state arena run performed heap allocations");
+    claims.check("steady-state arena run performs no heap allocation", steady_allocs == 0);
   }
 
   // --- Report. ---
@@ -281,49 +287,22 @@ int run(const util::Args& args) {
               static_cast<unsigned long long>(steady_allocs),
               static_cast<unsigned long long>(steady_rounds));
 
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"m2_simulator_micro\",\n  \"smoke\": %s,\n",
-                 smoke ? "true" : "false");
-    std::fprintf(f,
-                 "  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
-                 "  \"git_sha\": \"%s\",\n",
-                 std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
-                 DECYCLE_BENCH_GIT_SHA);
-    std::fprintf(f, "  \"baseline\": \"legacy delivery (pre-arena loop)\",\n");
-    std::fprintf(f, "  \"scenarios\": [\n");
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      const Scenario& s = scenarios[i];
-      const bool last = i + 1 == scenarios.size();
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"n\": %u, \"edges\": %zu,\n"
-                   "     \"before\": {\"mode\": \"legacy\", \"seconds\": %.6f, "
-                   "\"messages\": %llu, \"rounds\": %llu, \"msgs_per_sec\": %.1f},\n"
-                   "     \"after\":  {\"mode\": \"arena\", \"seconds\": %.6f, "
-                   "\"messages\": %llu, \"rounds\": %llu, \"msgs_per_sec\": %.1f},\n"
-                   "     \"speedup\": %.3f}%s\n",
-                   s.name.c_str(), s.n, s.edges, s.legacy.seconds,
-                   static_cast<unsigned long long>(s.legacy.messages),
-                   static_cast<unsigned long long>(s.legacy.rounds),
-                   s.legacy.msgs_per_sec(), s.arena.seconds,
-                   static_cast<unsigned long long>(s.arena.messages),
-                   static_cast<unsigned long long>(s.arena.rounds), s.arena.msgs_per_sec(),
-                   s.speedup(), last ? "" : ",");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"zero_alloc\": {\"verified\": %s, \"steady_rounds\": %llu, "
-                 "\"allocations\": %llu}\n}\n",
-                 steady_allocs == 0 ? "true" : "false",
-                 static_cast<unsigned long long>(steady_rounds),
-                 static_cast<unsigned long long>(steady_allocs));
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "FAILED: cannot open %s for writing\n", out_path.c_str());
-    ok = false;
-  }
-
-  return ok ? 0 : 1;
+  bench::BenchFile file("m2_simulator_micro", smoke);
+  file.field("baseline", "legacy delivery (pre-arena loop)");
+  file.rows("scenarios", scenarios, [](lab::JsonWriter& w, const Scenario& s) {
+    w.field("name", s.name).field("n", s.n).field("edges", s.edges);
+    w.key("before");
+    write_side(w, "legacy", s.legacy);
+    w.key("after");
+    write_side(w, "arena", s.arena);
+    w.field("speedup", s.speedup());
+  });
+  file.object("zero_alloc", [&](lab::JsonWriter& w) {
+    w.field("verified", steady_allocs == 0)
+        .field("steady_rounds", steady_rounds)
+        .field("allocations", steady_allocs);
+  });
+  return file.write(out_path, claims);
 }
 
 int main(int argc, char** argv) {

@@ -15,17 +15,16 @@
 ///     threshold family's single sweep trades per-round congestion
 ///     (bounded by budget × track) for a 60-70× round reduction.
 ///
-/// Writes BENCH_threshold.json (override with --out=PATH) with the machine
-/// it ran on (hardware threads, build type, git revision); --smoke shrinks
-/// trial counts and sizes for CI. Exit code 1 if the threshold family ever
-/// rejects a provably Ck-free instance (soundness is asserted, not hoped).
-#include <chrono>
+/// Writes BENCH_threshold.json (override with --out=PATH; bench_common.hpp);
+/// --smoke shrinks trial counts and sizes for CI. Exit code 1 if either
+/// algorithm ever rejects a provably Ck-free instance (soundness is
+/// asserted, not hoped).
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/detector.hpp"
 #include "engine/lanes.hpp"
 #include "graph/far_generators.hpp"
@@ -33,6 +32,7 @@
 #include "graph/ids.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -53,6 +53,8 @@ struct Workload {
   graph::Graph graph;
   unsigned k = 5;
   std::size_t trials = 0;
+  AlgoResult tester;     ///< filled by run()
+  AlgoResult threshold;  ///< filled by run()
 };
 
 /// Runs \p w's trials through \p detector on one reused simulator, with the
@@ -62,7 +64,7 @@ AlgoResult run_detector(std::string_view detector, const Workload& w,
   const core::Detector& d = core::DetectorRegistry::builtin().require(detector);
   AlgoResult out;
   congest::Simulator sim(w.graph, ids);
-  const auto start = std::chrono::steady_clock::now();
+  const util::WallTimer timer;
   for (std::size_t t = 0; t < w.trials; ++t) {
     core::DetectorOptions opt;
     opt.k = w.k;
@@ -75,23 +77,35 @@ AlgoResult run_detector(std::string_view detector, const Workload& w,
     out.bits_total += v.stats.total_bits;
     out.max_link_bits = std::max(out.max_link_bits, v.stats.max_link_bits);
   }
-  out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  out.seconds = timer.seconds();
   return out;
 }
 
-std::string algo_json(const char* mode, const AlgoResult& r, std::size_t trials) {
-  char line[512];
-  std::snprintf(line, sizeof(line),
-                "{\"mode\": \"%s\", \"seconds\": %.6f, \"detection_rate\": %.4f, "
-                "\"rounds_mean\": %.2f, \"messages_total\": %llu, \"bits_total\": %llu, "
-                "\"max_link_bits\": %llu}",
-                mode, r.seconds,
-                trials ? static_cast<double>(r.detections) / static_cast<double>(trials) : 0.0,
-                trials ? static_cast<double>(r.rounds_total) / static_cast<double>(trials) : 0.0,
-                static_cast<unsigned long long>(r.messages_total),
-                static_cast<unsigned long long>(r.bits_total),
-                static_cast<unsigned long long>(r.max_link_bits));
-  return line;
+double per_trial(std::uint64_t total, std::size_t trials) {
+  return trials ? static_cast<double>(total) / static_cast<double>(trials) : 0.0;
+}
+
+double time_speedup(const Workload& w) {
+  return w.threshold.seconds > 0 ? w.tester.seconds / w.threshold.seconds : 0.0;
+}
+
+double round_reduction(const Workload& w) {
+  return w.threshold.rounds_total > 0 ? static_cast<double>(w.tester.rounds_total) /
+                                            static_cast<double>(w.threshold.rounds_total)
+                                      : 0.0;
+}
+
+/// One algorithm's half of a workload row.
+void write_algo(lab::JsonWriter& w, const char* mode, const AlgoResult& r, std::size_t trials) {
+  w.begin_object()
+      .field("mode", mode)
+      .field("seconds", r.seconds)
+      .field("detection_rate", per_trial(r.detections, trials))
+      .field("rounds_mean", per_trial(r.rounds_total, trials))
+      .field("messages_total", r.messages_total)
+      .field("bits_total", r.bits_total)
+      .field("max_link_bits", r.max_link_bits)
+      .end_object();
 }
 
 }  // namespace
@@ -131,68 +145,38 @@ int run(const decycle::util::Args& args) {
     workloads.push_back(std::move(w));
   }
 
-  std::string doc = "{\n  \"bench\": \"m5_threshold_micro\",\n  \"smoke\": ";
-  doc += smoke ? "true" : "false";
-  char machine[256];
-  std::snprintf(machine, sizeof(machine),
-                ",\n  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
-                "  \"git_sha\": \"%s\"",
-                std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
-                DECYCLE_BENCH_GIT_SHA);
-  doc += machine;
-  doc += ",\n  \"baseline\": \"FO17 amplified tester (eps=0.125)\",\n"
-         "  \"contender\": \"threshold family (budget=16, track=8, 1 sweep)\",\n"
-         "  \"workloads\": [\n";
-
-  bool ok = true;
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    const Workload& w = workloads[i];
+  harness::ClaimSet claims("m5_threshold_micro");
+  for (Workload& w : workloads) {
     const graph::IdAssignment ids = graph::IdAssignment::identity(w.graph.num_vertices());
-    const AlgoResult tester = run_detector("tester", w, ids);
-    const AlgoResult thresh = run_detector("threshold", w, ids);
-    if (w.ck_free && (tester.detections != 0 || thresh.detections != 0)) {
-      std::fprintf(stderr, "FAIL: %s — rejection on a Ck-free workload\n", w.name);
-      ok = false;
+    w.tester = run_detector("tester", w, ids);
+    w.threshold = run_detector("threshold", w, ids);
+    if (w.ck_free) {
+      claims.check(std::string(w.name) + ": no rejection on a Ck-free workload",
+                   w.tester.detections == 0 && w.threshold.detections == 0);
     }
-    const double speedup = thresh.seconds > 0 ? tester.seconds / thresh.seconds : 0.0;
-    const double round_cut =
-        thresh.rounds_total > 0
-            ? static_cast<double>(tester.rounds_total) / static_cast<double>(thresh.rounds_total)
-            : 0.0;
-    char head[384];
-    std::snprintf(head, sizeof(head),
-                  "    {\"name\": \"%s\", \"vertices\": %llu, \"edges\": %llu, \"k\": %u, "
-                  "\"trials\": %llu,\n",
-                  w.name, static_cast<unsigned long long>(w.graph.num_vertices()),
-                  static_cast<unsigned long long>(w.graph.num_edges()), w.k,
-                  static_cast<unsigned long long>(w.trials));
-    doc += head;
-    doc += "     \"tester\": " + algo_json("fo17_tester", tester, w.trials) + ",\n";
-    doc += "     \"threshold\": " + algo_json("threshold_sweep", thresh, w.trials) + ",\n";
-    char tail[160];
-    std::snprintf(tail, sizeof(tail),
-                  "     \"time_speedup\": %.3f, \"round_reduction\": %.1f}%s\n", speedup,
-                  round_cut, i + 1 < workloads.size() ? "," : "");
-    doc += tail;
     std::printf("%-14s tester %.3fs (det %.2f)  threshold %.3fs (det %.2f)  speedup %.2fx  "
                 "rounds %.0fx\n",
-                w.name, tester.seconds,
-                static_cast<double>(tester.detections) / static_cast<double>(w.trials),
-                thresh.seconds,
-                static_cast<double>(thresh.detections) / static_cast<double>(w.trials), speedup,
-                round_cut);
+                w.name, w.tester.seconds, per_trial(w.tester.detections, w.trials),
+                w.threshold.seconds, per_trial(w.threshold.detections, w.trials),
+                time_speedup(w), round_reduction(w));
   }
-  doc += "  ]\n}\n";
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fputs(doc.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return ok ? 0 : 1;
+  bench::BenchFile file("m5_threshold_micro", smoke);
+  file.field("baseline", "FO17 amplified tester (eps=0.125)");
+  file.field("contender", "threshold family (budget=16, track=8, 1 sweep)");
+  file.rows("workloads", workloads, [](lab::JsonWriter& w, const Workload& wl) {
+    w.field("name", wl.name)
+        .field("vertices", wl.graph.num_vertices())
+        .field("edges", wl.graph.num_edges())
+        .field("k", wl.k)
+        .field("trials", wl.trials);
+    w.key("tester");
+    write_algo(w, "fo17_tester", wl.tester, wl.trials);
+    w.key("threshold");
+    write_algo(w, "threshold_sweep", wl.threshold, wl.trials);
+    w.field("time_speedup", time_speedup(wl)).field("round_reduction", round_reduction(wl));
+  });
+  return file.write(out_path, claims);
 }
 
 int main(int argc, char** argv) {

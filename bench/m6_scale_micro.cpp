@@ -13,21 +13,20 @@
 ///     at n ∈ {10k, 100k, 1M, 4M} on one thread (a simulation runs on the
 ///     thread that calls it), totals cross-checked across repetitions.
 ///
-/// Writes BENCH_scale.json (override with --out=PATH) with the machine it
-/// ran on (hardware threads, build type, git revision). --smoke shrinks to
-/// {10k, 50k} for CI. Exits 1 on any cross-check failure.
-#include <chrono>
+/// Writes BENCH_scale.json (override with --out=PATH; bench_common.hpp).
+/// --smoke shrinks to {10k, 50k} for CI. Exits 1 on any cross-check failure.
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "congest/simulator.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "util/cli.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -57,16 +56,14 @@ class Broadcast final : public congest::NodeProgram {
   std::uint64_t horizon_;
 };
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
 struct BuildRow {
   graph::Vertex n = 0;
   std::size_t edges = 0;
   double sorted_s = 0;     ///< Graph::from_edges (sort + dedup)
   double streaming_s = 0;  ///< Graph::from_ordered_edges
   std::size_t adjacency_entries = 0;
+
+  [[nodiscard]] double speedup() const { return streaming_s > 0 ? sorted_s / streaming_s : 0.0; }
 };
 
 struct DeliveryRow {
@@ -79,18 +76,13 @@ struct DeliveryRow {
   double msgs_per_sec = 0;
 };
 
-bool check(bool okay, const char* what) {
-  if (!okay) std::fprintf(stderr, "FAILED: %s\n", what);
-  return okay;
-}
-
 }  // namespace
 
 int run(const util::Args& args) {
   const bool smoke = args.get_bool("smoke", false);
   const std::string out_path = args.get_string("out", "BENCH_scale.json");
   args.reject_unknown();
-  bool ok = true;
+  harness::ClaimSet claims("m6_scale_micro");
   constexpr std::uint32_t kHalfDegree = 4;  // C_n(1..4): 8-regular
 
   const std::vector<graph::Vertex> sizes =
@@ -107,25 +99,25 @@ int run(const util::Args& args) {
       // its order — it pays the sort + dedup the streaming build skips.
       const graph::Graph ordered = graph::circulant(n, kHalfDegree);
       const std::vector<graph::Edge> edge_copy(ordered.edges().begin(), ordered.edges().end());
-      const auto t0 = std::chrono::steady_clock::now();
+      const util::WallTimer timer;
       const graph::Graph sorted_build = graph::Graph::from_edges(n, edge_copy);
-      row.sorted_s = seconds_since(t0);
+      row.sorted_s = timer.seconds();
       row.edges = sorted_build.num_edges();
     }
     {
-      const auto t0 = std::chrono::steady_clock::now();
+      const util::WallTimer timer;
       const graph::Graph g = graph::circulant(n, kHalfDegree);
-      row.streaming_s = seconds_since(t0);
+      row.streaming_s = timer.seconds();
       row.adjacency_entries = 2 * g.num_edges();
-      ok &= check(g.num_edges() == std::size_t{n} * kHalfDegree, "circulant edge count");
-      ok &= check(g.has_edge(0, 1) && g.has_edge(0, n - 1) && !g.has_edge(0, n / 2),
-                  "membership spot checks");
+      const std::string at = " at n=" + std::to_string(n);
+      claims.check("circulant edge count" + at, g.num_edges() == std::size_t{n} * kHalfDegree);
+      claims.check("membership spot checks" + at,
+                   g.has_edge(0, 1) && g.has_edge(0, n - 1) && !g.has_edge(0, n / 2));
     }
     builds.push_back(row);
     std::printf("build n=%-9u edges=%-9zu sorted=%7.3fs streaming=%7.3fs (%.2fx)  "
                 "%zu adjacency entries\n",
-                row.n, row.edges, row.sorted_s, row.streaming_s,
-                row.streaming_s > 0 ? row.sorted_s / row.streaming_s : 0.0,
+                row.n, row.edges, row.sorted_s, row.streaming_s, row.speedup(),
                 row.adjacency_entries);
   }
 
@@ -148,16 +140,16 @@ int run(const util::Args& args) {
     (void)sim.run();  // warm arenas / pools, untimed
     for (int rep = 0; rep < reps; ++rep) {
       sim.reset(factory);
-      const auto t0 = std::chrono::steady_clock::now();
+      const util::WallTimer timer;
       const congest::RunStats stats = sim.run();
-      const double dt = seconds_since(t0);
+      const double dt = timer.seconds();
       if (rep == 0 || dt < row.seconds) row.seconds = dt;
       if (rep == 0) {
         row.messages = stats.total_messages;
         row.rounds = stats.rounds_executed;
       }
-      ok &= check(stats.total_messages == row.messages && stats.rounds_executed == row.rounds,
-                  "repeated run disagrees on totals");
+      claims.check(row.name + ": repeated run agrees on totals",
+                   stats.total_messages == row.messages && stats.rounds_executed == row.rounds);
     }
     row.msgs_per_sec = row.seconds > 0 ? static_cast<double>(row.messages) / row.seconds : 0;
     std::printf("%-24s %8.4fs  %12.3e msg/s\n", row.name.c_str(), row.seconds,
@@ -165,45 +157,25 @@ int run(const util::Args& args) {
     deliveries.push_back(row);
   }
 
-  // --- JSON. ---
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"m6_scale_micro\",\n  \"smoke\": %s,\n",
-                 smoke ? "true" : "false");
-    std::fprintf(f,
-                 "  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
-                 "  \"git_sha\": \"%s\",\n",
-                 std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
-                 DECYCLE_BENCH_GIT_SHA);
-    std::fprintf(f, "  \"build\": [\n");
-    for (std::size_t i = 0; i < builds.size(); ++i) {
-      const BuildRow& b = builds[i];
-      std::fprintf(f,
-                   "    {\"n\": %u, \"edges\": %zu, \"sorted_build_s\": %.6f, "
-                   "\"streaming_build_s\": %.6f, \"build_speedup\": %.3f, "
-                   "\"adjacency_entries\": %zu}%s\n",
-                   b.n, b.edges, b.sorted_s, b.streaming_s,
-                   b.streaming_s > 0 ? b.sorted_s / b.streaming_s : 0.0, b.adjacency_entries,
-                   i + 1 == builds.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ],\n  \"delivery\": [\n");
-    for (std::size_t i = 0; i < deliveries.size(); ++i) {
-      const DeliveryRow& d = deliveries[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"n\": %u, \"degree\": %u, \"rounds\": %llu, "
-                   "\"messages\": %llu, \"seconds\": %.6f, \"msgs_per_sec\": %.1f}%s\n",
-                   d.name.c_str(), d.n, d.degree, static_cast<unsigned long long>(d.rounds),
-                   static_cast<unsigned long long>(d.messages), d.seconds, d.msgs_per_sec,
-                   i + 1 == deliveries.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "FAILED: cannot open %s for writing\n", out_path.c_str());
-    ok = false;
-  }
-
-  return ok ? 0 : 1;
+  bench::BenchFile file("m6_scale_micro", smoke);
+  file.rows("build", builds, [](lab::JsonWriter& w, const BuildRow& b) {
+    w.field("n", b.n)
+        .field("edges", b.edges)
+        .field("sorted_build_s", b.sorted_s)
+        .field("streaming_build_s", b.streaming_s)
+        .field("build_speedup", b.speedup())
+        .field("adjacency_entries", b.adjacency_entries);
+  });
+  file.rows("delivery", deliveries, [](lab::JsonWriter& w, const DeliveryRow& d) {
+    w.field("name", d.name)
+        .field("n", d.n)
+        .field("degree", d.degree)
+        .field("rounds", d.rounds)
+        .field("messages", d.messages)
+        .field("seconds", d.seconds)
+        .field("msgs_per_sec", d.msgs_per_sec);
+  });
+  return file.write(out_path, claims);
 }
 
 int main(int argc, char** argv) {

@@ -18,29 +18,25 @@
 ///   * adaptivity is real: the cycle-richest instance samples no more
 ///     vertices than the cycle-poorest, and strictly fewer than n.
 ///
-/// Writes BENCH_clique.json (override with --out=PATH) with the machine it
-/// ran on; --smoke shrinks n and the sweep for CI.
-#include <chrono>
+/// Writes BENCH_clique.json (override with --out=PATH; bench_common.hpp);
+/// --smoke shrinks n and the sweep for CI.
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/detector.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
 using namespace decycle;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 struct SweepRow {
   std::size_t cycles = 0;
@@ -57,11 +53,6 @@ struct SweepRow {
   double seconds = 0;  ///< best of the repetitions
 };
 
-bool check(bool okay, const char* what) {
-  if (!okay) std::fprintf(stderr, "FAILED: %s\n", what);
-  return okay;
-}
-
 const core::Detector& kDetector = core::DetectorRegistry::builtin().require("clique_hcycle");
 
 /// The named adaptivity counter of \p v.
@@ -75,7 +66,7 @@ int run(const util::Args& args) {
   const bool smoke = args.get_bool("smoke", false);
   const std::string out_path = args.get_string("out", "BENCH_clique.json");
   args.reject_unknown();
-  bool ok = true;
+  harness::ClaimSet claims("m7_clique_micro");
 
   constexpr unsigned kK = 5;
   const graph::Vertex target_n = smoke ? 512 : 4096;
@@ -108,9 +99,9 @@ int run(const util::Args& args) {
     opt.k = kK;
     opt.seed = 0xFA17;
     for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
+      const util::WallTimer timer;
       const core::Verdict v = kDetector.run_fresh(inst.graph, ids, opt);
-      const double dt = seconds_since(t0);
+      const double dt = timer.seconds();
       if (rep == 0 || dt < row.seconds) row.seconds = dt;
       if (rep == 0) {
         base = v;
@@ -123,13 +114,14 @@ int run(const util::Args& args) {
         row.rounds_saved = counter(v, "rounds_saved_total");
         row.early_exit = counter(v, "early_exit_trials") != 0;
       }
-      ok &= check(!v.accepted, "planted instance must be rejected");
-      ok &= check(v.accepted == base.accepted && v.witness == base.witness &&
-                      v.counters == base.counters &&
-                      v.stats.rounds_executed == base.stats.rounds_executed &&
-                      v.stats.total_messages == base.stats.total_messages &&
-                      v.stats.total_bits == base.stats.total_bits,
-                  "repeated run disagrees with the first run");
+      const std::string at = " (c=" + std::to_string(c) + ")";
+      claims.check("planted instance is rejected" + at, !v.accepted);
+      claims.check("repeated run agrees with the first run" + at,
+                   v.accepted == base.accepted && v.witness == base.witness &&
+                       v.counters == base.counters &&
+                       v.stats.rounds_executed == base.stats.rounds_executed &&
+                       v.stats.total_messages == base.stats.total_messages &&
+                       v.stats.total_bits == base.stats.total_bits);
     }
     std::printf("clique_hcycle c=%-4zu n=%-5u  %8.4fs  phases=%llu "
                 "sampled=%llu rounds=%llu saved=%llu\n",
@@ -146,47 +138,30 @@ int run(const util::Args& args) {
   if (rows.size() >= 2) {
     const SweepRow& poor = rows.front();
     const SweepRow& rich = rows.back();
-    ok &= check(rich.sampled_vertices <= poor.sampled_vertices,
-                "sampled vertices grew with cycle count");
-    ok &= check(rich.early_exit && rich.sampled_vertices < rich.n,
-                "cycle-rich instance did not exit early");
-    ok &= check(rich.bits <= poor.bits, "traffic grew with cycle count");
+    claims.check("sampled vertices do not grow with cycle count",
+                 rich.sampled_vertices <= poor.sampled_vertices);
+    claims.check("cycle-rich instance exits early",
+                 rich.early_exit && rich.sampled_vertices < rich.n);
+    claims.check("traffic does not grow with cycle count", rich.bits <= poor.bits);
   }
 
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"m7_clique_micro\",\n  \"smoke\": %s,\n",
-                 smoke ? "true" : "false");
-    std::fprintf(f,
-                 "  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
-                 "  \"git_sha\": \"%s\",\n  \"k\": %u,\n",
-                 std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
-                 DECYCLE_BENCH_GIT_SHA, kK);
-    std::fprintf(f, "  \"sweep\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const SweepRow& r = rows[i];
-      std::fprintf(f,
-                   "    {\"planted_cycles\": %zu, \"n\": %u, \"edges\": %zu, "
-                   "\"phases\": %llu, \"sampled_vertices\": %llu, \"sampled_edges\": %llu, "
-                   "\"rounds\": %llu, \"messages\": %llu, \"bits\": %llu, "
-                   "\"rounds_saved\": %llu, \"early_exit\": %s, \"seconds\": %.6f}%s\n",
-                   r.cycles, r.n, r.edges, static_cast<unsigned long long>(r.phases),
-                   static_cast<unsigned long long>(r.sampled_vertices),
-                   static_cast<unsigned long long>(r.sampled_edges),
-                   static_cast<unsigned long long>(r.rounds),
-                   static_cast<unsigned long long>(r.messages),
-                   static_cast<unsigned long long>(r.bits),
-                   static_cast<unsigned long long>(r.rounds_saved),
-                   r.early_exit ? "true" : "false", r.seconds, i + 1 == rows.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "FAILED: cannot open %s for writing\n", out_path.c_str());
-    ok = false;
-  }
-
-  return ok ? 0 : 1;
+  bench::BenchFile file("m7_clique_micro", smoke);
+  file.field("k", kK);
+  file.rows("sweep", rows, [](lab::JsonWriter& w, const SweepRow& r) {
+    w.field("planted_cycles", r.cycles)
+        .field("n", r.n)
+        .field("edges", r.edges)
+        .field("phases", r.phases)
+        .field("sampled_vertices", r.sampled_vertices)
+        .field("sampled_edges", r.sampled_edges)
+        .field("rounds", r.rounds)
+        .field("messages", r.messages)
+        .field("bits", r.bits)
+        .field("rounds_saved", r.rounds_saved)
+        .field("early_exit", r.early_exit)
+        .field("seconds", r.seconds);
+  });
+  return file.write(out_path, claims);
 }
 
 int main(int argc, char** argv) {

@@ -13,18 +13,18 @@
 ///     thread counts {1, 4, 8} vs the same queries one-at-a-time through
 ///     run_one: lane fan-out throughput, with every threaded batch's verdict
 ///     aggregates cross-checked against the single-threaded batch (the
-///     byte-identity contract) — any disagreement exits 1.
+///     byte-identity contract) — any disagreement exits 1. A thread count
+///     above the machine's hardware threads still runs and is cross-checked,
+///     but its timings are not reported.
 ///
-/// Writes BENCH_engine.json (override with --out=PATH) with the machine it
-/// ran on (hardware threads, build type, git revision); --smoke shrinks to
-/// {10k, 50k} and small batches for CI.
-#include <chrono>
+/// Writes BENCH_engine.json (override with --out=PATH; bench_common.hpp);
+/// --smoke shrinks to {10k, 50k} and small batches for CI.
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/detector.hpp"
 #include "engine/engine.hpp"
 #include "engine/lanes.hpp"
@@ -33,14 +33,11 @@
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
 using namespace decycle;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 /// Order-independent fold of everything a verdict says — equal folds across
 /// thread counts is the cross-check (order-dependence would hide a slot
@@ -101,18 +98,13 @@ struct SizeRow {
   std::vector<ThreadRow> batch;
 };
 
-bool check(bool okay, const char* what) {
-  if (!okay) std::fprintf(stderr, "FAILED: %s\n", what);
-  return okay;
-}
-
 }  // namespace
 
 int run(const util::Args& args) {
   const bool smoke = args.get_bool("smoke", false);
   const std::string out_path = args.get_string("out", "BENCH_engine.json");
   args.reject_unknown();
-  bool ok = true;
+  harness::ClaimSet claims("m8_engine_micro");
 
   const core::Detector& detector = core::DetectorRegistry::builtin().require("edge_checker");
   const std::vector<graph::Vertex> sizes =
@@ -132,6 +124,7 @@ int run(const util::Args& args) {
     row.n = n;
     row.edges = g->graph.num_edges();
     row.queries = batch_q;
+    const std::string at = "n=" + std::to_string(n);
 
     // --- Session latency: cold (run_fresh) vs cached (reset-reuse). ---
     // Full mode repeats both loops and reports medians: one pass of a few
@@ -148,24 +141,24 @@ int run(const util::Args& args) {
     util::Percentiles ratios;
     std::printf("n=%-9u session_speedup per repetition:", n);
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      auto t0 = std::chrono::steady_clock::now();
+      util::WallTimer timer;
       std::vector<core::Verdict> verdicts;
       verdicts.reserve(latency_q);
       for (const engine::Query& q : latency_batch) {
         verdicts.push_back(detector.run_fresh(g->graph, g->ids, q.options));
       }
-      const double cold = seconds_since(t0) * 1e3 / static_cast<double>(latency_q);
-      t0 = std::chrono::steady_clock::now();
+      const double cold = timer.millis() / static_cast<double>(latency_q);
+      timer.restart();
       const VerdictFold warm_fold = fold_all(cached.run_batch(g, latency_batch));
-      const double warm = seconds_since(t0) * 1e3 / static_cast<double>(latency_q);
-      ok &= check(warm_fold == fold_all(verdicts), "cached session changed the verdicts");
+      const double warm = timer.millis() / static_cast<double>(latency_q);
+      claims.check(at + ": cached session keeps the verdicts", warm_fold == fold_all(verdicts));
       cold_ms.add(cold);
       cached_ms.add(warm);
       ratios.add(warm > 0 ? cold / warm : 0.0);
       std::printf(" %.2fx", warm > 0 ? cold / warm : 0.0);
     }
     std::printf("\n");
-    ok &= check(cached.session_stats().misses == 1, "warm batch rebuilt its session");
+    claims.check(at + ": warm batch reuses its session", cached.session_stats().misses == 1);
     row.cold_ms_per_query = cold_ms.median();
     row.cached_ms_per_query = cached_ms.median();
     row.session_speedup = ratios.median();
@@ -176,11 +169,11 @@ int run(const util::Args& args) {
     {
       const engine::DetectionEngine eng;
       (void)eng.run_one(g, batch[0]);  // warm
-      const auto t0 = std::chrono::steady_clock::now();
+      const util::WallTimer timer;
       std::vector<core::Verdict> verdicts;
       verdicts.reserve(batch_q);
       for (const engine::Query& q : batch) verdicts.push_back(eng.run_one(g, q));
-      row.sequential_s = seconds_since(t0);
+      row.sequential_s = timer.seconds();
       base_fold = fold_all(verdicts);
     }
     for (const unsigned t : thread_counts) {
@@ -188,20 +181,26 @@ int run(const util::Args& args) {
       if (t > 1) pool = std::make_unique<util::ThreadPool>(t);
       const engine::DetectionEngine eng{engine::EngineOptions{.pool = pool.get()}};
       (void)eng.run_one(g, batch[0]);  // warm one session; lanes still miss once each
-      const auto t0 = std::chrono::steady_clock::now();
+      const util::WallTimer timer;
       const VerdictFold fold = fold_all(eng.run_batch(g, batch));
       ThreadRow tr;
       tr.threads = t;
-      tr.seconds = seconds_since(t0);
+      tr.seconds = timer.seconds();
       tr.queries_per_sec = tr.seconds > 0 ? static_cast<double>(batch_q) / tr.seconds : 0;
       row.batch.push_back(tr);
-      ok &= check(fold == base_fold, "threaded batch disagrees with single-threaded verdicts");
+      claims.check(at + ": " + std::to_string(t) + "-thread batch agrees with run_one",
+                   fold == base_fold);
     }
 
     rows.push_back(row);
     std::printf("n=%-9u cold %8.3f ms/q  cached %8.3f ms/q  session_speedup %5.2fx\n", row.n,
                 row.cold_ms_per_query, row.cached_ms_per_query, row.session_speedup);
     for (const ThreadRow& tr : row.batch) {
+      if (!bench::timed(tr.threads)) {
+        std::printf("  batch %3zu queries  threads=%u  (untimed: over %u hardware threads)\n",
+                    row.queries, tr.threads, bench::hardware_threads());
+        continue;
+      }
       std::printf("  batch %3zu queries  threads=%u  %8.4fs  %9.1f q/s  (sequential %8.4fs)\n",
                   row.queries, tr.threads, tr.seconds, tr.queries_per_sec, row.sequential_s);
     }
@@ -213,49 +212,35 @@ int run(const util::Args& args) {
   if (!smoke) {
     for (const SizeRow& row : rows) {
       if (row.n == 100'000) {
-        ok &= check(row.session_speedup >= 1.5, "median session cache under 1.5x at n=100k");
+        claims.check("median session cache >= 1.5x at n=100k", row.session_speedup >= 1.5);
       }
     }
   }
 
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"m8_engine_micro\",\n  \"smoke\": %s,\n",
-                 smoke ? "true" : "false");
-    std::fprintf(f,
-                 "  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
-                 "  \"git_sha\": \"%s\",\n",
-                 std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
-                 DECYCLE_BENCH_GIT_SHA);
-    std::fprintf(f, "  \"workload\": \"edge_checker k=5 on circulant C_n(1..4)\",\n");
-    std::fprintf(f, "  \"sizes\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const SizeRow& r = rows[i];
-      std::fprintf(f,
-                   "    {\"n\": %u, \"edges\": %zu, \"queries\": %zu,\n"
-                   "     \"session\": {\"cold_ms_per_query\": %.4f, \"cached_ms_per_query\": "
-                   "%.4f, \"speedup\": %.3f},\n"
-                   "     \"sequential_seconds\": %.6f,\n     \"batch\": [",
-                   r.n, r.edges, r.queries, r.cold_ms_per_query, r.cached_ms_per_query,
-                   r.session_speedup, r.sequential_s);
-      for (std::size_t j = 0; j < r.batch.size(); ++j) {
-        const ThreadRow& t = r.batch[j];
-        std::fprintf(f,
-                     "%s\n       {\"threads\": %u, \"seconds\": %.6f, \"queries_per_sec\": %.1f, "
-                     "\"speedup_vs_sequential\": %.3f}",
-                     j == 0 ? "" : ",", t.threads, t.seconds, t.queries_per_sec,
-                     t.seconds > 0 ? r.sequential_s / t.seconds : 0.0);
+  bench::BenchFile file("m8_engine_micro", smoke);
+  file.field("workload", "edge_checker k=5 on circulant C_n(1..4)");
+  file.rows("sizes", rows, [](lab::JsonWriter& w, const SizeRow& r) {
+    w.field("n", r.n).field("edges", r.edges).field("queries", r.queries);
+    w.key("session")
+        .begin_object()
+        .field("cold_ms_per_query", r.cold_ms_per_query)
+        .field("cached_ms_per_query", r.cached_ms_per_query)
+        .field("speedup", r.session_speedup)
+        .end_object();
+    w.field("sequential_seconds", r.sequential_s);
+    w.key("batch").begin_array();
+    for (const ThreadRow& t : r.batch) {
+      w.begin_object().field("threads", t.threads);
+      if (bench::timed(t.threads)) {
+        w.field("seconds", t.seconds)
+            .field("queries_per_sec", t.queries_per_sec)
+            .field("speedup_vs_sequential", t.seconds > 0 ? r.sequential_s / t.seconds : 0.0);
       }
-      std::fprintf(f, "\n     ]}%s\n", i + 1 == rows.size() ? "" : ",");
+      w.end_object();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "FAILED: cannot open %s for writing\n", out_path.c_str());
-    ok = false;
-  }
-
-  return ok ? 0 : 1;
+    w.end_array();
+  });
+  return file.write(out_path, claims);
 }
 
 int main(int argc, char** argv) {

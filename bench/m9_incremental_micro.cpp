@@ -16,17 +16,17 @@
 ///     dispatched via engine::for_lanes across thread counts {1, 4, 8};
 ///     per-lane closure/insert totals land in indexed slots and their sums
 ///     must be identical for every thread count — any disagreement exits 1.
+///     A thread count above the machine's hardware threads still runs and
+///     is cross-checked, but its timings are not reported.
 ///
-/// Writes BENCH_incremental.json (override with --out=PATH) with the machine
-/// it ran on (hardware threads, build type, git revision); --smoke shrinks
-/// to {10k, 50k} for CI.
-#include <chrono>
+/// Writes BENCH_incremental.json (override with --out=PATH;
+/// bench_common.hpp); --smoke shrinks to {10k, 50k} for CI.
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "engine/engine.hpp"
 #include "engine/lanes.hpp"
 #include "incremental/incremental.hpp"
@@ -34,19 +34,11 @@
 #include "incremental/stream.hpp"
 #include "util/cli.hpp"
 #include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
 using namespace decycle;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-bool check(bool okay, const char* what) {
-  if (!okay) std::fprintf(stderr, "FAILED: %s\n", what);
-  return okay;
-}
 
 double rate(std::size_t inserts, double seconds) {
   return seconds > 0 ? static_cast<double>(inserts) / seconds : 0.0;
@@ -82,7 +74,7 @@ int run(const util::Args& args) {
   const bool smoke = args.get_bool("smoke", false);
   const std::string out_path = args.get_string("out", "BENCH_incremental.json");
   args.reject_unknown();
-  bool ok = true;
+  harness::ClaimSet claims("m9_incremental_micro");
 
   const std::vector<graph::Vertex> sizes =
       smoke ? std::vector<graph::Vertex>{10'000, 50'000}
@@ -99,6 +91,7 @@ int run(const util::Args& args) {
     const graph::Vertex n = sizes[si];
     SizeRow row;
     row.n = n;
+    const std::string at = "n=" + std::to_string(n);
 
     // --- Single-thread hot path: raw union-find verdicts. ---
     incremental::StreamSpec spec;
@@ -109,13 +102,14 @@ int run(const util::Args& args) {
     row.stream_inserts = stream.inserts.size();
     {
       fc.reset(n);
-      const auto t0 = std::chrono::steady_clock::now();
+      const util::WallTimer timer;
       std::uint64_t closures = 0;
       for (const auto& [u, v] : stream.inserts) closures += fc.insert_fast(u, v) ? 1 : 0;
-      row.single_s = seconds_since(t0);
+      row.single_s = timer.seconds();
       row.closures = closures;
       row.single_inserts_per_sec = rate(row.stream_inserts, row.single_s);
-      ok &= check(closures == fc.closures(), "detector closure counter disagrees with sweep");
+      claims.check(at + ": detector closure counter agrees with the sweep",
+                   closures == fc.closures());
     }
 
     // --- Batch sizes through the session (epoch/purge amortization). ---
@@ -124,17 +118,19 @@ int run(const util::Args& args) {
       incremental::IncrementalSession session(engine, "m9", n);
       (void)session.checkpoint();  // pin exists: every apply bumps + purges
       std::uint64_t closures = 0;
-      const auto t0 = std::chrono::steady_clock::now();
+      const util::WallTimer timer;
       for (std::size_t i = 0; i < stream.inserts.size(); i += batch) {
         const std::size_t len = std::min(batch, stream.inserts.size() - i);
         closures += session.apply({stream.inserts.data() + i, len}).closures;
       }
       BatchRow br;
       br.batch = batch;
-      br.seconds = seconds_since(t0);
+      br.seconds = timer.seconds();
       br.inserts_per_sec = rate(row.stream_inserts, br.seconds);
       row.batches.push_back(br);
-      ok &= check(closures == row.closures, "session closures disagree with the raw sweep");
+      claims.check(at + ": batch=" + std::to_string(batch) +
+                       " session closures agree with the raw sweep",
+                   closures == row.closures);
     }
 
     // --- Lane fan-out: independent streams, totals thread-count-invariant. ---
@@ -156,7 +152,7 @@ int run(const util::Args& args) {
       std::unique_ptr<util::ThreadPool> pool;
       if (t > 1) pool = std::make_unique<util::ThreadPool>(t);
       std::vector<std::uint64_t> slot_closures(kLanes, 0);  // per-unit indexed slots
-      const auto t0 = std::chrono::steady_clock::now();
+      const util::WallTimer timer;
       engine::for_lanes(pool.get(), kLanes,
                         [&](std::size_t, std::size_t begin, std::size_t end) {
                           for (std::size_t l = begin; l < end; ++l) {
@@ -171,7 +167,7 @@ int run(const util::Args& args) {
                         });
       ThreadRow tr;
       tr.threads = t;
-      tr.seconds = seconds_since(t0);
+      tr.seconds = timer.seconds();
       tr.inserts_per_sec = rate(kLanes * row.lane_inserts, tr.seconds);
       row.lanes.push_back(tr);
       std::uint64_t total = 0;
@@ -180,7 +176,8 @@ int run(const util::Args& args) {
         base_closures = total;
         have_base = true;
       }
-      ok &= check(total == base_closures, "threaded lane totals disagree with single-thread");
+      claims.check(at + ": " + std::to_string(t) + "-thread lane totals agree with 1 thread",
+                   total == base_closures);
     }
 
     rows.push_back(row);
@@ -191,6 +188,11 @@ int run(const util::Args& args) {
                   br.inserts_per_sec);
     }
     for (const ThreadRow& tr : row.lanes) {
+      if (!bench::timed(tr.threads)) {
+        std::printf("  lanes=8 threads=%u  (untimed: over %u hardware threads)\n", tr.threads,
+                    bench::hardware_threads());
+        continue;
+      }
       std::printf("  lanes=8 threads=%u  %8.4fs  %10.0f ins/s aggregate\n", tr.threads,
                   tr.seconds, tr.inserts_per_sec);
     }
@@ -201,54 +203,42 @@ int run(const util::Args& args) {
   if (!smoke) {
     for (const SizeRow& row : rows) {
       if (row.n == 1'000'000) {
-        ok &= check(row.single_inserts_per_sec >= 2e6,
-                    "single-thread insert rate under 2M/s at n=1M");
+        claims.check("single-thread insert rate >= 2M/s at n=1M",
+                     row.single_inserts_per_sec >= 2e6);
       }
     }
   }
 
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"m9_incremental_micro\",\n  \"smoke\": %s,\n",
-                 smoke ? "true" : "false");
-    std::fprintf(f,
-                 "  \"hardware_threads\": %u,\n  \"build_type\": \"%s\",\n"
-                 "  \"git_sha\": \"%s\",\n",
-                 std::thread::hardware_concurrency(), DECYCLE_BENCH_BUILD_TYPE,
-                 DECYCLE_BENCH_GIT_SHA);
-    std::fprintf(f, "  \"workload\": \"seeded duplicate-free random streams, 2n inserts\",\n");
-    std::fprintf(f, "  \"sizes\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const SizeRow& r = rows[i];
-      std::fprintf(f,
-                   "    {\"n\": %u, \"stream_inserts\": %zu, \"closures\": %llu,\n"
-                   "     \"single\": {\"seconds\": %.6f, \"inserts_per_sec\": %.0f},\n"
-                   "     \"batch\": [",
-                   r.n, r.stream_inserts, static_cast<unsigned long long>(r.closures),
-                   r.single_s, r.single_inserts_per_sec);
-      for (std::size_t j = 0; j < r.batches.size(); ++j) {
-        const BatchRow& b = r.batches[j];
-        std::fprintf(f, "%s\n       {\"batch\": %zu, \"seconds\": %.6f, \"inserts_per_sec\": %.0f}",
-                     j == 0 ? "" : ",", b.batch, b.seconds, b.inserts_per_sec);
-      }
-      std::fprintf(f, "\n     ],\n     \"lane_n\": %u, \"lane_inserts\": %zu, \"lanes\": [",
-                   r.lane_n, r.lane_inserts);
-      for (std::size_t j = 0; j < r.lanes.size(); ++j) {
-        const ThreadRow& t = r.lanes[j];
-        std::fprintf(
-            f, "%s\n       {\"threads\": %u, \"seconds\": %.6f, \"inserts_per_sec\": %.0f}",
-            j == 0 ? "" : ",", t.threads, t.seconds, t.inserts_per_sec);
-      }
-      std::fprintf(f, "\n     ]}%s\n", i + 1 == rows.size() ? "" : ",");
+  bench::BenchFile file("m9_incremental_micro", smoke);
+  file.field("workload", "seeded duplicate-free random streams, 2n inserts");
+  file.rows("sizes", rows, [](lab::JsonWriter& w, const SizeRow& r) {
+    w.field("n", r.n).field("stream_inserts", r.stream_inserts).field("closures", r.closures);
+    w.key("single")
+        .begin_object()
+        .field("seconds", r.single_s)
+        .field("inserts_per_sec", r.single_inserts_per_sec)
+        .end_object();
+    w.key("batch").begin_array();
+    for (const BatchRow& b : r.batches) {
+      w.begin_object()
+          .field("batch", b.batch)
+          .field("seconds", b.seconds)
+          .field("inserts_per_sec", b.inserts_per_sec)
+          .end_object();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "FAILED: cannot open %s for writing\n", out_path.c_str());
-    ok = false;
-  }
-
-  return ok ? 0 : 1;
+    w.end_array();
+    w.field("lane_n", r.lane_n).field("lane_inserts", r.lane_inserts);
+    w.key("lanes").begin_array();
+    for (const ThreadRow& t : r.lanes) {
+      w.begin_object().field("threads", t.threads);
+      if (bench::timed(t.threads)) {
+        w.field("seconds", t.seconds).field("inserts_per_sec", t.inserts_per_sec);
+      }
+      w.end_object();
+    }
+    w.end_array();
+  });
+  return file.write(out_path, claims);
 }
 
 int main(int argc, char** argv) {

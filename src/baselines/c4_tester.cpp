@@ -107,8 +107,7 @@ class C4Detector final : public core::Detector {
       verdict.accepted = false;
       verdict.rejecting_nodes += 1;
       if (verdict.witness.empty()) {
-        verdict.witness =
-            core::witness_vertices(g, ids, *prog.c4(), options.validate_witnesses);
+        verdict.witness = core::validated_witness_vertices(g, ids, *prog.c4());
       }
     });
     return verdict;

@@ -254,12 +254,10 @@ class CliqueHCycleDetector final : public core::Detector {
     std::uint64_t rounds_saved = 0;
     if (collector.found()) {
       verdict.witness = collector.witness();
-      if (options.validate_witnesses) {
-        DECYCLE_CHECK_MSG(graph::validate_cycle(g, verdict.witness),
-                          "clique_hcycle produced an invalid witness cycle");
-        DECYCLE_CHECK_MSG(verdict.witness.size() == options.k,
-                          "clique_hcycle witness has the wrong length");
-      }
+      DECYCLE_CHECK_MSG(graph::validate_cycle(g, verdict.witness),
+                        "clique_hcycle produced an invalid witness cycle");
+      DECYCLE_CHECK_MSG(verdict.witness.size() == options.k,
+                        "clique_hcycle witness has the wrong length");
       const std::uint64_t last_phase = cfg->sizes.size() - 1;
       const std::uint64_t exit_phase = *collector.exit_phase();
       early_exit = exit_phase < last_phase ? 1 : 0;

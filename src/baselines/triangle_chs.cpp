@@ -112,8 +112,7 @@ class TriangleDetector final : public core::Detector {
       verdict.accepted = false;
       verdict.rejecting_nodes += 1;
       if (verdict.witness.empty()) {
-        verdict.witness =
-            core::witness_vertices(g, ids, *prog.triangle(), options.validate_witnesses);
+        verdict.witness = core::validated_witness_vertices(g, ids, *prog.triangle());
       }
     });
     return verdict;

@@ -89,8 +89,7 @@ class EdgeCheckerDetector final : public Detector {
       if (verdict.accepted && state.rejected()) {
         verdict.accepted = false;
         verdict.rejecting_nodes = 1;
-        verdict.witness =
-            witness_vertices(g, ids, state.witness_cycle_ids(), options.validate_witnesses);
+        verdict.witness = validated_witness_vertices(g, ids, state.witness_cycle_ids());
       }
     });
     return verdict;

@@ -131,7 +131,6 @@ struct DetectorOptions {
   bool fake_ids = true;
   std::size_t naive_cap = 1u << 18;
   TraceSink* trace = nullptr;
-  bool validate_witnesses = true;  ///< 1-sided-error enforcement (witness.hpp)
   congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
   /// Keep per-round stats in Verdict::stats (RunStats::normalized_rounds).
   bool record_rounds = false;

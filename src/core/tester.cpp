@@ -246,8 +246,7 @@ class TesterDetector final : public Detector {
         verdict.accepted = false;
         verdict.rejecting_nodes += 1;
         if (verdict.witness.empty()) {
-          verdict.witness =
-              witness_vertices(g, ids, prog.witness_ids(), options.validate_witnesses);
+          verdict.witness = validated_witness_vertices(g, ids, prog.witness_ids());
         }
       }
     });

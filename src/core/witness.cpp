@@ -20,14 +20,4 @@ std::vector<graph::Vertex> validated_witness_vertices(const graph::Graph& g,
   return vertices;
 }
 
-std::vector<graph::Vertex> witness_vertices(const graph::Graph& g, const graph::IdAssignment& ids,
-                                            std::span<const graph::NodeId> cycle_ids,
-                                            bool validate) {
-  if (validate) return validated_witness_vertices(g, ids, cycle_ids);
-  std::vector<graph::Vertex> vertices;
-  vertices.reserve(cycle_ids.size());
-  for (const graph::NodeId id : cycle_ids) vertices.push_back(ids.vertex_of(id));
-  return vertices;
-}
-
 }  // namespace decycle::core

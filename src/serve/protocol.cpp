@@ -384,6 +384,13 @@ std::string format_error(ErrorCode code, std::string_view detail) {
   return out;
 }
 
+std::string format_hash(std::uint64_t hash) {
+  char buf[16];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), hash, 16);
+  DECYCLE_CHECK(ec == std::errc{});
+  return std::string(buf, ptr);
+}
+
 std::string format_rejected(std::string_view reason, std::size_t queue_depth) {
   std::string out = "REJECTED overload ";
   out.append(reason);

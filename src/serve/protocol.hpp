@@ -129,7 +129,8 @@ enum class Verb : std::uint8_t {
 
 [[nodiscard]] std::string_view verb_name(Verb verb) noexcept;
 
-/// Limits parse_request enforces (the server passes its configured caps).
+/// Limits parse_request enforces. The server and the soak serve contract
+/// use these defaults.
 struct ProtocolLimits {
   std::size_t max_insert_edges = 1 << 16;
   unsigned max_query_k = 32;  ///< exact C_k scans are exponential in k
@@ -175,6 +176,10 @@ struct Request {
 // ---------------------------------------------------------------------------
 
 [[nodiscard]] std::string format_error(ErrorCode code, std::string_view detail);
+
+/// A graph hash as the `hash=` token of create and checkpoint replies
+/// carries it: lowercase hex, no padding ("0" for zero).
+[[nodiscard]] std::string format_hash(std::uint64_t hash);
 
 /// "REJECTED overload <reason> queue_depth=<d>" — admission-control shed.
 [[nodiscard]] std::string format_rejected(std::string_view reason, std::size_t queue_depth);

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <bit>
-#include <charconv>
 #include <future>
 #include <utility>
 
@@ -14,13 +13,6 @@ namespace decycle::serve {
 
 namespace {
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v, 16);
-  DECYCLE_CHECK(ec == std::errc{});
-  return std::string(buf, ptr);
-}
-
 /// Canonical (u < v) packed edge for the tenant's duplicate guard.
 std::uint64_t edge_key(graph::Vertex u, graph::Vertex v) {
   if (u > v) std::swap(u, v);
@@ -31,8 +23,7 @@ std::uint64_t edge_key(graph::Vertex u, graph::Vertex v) {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      engine_(engine::EngineOptions{.pool = nullptr,
-                                    .session_capacity = options_.session_capacity}) {
+      engine_(engine::EngineOptions{.pool = nullptr}) {
   DECYCLE_CHECK_MSG(options_.workers > 0, "serve: need at least one worker");
   DECYCLE_CHECK_MSG(options_.queue_capacity > 0, "serve: queue capacity must be positive");
 }
@@ -87,7 +78,7 @@ std::shared_ptr<Server::Tenant> Server::find_tenant(const std::string& name) con
 void Server::submit(std::string payload, std::function<void(std::string)> on_reply) {
   Request request;
   try {
-    request = parse_request(payload, options_.limits);
+    request = parse_request(payload);
   } catch (const ProtocolError& e) {
     on_reply(format_error(e.code(), e.what()));
     return;
@@ -251,7 +242,7 @@ void Server::process(Op op) {
 
 std::string Server::cache_key(const engine::PinnedGraphPtr& pin, std::uint64_t epoch,
                               const Request& r) {
-  std::string key = hex64(pin->hash);
+  std::string key = format_hash(pin->hash);
   key.push_back('/');
   key += std::to_string(epoch);
   key.push_back('/');
@@ -261,7 +252,7 @@ std::string Server::cache_key(const engine::PinnedGraphPtr& pin, std::uint64_t e
   key.push_back('/');
   key += std::to_string(r.k);
   key.push_back('/');
-  key += hex64(std::bit_cast<std::uint64_t>(r.epsilon));
+  key += format_hash(std::bit_cast<std::uint64_t>(r.epsilon));
   key.push_back('/');
   key += std::to_string(r.seed);
   key.push_back('/');
@@ -352,7 +343,7 @@ std::string Server::handle_create(const Request& r) {
     pin = tenant->session.checkpoint();
   }
   return "OK create tenant=" + r.tenant + " n=" + std::to_string(pin->graph.num_vertices()) +
-         " m=" + std::to_string(pin->graph.num_edges()) + " hash=" + hex64(pin->hash);
+         " m=" + std::to_string(pin->graph.num_edges()) + " hash=" + format_hash(pin->hash);
 }
 
 std::string Server::handle_insert(Tenant& tenant, const Request& r) {
@@ -399,7 +390,7 @@ std::string Server::handle_insert(Tenant& tenant, const Request& r) {
 
 std::string Server::handle_checkpoint(Tenant& tenant) {
   const engine::PinnedGraphPtr pin = tenant.session.checkpoint();
-  return "OK checkpoint hash=" + hex64(pin->hash) +
+  return "OK checkpoint hash=" + format_hash(pin->hash) +
          " epoch=" + std::to_string(pin->epoch.load(std::memory_order_acquire)) +
          " n=" + std::to_string(pin->graph.num_vertices()) +
          " m=" + std::to_string(pin->graph.num_edges()) +

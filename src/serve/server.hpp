@@ -57,11 +57,9 @@ struct ServerOptions {
   /// fill at most this much of the shared queue before its overflow is shed,
   /// so one tenant's burst cannot starve the rest.
   std::size_t tenant_inflight_cap = 64;
-  std::size_t session_capacity = engine::SessionPool::kDefaultCapacity;
   /// Memoized (graph hash, epoch, model, algo, options) -> reply entries.
   /// 0 disables the verdict cache (every query runs the detector).
   std::size_t verdict_cache_capacity = 1 << 16;
-  ProtocolLimits limits;
   /// Test-only: accept the `stall` verb (parks a worker until
   /// release_stall). Off by default so a production socket cannot wedge
   /// workers remotely.

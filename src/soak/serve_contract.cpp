@@ -1,7 +1,6 @@
 #include "soak/serve_contract.hpp"
 
 #include <algorithm>
-#include <charconv>
 
 #include "engine/engine.hpp"
 #include "engine/graph_store.hpp"
@@ -11,19 +10,6 @@
 #include "util/check.hpp"
 
 namespace decycle::soak {
-
-namespace {
-
-/// Lowercase hex of \p value — matches the server's hash formatting, so the
-/// checkpoint cross-check compares strings the wire actually carries.
-std::string hex64(std::uint64_t value) {
-  char buf[17];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value, 16);
-  DECYCLE_CHECK(ec == std::errc{});
-  return std::string(buf, ptr);
-}
-
-}  // namespace
 
 ServeReport check_serve(const incremental::InsertStream& stream, const SoakScenario& s,
                         const core::DetectorRegistry& registry, std::string_view only) {
@@ -45,7 +31,7 @@ ServeReport check_serve(const incremental::InsertStream& stream, const SoakScena
   r.n = stream.n;
   (void)call_ok(r);
   r.verb = serve::Verb::kInsert;
-  const std::size_t batch = server_options.limits.max_insert_edges;
+  const std::size_t batch = serve::ProtocolLimits{}.max_insert_edges;
   for (std::size_t begin = 0; begin < stream.inserts.size(); begin += batch) {
     const auto first = stream.inserts.begin() + static_cast<std::ptrdiff_t>(begin);
     r.edges.assign(first, first + static_cast<std::ptrdiff_t>(
@@ -56,7 +42,7 @@ ServeReport check_serve(const incremental::InsertStream& stream, const SoakScena
   ServeReport report;
   const engine::PinnedGraphPtr pin = engine::pin(
       graph::Graph::from_edges(stream.n, stream.inserts), graph::IdAssignment::identity(stream.n));
-  report.hash = hex64(pin->hash);
+  report.hash = serve::format_hash(pin->hash);
   r.verb = serve::Verb::kCheckpoint;
   const std::string checkpoint = call_ok(r);
   if (checkpoint.rfind("OK checkpoint hash=" + report.hash + " ", 0) != 0) {
@@ -73,7 +59,7 @@ ServeReport check_serve(const incremental::InsertStream& stream, const SoakScena
   r.repetitions = std::max<std::size_t>(1, s.repetitions);
   for (const core::Detector* d : registry.detectors()) {
     if (!only.empty() && d->name() != only) continue;
-    if (s.k > server_options.limits.max_query_k || !registry.validate_k(*d, s.k).empty()) {
+    if (s.k > serve::ProtocolLimits{}.max_query_k || !registry.validate_k(*d, s.k).empty()) {
       continue;
     }
     r.algo = d;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "graph/far_generators.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
@@ -95,6 +97,14 @@ struct ExactnessCase {
   std::uint64_t seed;
   bool shuffled_ids;
 };
+
+/// ctest names each case by this print (gtest_discover_tests), e.g.
+/// "k3_n12_m22_seed1_shuffled0". The default print is the struct's raw
+/// bytes, whose padding differs from build to build.
+void PrintTo(const ExactnessCase& c, std::ostream* os) {
+  *os << "k" << c.k << "_n" << c.n << "_m" << c.m << "_seed" << c.seed << "_shuffled"
+      << (c.shuffled_ids ? 1 : 0);
+}
 
 class EdgeCheckerExactness : public ::testing::TestWithParam<ExactnessCase> {};
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "graph/far_generators.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
@@ -50,7 +54,7 @@ TEST_P(TesterSoundness, OneSidedErrorNeverRejectsFreeGraphs) {
   util::Rng rng(seed);
   const Graph g = graph::ck_free_instance(family, k, 48, rng);
   const IdAssignment ids = IdAssignment::random_quadratic(g.num_vertices(), rng);
-  // validate_witnesses is on: any bogus rejection would throw, and the
+  // Every witness is validated: any bogus rejection would throw, and the
   // verdict must be accept regardless of repetitions.
   const auto verdict = run_tester(g, ids, k, 12, seed);
   EXPECT_TRUE(verdict.accepted)
@@ -67,6 +71,16 @@ std::vector<SoundnessCase> soundness_cases() {
     }
   }
   return cases;
+}
+
+/// ctest names each case by this print (gtest_discover_tests), e.g.
+/// "k5_high_girth_seed110"; the family name's punctuation becomes '_'.
+void PrintTo(const SoundnessCase& c, std::ostream* os) {
+  std::string family = graph::family_name(c.family);
+  for (char& ch : family) {
+    if (std::isalnum(static_cast<unsigned char>(ch)) == 0) ch = '_';
+  }
+  *os << "k" << c.k << "_" << family << "_seed" << c.seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, TesterSoundness, ::testing::ValuesIn(soundness_cases()));

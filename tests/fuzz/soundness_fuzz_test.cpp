@@ -71,7 +71,7 @@ TEST(SoundnessFuzz, TesterNeverFabricatesCycles) {
         return (h & 7) == 0;  // 12.5% loss
       };
     }
-    // validate_witnesses is on by default: a fabricated cycle would throw.
+    // Every witness is validated: a fabricated cycle would throw.
     const auto verdict = kTester.run_fresh(g, ids, opt);
     if (!verdict.accepted) {
       EXPECT_TRUE(graph::has_cycle(g, k))

@@ -294,5 +294,11 @@ TEST(ServeProtocol, ReplyClassifiers) {
   EXPECT_NE(rejected.find("queue_depth=9"), std::string::npos);
 }
 
+TEST(ServeProtocol, HashTokensAreLowercaseUnpaddedHex) {
+  EXPECT_EQ(format_hash(0), "0");
+  EXPECT_EQ(format_hash(0xf), "f");
+  EXPECT_EQ(format_hash(0xFEDCBA9876543210ULL), "fedcba9876543210");
+}
+
 }  // namespace
 }  // namespace decycle::serve
