@@ -16,10 +16,4 @@ std::uint64_t MessageReader::get_u64() {
   return value;
 }
 
-std::uint32_t MessageReader::get_u32() {
-  const std::uint64_t v = get_u64();
-  DECYCLE_CHECK_MSG(v <= 0xffffffffULL, "u32 overflow in message");
-  return static_cast<std::uint32_t>(v);
-}
-
 }  // namespace decycle::congest

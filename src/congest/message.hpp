@@ -144,9 +144,6 @@ class MessageWriter {
     return *this;
   }
 
-  /// Convenience for small counts/tags.
-  MessageWriter& put_u32(std::uint32_t value) { return put_u64(value); }
-
   [[nodiscard]] Message finish() { return std::move(msg_); }
 
  private:
@@ -164,7 +161,6 @@ class MessageReader {
   explicit MessageReader(Message&&) = delete;
 
   [[nodiscard]] std::uint64_t get_u64();
-  [[nodiscard]] std::uint32_t get_u32();
   [[nodiscard]] bool at_end() const noexcept { return pos_ == bytes_.size(); }
 
  private:

@@ -50,8 +50,6 @@ class EdgeDetectState {
   /// ⌊k/2⌋ — the number of Phase-2 communication rounds.
   [[nodiscard]] unsigned half() const noexcept { return params_.k / 2; }
   [[nodiscard]] NodeId my_id() const noexcept { return my_id_; }
-  [[nodiscard]] NodeId edge_u() const noexcept { return u_; }
-  [[nodiscard]] NodeId edge_v() const noexcept { return v_; }
 
   /// Round-0 broadcast: {(my_id)} iff this node is an endpoint of the edge.
   [[nodiscard]] std::vector<IdSeq> seed();
@@ -64,7 +62,6 @@ class EdgeDetectState {
   [[nodiscard]] std::vector<IdSeq> step(std::uint64_t g, std::vector<IdSeq> received);
 
   [[nodiscard]] bool rejected() const noexcept { return pair_.has_value(); }
-  [[nodiscard]] const std::optional<FinalPair>& witness_pair() const noexcept { return pair_; }
 
   /// The k IDs of the detected cycle, in cyclic order (empty if accepted).
   [[nodiscard]] std::vector<NodeId> witness_cycle_ids() const;

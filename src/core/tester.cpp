@@ -158,7 +158,6 @@ void TesterProgram::phase2_round(congest::Context& ctx, std::span<const congest:
   if (g == half_) {
     if (state_->rejected() && witness_ids_.empty()) {
       witness_ids_ = state_->witness_cycle_ids();
-      reject_rep_ = static_cast<std::size_t>(ctx.round() / rep_len_);
     }
     return;
   }

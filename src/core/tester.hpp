@@ -42,7 +42,6 @@ class TesterProgram final : public congest::NodeProgram {
 
   [[nodiscard]] bool rejected() const noexcept { return !witness_ids_.empty(); }
   [[nodiscard]] const std::vector<NodeId>& witness_ids() const noexcept { return witness_ids_; }
-  [[nodiscard]] std::size_t rejecting_repetition() const noexcept { return reject_rep_; }
   [[nodiscard]] bool overflowed() const noexcept { return overflow_; }
   [[nodiscard]] std::size_t switches() const noexcept { return switches_; }
   [[nodiscard]] std::size_t discarded_messages() const noexcept { return discarded_; }
@@ -73,7 +72,6 @@ class TesterProgram final : public congest::NodeProgram {
 
   // Outputs / instrumentation.
   std::vector<NodeId> witness_ids_;
-  std::size_t reject_rep_ = 0;
   bool overflow_ = false;
   std::size_t switches_ = 0;
   std::size_t discarded_ = 0;

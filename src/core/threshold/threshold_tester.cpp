@@ -180,7 +180,6 @@ void ThresholdProgram::bundle_round(congest::Context& ctx,
     if (g == half_) {
       if (ex.state.rejected() && witness_ids_.empty()) {
         witness_ids_ = ex.state.witness_cycle_ids();
-        reject_sweep_ = static_cast<std::size_t>(ctx.round() / sweep_len_);
       }
       continue;
     }

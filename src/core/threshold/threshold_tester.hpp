@@ -63,7 +63,6 @@ class ThresholdProgram final : public congest::NodeProgram {
 
   [[nodiscard]] bool rejected() const noexcept { return !witness_ids_.empty(); }
   [[nodiscard]] const std::vector<NodeId>& witness_ids() const noexcept { return witness_ids_; }
-  [[nodiscard]] std::size_t rejecting_sweep() const noexcept { return reject_sweep_; }
   [[nodiscard]] bool overflowed() const noexcept { return overflow_; }
   [[nodiscard]] const ThresholdStats& stats() const noexcept { return stats_; }
   /// max sequences in the merged bundle broadcast at phase round g
@@ -109,7 +108,6 @@ class ThresholdProgram final : public congest::NodeProgram {
 
   // Outputs / instrumentation.
   std::vector<NodeId> witness_ids_;
-  std::size_t reject_sweep_ = 0;
   bool overflow_ = false;
   ThresholdStats stats_;
   std::vector<std::size_t> max_sent_by_round_;

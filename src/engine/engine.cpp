@@ -6,8 +6,7 @@
 
 namespace decycle::engine {
 
-DetectionEngine::DetectionEngine(const EngineOptions& options)
-    : options_(options), sessions_(options.session_capacity) {}
+DetectionEngine::DetectionEngine(const EngineOptions& options) : options_(options) {}
 
 core::Verdict DetectionEngine::run_leased(SessionPool::Lease& lease, const PinnedGraphPtr& graph,
                                           const Query& q) const {

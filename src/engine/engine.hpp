@@ -50,8 +50,6 @@ struct Query {
 
 struct EngineOptions {
   util::ThreadPool* pool = nullptr;  ///< query-level parallelism (lanes)
-  /// Idle-session cache capacity (SessionPool). 0 caches nothing.
-  std::size_t session_capacity = SessionPool::kDefaultCapacity;
 };
 
 class DetectionEngine {

@@ -12,10 +12,11 @@
 /// tests/lab/seed_stability_test.cpp), so they must never move again.
 ///
 /// The execution discipline that rides on top (and that engine::for_lanes
-/// implements once): units are partitioned into contiguous lanes, one lane
-/// per pool worker; per-lane state (a leased Simulator session) is confined
-/// to its lane; outcomes land in per-unit indexed slots; reductions run
-/// serially in unit order. Output is then a pure function of unit content —
+/// implements once, as the pool's only client): units are partitioned into
+/// contiguous lanes, one lane per pool worker; per-lane state (a leased
+/// Simulator session, a success count) is confined to its lane; outcomes
+/// land in per-unit or per-lane indexed slots; reductions run serially in
+/// unit or lane order. Output is then a pure function of unit content —
 /// independent of thread count, lane boundaries, and scheduling.
 #pragma once
 
@@ -41,8 +42,9 @@ namespace decycle::engine {
 
 /// Content-addressed seed folding: splitmix64-absorbs every byte of \p id
 /// into \p h. Lab cell seeds fold the canonical cell key, soak instance
-/// seeds fold "soak/v1 seed=<S> instance=<I>" — both through this one
-/// function, so the fold can never drift between subsystems.
+/// seeds fold "soak/v1 seed=<S> instance=<I>" and soak run seeds fold the
+/// detector name — all through this one function, so the fold can never
+/// drift between subsystems.
 [[nodiscard]] constexpr std::uint64_t fold_seed(std::uint64_t h, std::string_view id) noexcept {
   for (const char c : id) h = util::splitmix64(h ^ static_cast<unsigned char>(c));
   return h;
@@ -66,11 +68,13 @@ namespace decycle::engine {
 using LaneFn = std::function<void(std::size_t lane, std::size_t begin, std::size_t end)>;
 
 /// Runs \p count units through contiguous lanes across \p pool — the one
-/// dispatch the lab runner, the soak campaign, and DetectionEngine::run_batch
-/// all use. Lanes are the lane_count(pool, count) blocks of lane_range — the
-/// boundaries every golden was cut with. The caller's fn must write results
-/// into per-unit indexed slots; with that discipline the reduction cannot
-/// observe lane boundaries and output is byte-identical for any thread count.
+/// dispatch the lab runner, the soak campaign, harness::estimate_rate and
+/// DetectionEngine::run_batch all use. Lanes are the lane_count(pool, count)
+/// blocks of lane_range — the boundaries every golden was cut with. The
+/// caller's fn must write results into per-unit indexed slots (or fold
+/// integer counts into per-lane slots, as estimate_rate does); with that
+/// discipline the reduction cannot observe lane boundaries and output is
+/// byte-identical for any thread count.
 void for_lanes(util::ThreadPool* pool, std::size_t count, const LaneFn& fn);
 
 }  // namespace decycle::engine

@@ -1,6 +1,5 @@
 #include "graph/analysis.hpp"
 
-#include <algorithm>
 #include <deque>
 
 namespace decycle::graph {
@@ -71,19 +70,6 @@ std::optional<std::vector<char>> bipartition(const Graph& g) {
     }
   }
   return color;
-}
-
-DegreeStats degree_stats(const Graph& g) {
-  DegreeStats s;
-  if (g.num_vertices() == 0) return s;
-  s.min = g.degree(0);
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const std::size_t d = g.degree(v);
-    s.min = std::min(s.min, d);
-    s.max = std::max(s.max, d);
-  }
-  s.mean = 2.0 * static_cast<double>(g.num_edges()) / static_cast<double>(g.num_vertices());
-  return s;
 }
 
 }  // namespace decycle::graph

@@ -30,12 +30,4 @@ struct Components {
 /// Two-colorability test; returns the coloring if bipartite.
 [[nodiscard]] std::optional<std::vector<char>> bipartition(const Graph& g);
 
-struct DegreeStats {
-  std::size_t min = 0;
-  std::size_t max = 0;
-  double mean = 0.0;
-};
-
-[[nodiscard]] DegreeStats degree_stats(const Graph& g);
-
 }  // namespace decycle::graph

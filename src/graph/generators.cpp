@@ -70,57 +70,12 @@ Graph hypercube(unsigned d) {
   return b.build();
 }
 
-Graph lollipop(Vertex clique, Vertex tail) {
-  DECYCLE_CHECK_MSG(clique >= 1, "lollipop needs a clique");
-  GraphBuilder b(clique + tail);
-  for (Vertex u = 0; u < clique; ++u)
-    for (Vertex v = u + 1; v < clique; ++v) b.add_edge(u, v);
-  Vertex prev = clique - 1;
-  for (Vertex t = 0; t < tail; ++t) {
-    b.add_edge(prev, clique + t);
-    prev = clique + t;
-  }
-  return b.build();
-}
-
 Graph wheel(Vertex n) {
   DECYCLE_CHECK_MSG(n >= 4, "a wheel needs at least 4 vertices");
   GraphBuilder b(n);
   for (Vertex v = 1; v < n; ++v) {
     b.add_edge(0, v);
     b.add_edge(v, v + 1 < n ? v + 1 : 1);
-  }
-  return b.build();
-}
-
-Graph barbell(Vertex clique, Vertex bridge) {
-  DECYCLE_CHECK_MSG(clique >= 2, "barbell needs cliques of size >= 2");
-  GraphBuilder b(2 * clique + bridge);
-  for (Vertex u = 0; u < clique; ++u)
-    for (Vertex v = u + 1; v < clique; ++v) b.add_edge(u, v);
-  const Vertex right = clique + bridge;
-  for (Vertex u = 0; u < clique; ++u)
-    for (Vertex v = u + 1; v < clique; ++v) b.add_edge(right + u, right + v);
-  Vertex prev = clique - 1;  // walk from left clique through the bridge path
-  for (Vertex t = 0; t < bridge; ++t) {
-    b.add_edge(prev, clique + t);
-    prev = clique + t;
-  }
-  b.add_edge(prev, right);
-  return b.build();
-}
-
-Graph caveman(Vertex caves, Vertex cave_size) {
-  DECYCLE_CHECK_MSG(caves >= 3, "caveman ring needs at least 3 caves");
-  DECYCLE_CHECK_MSG(cave_size >= 2, "caves need at least 2 vertices");
-  GraphBuilder b(caves * cave_size);
-  for (Vertex c = 0; c < caves; ++c) {
-    const Vertex base = c * cave_size;
-    for (Vertex u = 0; u < cave_size; ++u)
-      for (Vertex v = u + 1; v < cave_size; ++v) b.add_edge(base + u, base + v);
-    // Connect this cave's "exit" vertex to the next cave's "entry" vertex.
-    const Vertex next_base = ((c + 1) % caves) * cave_size;
-    b.add_edge(base + cave_size - 1, next_base);
   }
   return b.build();
 }
@@ -263,15 +218,6 @@ Graph circulant(Vertex n, std::uint32_t k) {
     }
   }
   return Graph::from_ordered_edges(n, std::move(edges));
-}
-
-Graph connect_components(const Graph& g, std::span<const Vertex> part_reps) {
-  GraphBuilder b(g.num_vertices());
-  for (const auto& [u, v] : g.edges()) b.add_edge(u, v);
-  for (std::size_t i = 0; i + 1 < part_reps.size(); ++i) {
-    b.add_edge(part_reps[i], part_reps[i + 1]);
-  }
-  return b.build();
 }
 
 }  // namespace decycle::graph

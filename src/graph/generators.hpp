@@ -35,20 +35,9 @@ namespace decycle::graph {
 /// d-dimensional hypercube (2^d vertices).
 [[nodiscard]] Graph hypercube(unsigned d);
 
-/// Lollipop: K_{clique} with a path of \p tail vertices attached.
-[[nodiscard]] Graph lollipop(Vertex clique, Vertex tail);
-
 /// Wheel: cycle on n-1 rim vertices [1, n) plus hub 0 adjacent to all of
 /// them. Contains Ck for every 3 <= k <= n (rim arcs close through the hub).
 [[nodiscard]] Graph wheel(Vertex n);
-
-/// Barbell: two K_{clique}s joined by a path of \p bridge vertices.
-[[nodiscard]] Graph barbell(Vertex clique, Vertex bridge);
-
-/// Connected caveman: \p caves cliques of size \p cave_size arranged in a
-/// ring, consecutive caves sharing one connecting edge. A classic clustered
-/// topology; the inter-cave ring creates one long global cycle.
-[[nodiscard]] Graph caveman(Vertex caves, Vertex cave_size);
 
 /// Circulant C_n(1..k): vertex u adjacent to u±j (mod n) for 1 <= j <= k;
 /// degree 2k everywhere. Requires n >= 2k+1. Edges are emitted in
@@ -75,11 +64,5 @@ namespace decycle::graph {
 
 /// Random connected graph: random tree plus (m - (n-1)) random extra edges.
 [[nodiscard]] Graph random_connected(Vertex n, std::size_t m, util::Rng& rng);
-
-/// Adds (n_parts - 1) bridge edges connecting consecutive components of a
-/// disjoint union built from equal-sized parts. Bridges are cut edges, so
-/// they lie on no cycle and cannot change Ck-freeness or farness
-/// certificates. \p part_reps must contain one representative vertex per part.
-[[nodiscard]] Graph connect_components(const Graph& g, std::span<const Vertex> part_reps);
 
 }  // namespace decycle::graph

@@ -19,9 +19,6 @@ class ClaimSet {
   /// Records one claim outcome; returns \p holds for inline use.
   bool check(const std::string& claim, bool holds);
 
-  [[nodiscard]] std::size_t failures() const noexcept { return failures_; }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-
   /// Prints "EXPERIMENT <name>: n/m claims hold" (+ failed claim list) to
   /// stdout and returns the process exit code (0 iff all claims hold).
   int summarize() const;

@@ -1,6 +1,5 @@
 #include "harness/estimator.hpp"
 
-#include <atomic>
 #include <vector>
 
 #include "congest/comm_model.hpp"
@@ -10,20 +9,19 @@ namespace decycle::harness {
 
 RateEstimate estimate_rate(const std::function<bool(std::size_t, std::uint64_t)>& trial,
                            std::size_t trials, std::uint64_t base_seed, util::ThreadPool* pool) {
-  std::atomic<std::uint64_t> successes{0};
-  const auto run_one = [&](std::size_t i) {
-    if (trial(i, engine::trial_seed(base_seed, i))) {
-      successes.fetch_add(1, std::memory_order_relaxed);
+  // Each lane counts its successes into its own slot; the slots are summed
+  // in lane order.
+  std::vector<std::uint64_t> lane_successes(engine::lane_count(pool, trials), 0);
+  engine::for_lanes(pool, trials, [&](std::size_t lane, std::size_t begin, std::size_t end) {
+    std::uint64_t successes = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (trial(i, engine::trial_seed(base_seed, i))) ++successes;
     }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(trials, run_one);
-  } else {
-    for (std::size_t i = 0; i < trials; ++i) run_one(i);
-  }
+    lane_successes[lane] = successes;
+  });
   RateEstimate out;
   out.trials = trials;
-  out.successes = successes.load();
+  for (const std::uint64_t successes : lane_successes) out.successes += successes;
   out.interval = util::wilson_interval(out.successes, out.trials);
   return out;
 }

@@ -30,8 +30,10 @@ struct RateEstimate {
   [[nodiscard]] double rate() const noexcept { return interval.estimate; }
 };
 
-/// Runs \p trial(trial_index, trial_seed) `trials` times (in parallel when a
-/// pool is given) and reports the success rate with a 95% Wilson interval.
+/// Runs \p trial(trial_index, trial_seed) `trials` times — through
+/// engine::for_lanes, so in contiguous lanes across \p pool when one is
+/// given — and reports the success rate with a 95% Wilson interval. Each
+/// trial must depend only on its index and seed.
 [[nodiscard]] RateEstimate estimate_rate(
     const std::function<bool(std::size_t, std::uint64_t)>& trial, std::size_t trials,
     std::uint64_t base_seed, util::ThreadPool* pool = nullptr);

@@ -30,23 +30,10 @@ constexpr std::uint64_t kDropTag = 0x64726f705f5f5f31ULL;   // "drop___1"
 /// delivery path, kept so the golden JSONL bytes stay stable.
 constexpr const char* kDeliveryTag = "arena";
 
-struct TrialOutcome {
-  bool rejected = false;
-  bool overflow = false;
-  GroundTruth truth = GroundTruth::kUnknown;
-  double certified_epsilon = 0.0;
-  std::uint64_t vertices = 0;
-  std::uint64_t edges = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bits = 0;
-  std::uint64_t max_link_bits = 0;
-  std::uint64_t max_bundle = 0;
-  std::uint64_t dropped = 0;
-  bool truncated = false;
-  std::size_t repetitions = 0;             ///< detector-resolved reps/sweeps/iters
-  std::vector<std::uint64_t> counters;     ///< aligned with the detector's table
-};
+/// The records' "seed_mode" field: constant since every cell runs its
+/// trials on one shared topology, kept so the golden JSONL bytes stay
+/// stable.
+constexpr const char* kSeedModeTag = "shared";
 
 /// The fully resolved engine query for one trial — registry dispatch:
 /// every algorithm, core testers and baselines alike, travels through the
@@ -65,33 +52,6 @@ engine::Query trial_query(const ScenarioCell& cell, std::uint64_t trial_seed) {
   return q;
 }
 
-/// Folds one verdict plus its instance facts into the per-trial slot.
-TrialOutcome trial_outcome(const ScenarioCell& cell, GroundTruth truth, double certified_epsilon,
-                           std::uint64_t vertices, std::uint64_t edges, core::Verdict verdict) {
-  TrialOutcome out;
-  out.truth = truth;
-  out.certified_epsilon = certified_epsilon;
-  out.vertices = vertices;
-  out.edges = edges;
-  out.rejected = !verdict.accepted;
-  out.overflow = verdict.overflow;
-  out.truncated = verdict.truncated;
-  out.max_bundle = verdict.max_bundle_sequences;
-  out.rounds = verdict.stats.rounds_executed;
-  out.messages = verdict.stats.total_messages;
-  out.bits = verdict.stats.total_bits;
-  out.max_link_bits = verdict.stats.max_link_bits;
-  out.dropped = verdict.stats.dropped_messages;
-  out.repetitions = verdict.repetitions;
-  DECYCLE_CHECK_MSG(verdict.counters.size() == cell.algo->counters().size(),
-                    "detector '" + std::string(cell.algo->name()) + "' returned " +
-                        std::to_string(verdict.counters.size()) + " counter values for a " +
-                        std::to_string(cell.algo->counters().size()) +
-                        "-entry counter table — run() and counters() drifted apart");
-  out.counters = std::move(verdict.counters);
-  return out;
-}
-
 }  // namespace
 
 CellResult LabRunner::run_cell(const ScenarioCell& cell) const {
@@ -103,94 +63,57 @@ CellResult LabRunner::run_cell(const ScenarioCell& cell) const {
   res.cell = cell;
   res.trials = cell.trials;
 
-  // Per-trial outcomes land in an indexed slot, so nothing downstream can
-  // observe lane boundaries or scheduling.
-  std::vector<TrialOutcome> outcomes(cell.trials);
+  // One topology per cell, pinned under its content hash and submitted as
+  // one engine batch — sibling cells on the same topology content
+  // (different algo/adversary) hit the session cache.
+  util::Rng grng(util::splitmix64(cseed ^ kGraphTag));
+  BuiltTopology topology = build_topology(cell, grng);
+  res.description = std::move(topology.description);
+  res.truth = topology.truth;
+  res.certified_epsilon = topology.certified_epsilon;
+  graph::IdAssignment ids = graph::IdAssignment::identity(topology.graph.num_vertices());
+  const engine::PinnedGraphPtr pinned = engine::pin(std::move(topology.graph), std::move(ids));
+  res.vertices = pinned->graph.num_vertices();
+  res.edges = pinned->graph.num_edges();
 
-  if (cell.seed_mode == SeedMode::kSharedGraph) {
-    // Shared-graph policy: one topology per cell, pinned under its content
-    // hash and submitted as one engine batch — sibling cells on the same
-    // topology content (different algo/adversary) hit the session cache.
-    util::Rng grng(util::splitmix64(cseed ^ kGraphTag));
-    BuiltTopology shared = build_topology(cell, grng);
-    res.description = shared.description;
-    res.certified_epsilon = shared.certified_epsilon;
-    const GroundTruth truth = shared.truth;
-    const double cert = shared.certified_epsilon;
-    graph::IdAssignment ids = graph::IdAssignment::identity(shared.graph.num_vertices());
-    const engine::PinnedGraphPtr pinned = engine::pin(std::move(shared.graph), std::move(ids));
-    const std::uint64_t vertices = pinned->graph.num_vertices();
-    const std::uint64_t edges = pinned->graph.num_edges();
-
-    std::vector<engine::Query> queries(cell.trials);
-    for (std::size_t i = 0; i < cell.trials; ++i) {
-      queries[i] = trial_query(cell, engine::trial_seed(cseed, i));
-    }
-    std::vector<core::Verdict> verdicts = engine_->run_batch(pinned, queries);
-    for (std::size_t i = 0; i < cell.trials; ++i) {
-      outcomes[i] = trial_outcome(cell, truth, cert, vertices, edges, std::move(verdicts[i]));
-    }
-  } else {
-    // Fresh-graph policy: every trial draws its own topology from the trial
-    // seed, so sessions cannot be shared — each query runs on its own
-    // Simulator, lanes via the same for_lanes dispatch as the batch path.
-    res.description = cell.family;
-    engine::for_lanes(options_.pool, cell.trials,
-                      [&](std::size_t /*lane*/, std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          const std::uint64_t tseed = engine::trial_seed(cseed, i);
-                          util::Rng trng(util::splitmix64(tseed ^ kGraphTag));
-                          const BuiltTopology topo = build_topology(cell, trng);
-                          const graph::IdAssignment ids =
-                              graph::IdAssignment::identity(topo.graph.num_vertices());
-                          congest::Simulator sim(topo.graph, ids, *cell.model);
-                          core::Verdict verdict =
-                              cell.algo->run(sim, trial_query(cell, tseed).options);
-                          outcomes[i] = trial_outcome(cell, topo.truth, topo.certified_epsilon,
-                                                      topo.graph.num_vertices(),
-                                                      topo.graph.num_edges(), std::move(verdict));
-                        }
-                      });
+  std::vector<engine::Query> queries(cell.trials);
+  for (std::size_t i = 0; i < cell.trials; ++i) {
+    queries[i] = trial_query(cell, engine::trial_seed(cseed, i));
   }
-
-  // Serial reduction in trial order (sums are integers except the
-  // certificate mean, whose fixed summation order keeps it deterministic).
-  // Counter aggregation is generic: each counter folds per its declared
-  // kind, whatever algorithm the cell ran.
+  // Verdicts come back in trial order, so the serial reduction below cannot
+  // observe lane boundaries or scheduling. Counter aggregation is generic:
+  // each counter folds per its declared kind, whatever algorithm the cell
+  // ran.
+  const std::vector<core::Verdict> verdicts = engine_->run_batch(pinned, queries);
   const std::span<const core::CounterDef> counter_defs = cell.algo->counters();
   res.counters.assign(counter_defs.size(), 0);
-  double cert_sum = 0.0;
-  for (const TrialOutcome& t : outcomes) {
-    cert_sum += t.certified_epsilon;
-    res.rejections += t.rejected ? 1 : 0;
-    res.total_vertices += t.vertices;
-    res.total_edges += t.edges;
-    res.rounds_total += t.rounds;
-    res.rounds_max = std::max(res.rounds_max, t.rounds);
-    res.messages_total += t.messages;
-    res.bits_total += t.bits;
-    res.max_link_bits = std::max(res.max_link_bits, t.max_link_bits);
-    res.max_bundle = std::max(res.max_bundle, t.max_bundle);
-    res.overflow_trials += t.overflow ? 1 : 0;
-    res.dropped_total += t.dropped;
-    res.truncated_trials += t.truncated ? 1 : 0;
+  for (const core::Verdict& v : verdicts) {
+    DECYCLE_CHECK_MSG(v.counters.size() == counter_defs.size(),
+                      "detector '" + std::string(cell.algo->name()) + "' returned " +
+                          std::to_string(v.counters.size()) + " counter values for a " +
+                          std::to_string(counter_defs.size()) +
+                          "-entry counter table — run() and counters() drifted apart");
+    res.rejections += v.accepted ? 0 : 1;
+    res.rounds_total += v.stats.rounds_executed;
+    res.rounds_max = std::max(res.rounds_max, v.stats.rounds_executed);
+    res.messages_total += v.stats.total_messages;
+    res.bits_total += v.stats.total_bits;
+    res.max_link_bits = std::max(res.max_link_bits, v.stats.max_link_bits);
+    res.max_bundle = std::max<std::uint64_t>(res.max_bundle, v.max_bundle_sequences);
+    res.overflow_trials += v.overflow ? 1 : 0;
+    res.dropped_total += v.stats.dropped_messages;
+    res.truncated_trials += v.truncated ? 1 : 0;
     for (std::size_t c = 0; c < counter_defs.size(); ++c) {
       if (counter_defs[c].kind == core::CounterKind::kMax) {
-        res.counters[c] = std::max(res.counters[c], t.counters[c]);
+        res.counters[c] = std::max(res.counters[c], v.counters[c]);
       } else {
-        res.counters[c] += t.counters[c];
+        res.counters[c] += v.counters[c];
       }
     }
   }
-  // Every trial of a cell runs the same family, so trial 0 speaks for the
-  // cell's ground truth in fresh-graph mode too — and the same detector
-  // with the same knobs, so trial 0's resolved repetition count speaks for
-  // the cell as well.
-  res.truth = outcomes.front().truth;
-  res.repetitions = outcomes.front().repetitions;
-  if (cell.seed_mode != SeedMode::kSharedGraph) {
-    res.certified_epsilon = cert_sum / static_cast<double>(cell.trials);
-  }
+  // Every trial runs the same detector with the same knobs, so trial 0's
+  // resolved repetition count speaks for the cell.
+  res.repetitions = verdicts.front().repetitions;
   res.reject_interval = util::wilson_interval(res.rejections, res.trials);
   res.soundness_violation = res.truth == GroundTruth::kCkFree && res.rejections > 0;
   res.elapsed_seconds =
@@ -233,7 +156,7 @@ std::string CellResult::to_json(bool include_timing) const {
       .field("n", cell.n)
       .field("adversary", cell.adversary.name())
       .field("algo", cell.algo->name())
-      .field("seed_mode", seed_mode_name(cell.seed_mode))
+      .field("seed_mode", kSeedModeTag)
       .field("delivery", kDeliveryTag)
       .field("model", cell.model->name())
       .field("trials", trials)
@@ -242,18 +165,14 @@ std::string CellResult::to_json(bool include_timing) const {
   if (caps.uses_threshold_knobs) {
     w.field("budget", cell.budget.name()).field("track", cell.track);
   }
-  w.key("graph").begin_object().field("description", description).field(
-      "ground_truth", ground_truth_name(truth));
-  if (cell.seed_mode == SeedMode::kSharedGraph) {
-    w.field("vertices", total_vertices / std::max<std::uint64_t>(trials, 1))
-        .field("edges", total_edges / std::max<std::uint64_t>(trials, 1))
-        .field("certified_eps", certified_epsilon);
-  } else {
-    w.field("mean_vertices", static_cast<double>(total_vertices) / trials_d)
-        .field("mean_edges", static_cast<double>(total_edges) / trials_d)
-        .field("mean_certified_eps", certified_epsilon);
-  }
-  w.end_object();
+  w.key("graph")
+      .begin_object()
+      .field("description", description)
+      .field("ground_truth", ground_truth_name(truth))
+      .field("vertices", vertices)
+      .field("edges", edges)
+      .field("certified_eps", certified_epsilon)
+      .end_object();
   w.field("rejections", rejections)
       .field("reject_rate", reject_interval.estimate)
       .field("wilson_low", reject_interval.low)
@@ -291,7 +210,7 @@ std::string meta_record(const ScenarioSpec& spec, std::size_t num_cells) {
       .field("reps", spec.repetitions)
       .field("budget", spec.budget.name())
       .field("track", spec.track)
-      .field("seed_mode", seed_mode_name(spec.seed_mode))
+      .field("seed_mode", kSeedModeTag)
       .field("delivery", kDeliveryTag)
       .field("cells", num_cells);
   w.key("axes").begin_object();

@@ -42,13 +42,12 @@ struct LabOptions {
 struct CellResult {
   ScenarioCell cell;
 
-  // Instance info. For kSharedGraph the exact topology; for kFreshGraph
-  // per-trial topologies summarized by integer totals.
+  // The cell's one topology, shared by every trial.
   std::string description;
   GroundTruth truth = GroundTruth::kUnknown;
-  std::uint64_t total_vertices = 0;  ///< sum over trials (1 topology: n * trials)
-  std::uint64_t total_edges = 0;
-  double certified_epsilon = 0.0;  ///< shared topology's certificate (0 for fresh mode)
+  std::uint64_t vertices = 0;
+  std::uint64_t edges = 0;
+  double certified_epsilon = 0.0;  ///< 0 when the family carries no certificate
   /// Repetitions / sweeps / iterations the detector resolved (Verdict::
   /// repetitions); 0 for one-shot algorithms like the edge checker.
   std::size_t repetitions = 0;

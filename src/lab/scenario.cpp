@@ -286,10 +286,6 @@ std::string_view ground_truth_name(GroundTruth t) noexcept {
   return "unknown";
 }
 
-std::string_view seed_mode_name(SeedMode m) noexcept {
-  return m == SeedMode::kSharedGraph ? "shared" : "fresh";
-}
-
 std::string AdversarySpec::name() const {
   switch (kind) {
     case Kind::kNone: return "none";
@@ -429,15 +425,6 @@ ScenarioSpec ScenarioSpec::parse(util::KvReader r) {
   spec.trials = r.take<std::size_t>("trials", spec.trials, 1);
   spec.seed = r.take("seed", spec.seed);
   spec.repetitions = r.take("reps", spec.repetitions);
-  if (const auto mode = r.take_string("seed_mode")) {
-    if (*mode == "shared") {
-      spec.seed_mode = SeedMode::kSharedGraph;
-    } else if (*mode == "fresh") {
-      spec.seed_mode = SeedMode::kFreshGraph;
-    } else {
-      throw util::ParseError("seed_mode", "expected shared or fresh, got '" + *mode + "'");
-    }
-  }
   if (const auto budget = r.take_string("budget")) {
     spec.budget = core::threshold::BudgetSchedule::parse(*budget);
   }
@@ -492,7 +479,6 @@ std::vector<ScenarioCell> ScenarioSpec::expand() const {
                 cell.adversary = adversary;
                 cell.model = model;
                 cell.algo = algo;
-                cell.seed_mode = seed_mode;
                 cell.trials = trials;
                 cell.base_seed = seed;
                 cell.repetitions = repetitions;

@@ -2,7 +2,7 @@
 /// \brief Declarative scenario matrix for the lab runner.
 ///
 /// A scenario spec names axes (graph family × k × ε × size × adversary ×
-/// algorithm) and shared scalars (trials, seed policy, repetitions). Axes
+/// algorithm) and shared scalars (trials, seed, repetitions). Axes
 /// are parsed from `key=value` tokens by util/kv.hpp — comma lists
 /// (`k=3,5,7`) and integer ranges (`n=32..128:32`) — the way Theorem 1's
 /// experiments sweep their instances; expand() takes the cross product into
@@ -27,12 +27,6 @@
 #include "util/rng.hpp"
 
 namespace decycle::lab {
-
-/// Seed policy. kSharedGraph builds one topology per cell (graph seed
-/// derived from the cell, trials vary only the algorithm seed) — this is
-/// what enables Simulator reuse. kFreshGraph rebuilds the topology from
-/// each trial's seed.
-enum class SeedMode : std::uint8_t { kSharedGraph, kFreshGraph };
 
 /// A named message-loss adversary with its drop probability.
 struct AdversarySpec {
@@ -73,7 +67,6 @@ struct ScenarioCell {
   const core::Detector* algo = core::DetectorRegistry::builtin().find("tester");
 
   // Shared scalars, copied from the spec for self-contained execution.
-  SeedMode seed_mode = SeedMode::kSharedGraph;
   std::size_t trials = 32;
   std::uint64_t base_seed = 1;
   std::size_t repetitions = 0;  ///< 0 = recommended_repetitions(epsilon); threshold: sweeps (0 = 1)
@@ -104,7 +97,6 @@ struct ScenarioSpec {
   std::vector<const congest::CommModel*> models = {&congest::CommModel::congest()};
   std::vector<const core::Detector*> algos = {core::DetectorRegistry::builtin().find("tester")};
 
-  SeedMode seed_mode = SeedMode::kSharedGraph;
   std::size_t trials = 32;
   std::uint64_t seed = 1;
   std::size_t repetitions = 0;
@@ -112,9 +104,9 @@ struct ScenarioSpec {
   std::uint64_t track = 8;
 
   /// Reads every key of \p reader (axis keys: family, k, eps, n, adversary,
-  /// model, algo; scalar keys: trials, seed, reps, seed_mode, budget,
-  /// track). Throws util::ParseError naming the offending key/value and
-  /// the accepted options.
+  /// model, algo; scalar keys: trials, seed, reps, budget, track). Throws
+  /// util::ParseError naming the offending key/value and the accepted
+  /// options.
   [[nodiscard]] static ScenarioSpec parse(util::KvReader reader);
 
   /// Convenience overload for "key=value" tokens (tests, scripts).
@@ -134,9 +126,7 @@ struct ScenarioSpec {
   static constexpr std::size_t kMaxCells = 65536;
 };
 
-[[nodiscard]] std::string_view seed_mode_name(SeedMode m) noexcept;
-
-/// A topology built for one cell (or one fresh-graph trial).
+/// The topology built for one cell; every trial of the cell runs on it.
 struct BuiltTopology {
   graph::Graph graph;
   double certified_epsilon = 0.0;  ///< 0 when the family carries no certificate

@@ -155,7 +155,6 @@ std::string_view verb_name(Verb verb) noexcept {
     case Verb::kCheckpoint: return "checkpoint";
     case Verb::kStats: return "stats";
     case Verb::kShutdown: return "shutdown";
-    case Verb::kStall: return "stall";
   }
   return "unknown";
 }
@@ -182,7 +181,6 @@ Request parse_request(std::string_view payload, const ProtocolLimits& limits) {
   else if (verb == "checkpoint") r.verb = Verb::kCheckpoint;
   else if (verb == "stats") r.verb = Verb::kStats;
   else if (verb == "shutdown") r.verb = Verb::kShutdown;
-  else if (verb == "stall") r.verb = Verb::kStall;
   else {
     bad_request("unknown verb '" + std::string(verb) + "'; verbs: " + std::string(kVerbNames));
   }
@@ -216,7 +214,6 @@ Request parse_request(std::string_view payload, const ProtocolLimits& limits) {
         case Verb::kInsert: return "tenant, edges";
         case Verb::kQuery: return "tenant, algo, k, model, eps, seed, reps";
         case Verb::kCheckpoint: return "tenant";
-        case Verb::kStall: return "id";
         default: return "(none)";
       }
     };
@@ -264,9 +261,6 @@ Request parse_request(std::string_view payload, const ProtocolLimits& limits) {
     } else if (key == "reps") {
       expect_verbs({Verb::kQuery}, keys_for());
       r.repetitions = value_of<std::size_t>(key, value);
-    } else if (key == "id") {
-      expect_verbs({Verb::kStall}, keys_for());
-      r.stall_id = value_of<std::uint64_t>(key, value);
     } else {
       bad_request("unknown key '" + std::string(key) + "' for verb '" + std::string(verb) +
                   "' (accepted keys: " + std::string(keys_for()) + ")");
@@ -309,7 +303,6 @@ Request parse_request(std::string_view payload, const ProtocolLimits& limits) {
     }
     case Verb::kStats:
     case Verb::kShutdown:
-    case Verb::kStall:
       break;
   }
   return r;
@@ -361,9 +354,6 @@ std::string format_request(const Request& r) {
     }
     case Verb::kCheckpoint:
       kv("tenant", r.tenant);
-      break;
-    case Verb::kStall:
-      kv("id", std::to_string(r.stall_id));
       break;
     case Verb::kStats:
     case Verb::kShutdown:

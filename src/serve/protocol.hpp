@@ -124,7 +124,6 @@ enum class Verb : std::uint8_t {
   kCheckpoint,  ///< checkpoint tenant=<t>  (reply carries hash/epoch/n/m)
   kStats,       ///< stats  (reply body is the JSONL stats dump)
   kShutdown,    ///< shutdown  (drain and stop accepting work)
-  kStall,       ///< stall id=<k>  (test-only: park a worker until released)
 };
 
 [[nodiscard]] std::string_view verb_name(Verb verb) noexcept;
@@ -157,9 +156,6 @@ struct Request {
   double epsilon = 0.125;
   std::uint64_t seed = 1;
   std::size_t repetitions = 1;
-
-  // stall
-  std::uint64_t stall_id = 0;
 };
 
 /// Parses one payload. Throws ProtocolError on every malformed input, with

@@ -46,7 +46,6 @@ void Server::stop() {
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  stall_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
   workers_.clear();
 }
@@ -54,14 +53,6 @@ void Server::stop() {
 std::size_t Server::queue_depth() const {
   std::lock_guard lock(queue_mutex_);
   return queue_.size();
-}
-
-void Server::release_stall(std::uint64_t id) {
-  {
-    std::lock_guard lock(stall_mutex_);
-    released_stalls_.insert(id);
-  }
-  stall_cv_.notify_all();
 }
 
 Server::CacheStats Server::verdict_cache_stats() const {
@@ -106,13 +97,6 @@ void Server::submit(std::string payload, std::function<void(std::string)> on_rep
         on_reply(format_error(ErrorCode::kBadRequest, e.what()));
       }
       return;
-    case Verb::kStall:
-      if (!options_.enable_stall) {
-        on_reply(format_error(ErrorCode::kBadRequest,
-                              "stall is a test-only verb (ServerOptions::enable_stall)"));
-        return;
-      }
-      break;
     default:
       break;
   }
@@ -120,22 +104,20 @@ void Server::submit(std::string payload, std::function<void(std::string)> on_rep
   Op op;
   op.request = std::move(request);
   op.reply = std::move(on_reply);
-  if (op.request.verb != Verb::kStall) {
-    op.tenant = find_tenant(op.request.tenant);
-    if (op.tenant == nullptr) {
-      std::string known;
-      {
-        std::lock_guard lock(tenants_mutex_);
-        for (const auto& [name, tenant] : tenants_) {
-          if (!known.empty()) known += ", ";
-          known += name;
-        }
+  op.tenant = find_tenant(op.request.tenant);
+  if (op.tenant == nullptr) {
+    std::string known;
+    {
+      std::lock_guard lock(tenants_mutex_);
+      for (const auto& [name, tenant] : tenants_) {
+        if (!known.empty()) known += ", ";
+        known += name;
       }
-      op.reply(format_error(ErrorCode::kUnknownTenant,
-                            "unknown tenant '" + op.request.tenant + "'; stored: " +
-                                (known.empty() ? "(none — create one first)" : known)));
-      return;
     }
+    op.reply(format_error(ErrorCode::kUnknownTenant,
+                          "unknown tenant '" + op.request.tenant + "'; stored: " +
+                              (known.empty() ? "(none — create one first)" : known)));
+    return;
   }
 
   // Admission control under the queue lock: bounded queue, per-tenant
@@ -155,14 +137,13 @@ void Server::submit(std::string payload, std::function<void(std::string)> on_rep
       op.reply(format_rejected("queue_full", depth));
       return;
     }
-    if (op.tenant != nullptr &&
-        op.tenant->in_flight.load(std::memory_order_relaxed) >= options_.tenant_inflight_cap) {
+    if (op.tenant->in_flight.load(std::memory_order_relaxed) >= options_.tenant_inflight_cap) {
       lock.unlock();
       stats_.record_shed(op.request.tenant, depth);
       op.reply(format_rejected("tenant_inflight_cap", depth));
       return;
     }
-    if (op.tenant != nullptr) op.tenant->in_flight.fetch_add(1, std::memory_order_relaxed);
+    op.tenant->in_flight.fetch_add(1, std::memory_order_relaxed);
     op.enqueued = Clock::now();
     op.depth_at_admit = depth;
     queue_.push_back(std::move(op));
@@ -195,7 +176,7 @@ void Server::finish(Op& op, std::string reply_body) {
   const double latency_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - op.enqueued).count();
   stats_.record(op.request.tenant, latency_ms, op.depth_at_admit);
-  if (op.tenant != nullptr) op.tenant->in_flight.fetch_sub(1, std::memory_order_relaxed);
+  op.tenant->in_flight.fetch_sub(1, std::memory_order_relaxed);
   op.reply(std::move(reply_body));
 }
 
@@ -215,20 +196,6 @@ void Server::process(Op op) {
       case Verb::kQuery:
         finish(op, handle_query(*op.tenant, op.request));
         return;
-      case Verb::kStall: {
-        stalled_.fetch_add(1, std::memory_order_release);
-        {
-          std::unique_lock lock(stall_mutex_);
-          stall_cv_.wait(lock, [this, &op] {
-            if (released_stalls_.contains(op.request.stall_id)) return true;
-            std::lock_guard qlock(queue_mutex_);
-            return stopping_;
-          });
-        }
-        stalled_.fetch_sub(1, std::memory_order_release);
-        finish(op, "OK stall");
-        return;
-      }
       default:
         finish(op, format_error(ErrorCode::kInternal, "unroutable verb in worker"));
         return;

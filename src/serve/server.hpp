@@ -60,10 +60,6 @@ struct ServerOptions {
   /// Memoized (graph hash, epoch, model, algo, options) -> reply entries.
   /// 0 disables the verdict cache (every query runs the detector).
   std::size_t verdict_cache_capacity = 1 << 16;
-  /// Test-only: accept the `stall` verb (parks a worker until
-  /// release_stall). Off by default so a production socket cannot wedge
-  /// workers remotely.
-  bool enable_stall = false;
 };
 
 class Server {
@@ -74,7 +70,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Spawns the worker pool. Idempotent.
+  /// Spawns the worker pool. Idempotent. Ops admitted before it wait in the
+  /// queue, where they count against queue_capacity.
   void start();
 
   /// Stops admission, drains every already-admitted op, joins the workers.
@@ -101,13 +98,7 @@ class Server {
     return shutdown_.load(std::memory_order_acquire);
   }
 
-  // --- test hooks (overload/stall tests) ----------------------------------
-  /// Number of workers currently parked in a `stall` op.
-  [[nodiscard]] std::size_t stalled_workers() const noexcept {
-    return stalled_.load(std::memory_order_acquire);
-  }
-  /// Releases every parked `stall id=<id>` op.
-  void release_stall(std::uint64_t id);
+  /// Ops admitted and not yet taken by a worker.
   [[nodiscard]] std::size_t queue_depth() const;
 
   struct CacheStats {
@@ -134,7 +125,7 @@ class Server {
   struct Op {
     Request request;
     std::function<void(std::string)> reply;
-    std::shared_ptr<Tenant> tenant;  ///< null for stall
+    std::shared_ptr<Tenant> tenant;
     Clock::time_point enqueued;
     std::size_t depth_at_admit = 0;
   };
@@ -165,10 +156,6 @@ class Server {
   bool stopping_ = false;
 
   std::atomic<bool> shutdown_{false};
-  std::atomic<std::size_t> stalled_{0};
-  std::mutex stall_mutex_;
-  std::condition_variable stall_cv_;
-  std::unordered_set<std::uint64_t> released_stalls_;
 
   mutable std::mutex cache_mutex_;
   std::unordered_map<std::string, std::string> verdict_cache_;

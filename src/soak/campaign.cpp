@@ -81,11 +81,11 @@ std::string meta_record(const CampaignOptions& options) {
       .field("shrink", true);
   w.key("space")
       .begin_object()
-      .field("min_k", options.space.min_k)
+      .field("min_k", SoakSpace::kMinK)
       .field("max_k", options.space.max_k)
-      .field("min_n", options.space.min_n)
+      .field("min_n", SoakSpace::kMinN)
       .field("max_n", options.space.max_n)
-      .field("default_reps_probability", options.space.default_reps_probability)
+      .field("default_reps_probability", SoakSpace::kDefaultRepsProbability)
       .end_object();
   w.end_object();
   return std::move(w).str();
@@ -163,8 +163,7 @@ MismatchRecord build_mismatch(const CampaignOptions& options,
   m.repro.detector = found.detector;
   m.repro.kind = found.kind;
   try {
-    ShrinkOutcome shrunk =
-        shrink_mismatch(m.repro, mismatch_predicate(registry), options.shrink_options);
+    ShrinkOutcome shrunk = shrink_mismatch(m.repro, mismatch_predicate(registry));
     m.repro = std::move(shrunk.repro);
     m.shrink_stats = shrunk.stats;
   } catch (const util::CheckError&) {

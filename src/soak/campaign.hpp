@@ -56,7 +56,6 @@ struct CampaignOptions {
   /// Detectors the contract checks (null = builtin()). The serve contract
   /// queries the server by these names and runs these objects directly.
   const core::DetectorRegistry* registry = nullptr;
-  ShrinkOptions shrink_options;
   /// Directory for repro files (one per mismatch, named
   /// soak_repro_i<index>_<contract>[_<detector>]_<kind>.txt). Empty = keep
   /// repros in memory only.

@@ -3,6 +3,7 @@
 #include <optional>
 #include <utility>
 
+#include "engine/lanes.hpp"
 #include "graph/ids.hpp"
 #include "graph/subgraph.hpp"
 #include "util/check.hpp"
@@ -27,9 +28,7 @@ constexpr graph::Vertex kDenseModelMaxN = 512;
 /// Per-(scenario, detector) run seed: fold the detector name so sibling
 /// detectors never share a random stream.
 std::uint64_t run_seed(const SoakScenario& s, std::string_view detector) {
-  std::uint64_t h = util::splitmix64(s.seed ^ kRunTag);
-  for (const char c : detector) h = util::splitmix64(h ^ static_cast<unsigned char>(c));
-  return h;
+  return engine::fold_seed(util::splitmix64(s.seed ^ kRunTag), detector);
 }
 
 /// The oracle facts for (g, scenario). The probe edge is drawn from a

@@ -59,26 +59,25 @@ struct SoakInstance {
   bool certified_far = false;
 };
 
-/// Bounds of the drawn distribution. The defaults keep the DFS oracle and a
-/// full registry sweep cheap per instance (hundreds of instances per second)
-/// while still crossing every knob; the CLI exposes the size bounds.
+/// Bounds of the drawn distribution: k is drawn from [kMinK, max_k] and n
+/// from [kMinN, max_n]. The defaults keep the DFS oracle and a full registry
+/// sweep cheap per instance (hundreds of instances per second) while still
+/// crossing every knob; the CLI exposes the upper bounds.
 struct SoakSpace {
-  unsigned min_k = 3;
   unsigned max_k = 9;
-  graph::Vertex min_n = 8;
   graph::Vertex max_n = 48;
-  /// Probability that the drawn repetitions value is 0 (= the detector's
-  /// own amplified default — expensive, but the regime the completeness
-  /// audit needs).
-  double default_reps_probability = 0.15;
 
-  /// Hard limits of the configurable bounds. k must stay in the registry's
-  /// supported window; n must stay small enough for the DFS oracle and
-  /// large enough for every base generator's precondition.
+  /// Limits of the drawn k and n, and so of max_k and max_n. k must stay in
+  /// the registry's supported window; n must stay small enough for the DFS
+  /// oracle and large enough for every base generator's precondition.
   static constexpr unsigned kMinK = 3;
   static constexpr unsigned kMaxK = 64;
   static constexpr graph::Vertex kMinN = 8;
   static constexpr graph::Vertex kMaxN = 4096;
+  /// Probability that the drawn repetitions value is 0 (= the detector's
+  /// own amplified default — expensive, but the regime the completeness
+  /// audit needs).
+  static constexpr double kDefaultRepsProbability = 0.15;
 
   /// Empty string when the bounds are drawable; otherwise a message naming
   /// the offending bound and the accepted window. draw() and run_campaign

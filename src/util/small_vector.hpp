@@ -86,11 +86,12 @@ class SmallVector {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] static constexpr std::size_t inline_capacity() noexcept { return N; }
   [[nodiscard]] bool on_heap() const noexcept { return heap_ != nullptr; }
 
-  [[nodiscard]] T* data() noexcept { return on_heap() ? heap_ : inline_data(); }
-  [[nodiscard]] const T* data() const noexcept { return on_heap() ? heap_ : inline_data(); }
+  [[nodiscard]] T* data() noexcept { return on_heap() ? heap_ : reinterpret_cast<T*>(storage_); }
+  [[nodiscard]] const T* data() const noexcept {
+    return on_heap() ? heap_ : reinterpret_cast<const T*>(storage_);
+  }
 
   [[nodiscard]] iterator begin() noexcept { return data(); }
   [[nodiscard]] iterator end() noexcept { return data() + size_; }
@@ -115,7 +116,6 @@ class SmallVector {
   [[nodiscard]] const T& back() const noexcept { return data()[size_ - 1]; }
 
   operator std::span<const T>() const noexcept { return {data(), size_}; }
-  [[nodiscard]] std::span<const T> as_span() const noexcept { return {data(), size_}; }
 
   void clear() noexcept { size_ = 0; }
 
@@ -158,11 +158,6 @@ class SmallVector {
   }
 
  private:
-  [[nodiscard]] T* inline_data() noexcept { return reinterpret_cast<T*>(storage_); }
-  [[nodiscard]] const T* inline_data() const noexcept {
-    return reinterpret_cast<const T*>(storage_);
-  }
-
   void grow_to(std::size_t want) {
     const std::size_t new_cap = std::max<std::size_t>(want, capacity_ * 2);
     T* fresh = new T[new_cap];

@@ -127,19 +127,6 @@ void ThreadPool::run_lanes(std::size_t lanes, IndexFnRef fn) {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  const std::size_t max_tasks = std::max<std::size_t>(1, workers_.size() * 4);
-  const std::size_t chunk = std::max<std::size_t>(1, (count + max_tasks - 1) / max_tasks);
-  const std::size_t num_tasks = (count + chunk - 1) / chunk;
-
-  const auto run_chunk = [&](std::size_t t) {
-    const std::size_t end = std::min(count, (t + 1) * chunk);
-    for (std::size_t i = t * chunk; i < end; ++i) fn(i);
-  };
-  run_lanes(num_tasks, run_chunk);
-}
-
 ThreadPool& global_pool() {
   static ThreadPool pool;
   return pool;

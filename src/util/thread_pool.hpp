@@ -1,14 +1,11 @@
 /// \file thread_pool.hpp
 /// \brief Fixed-size worker pool with one zero-allocation batch primitive,
-/// run_lanes, and a blocking parallel_for on top of it.
+/// run_lanes.
 ///
 /// The pool parallelizes across independent queries, never inside one: a
-/// simulation runs on the thread that calls Simulator::run. Two uses:
-///   * engine::for_lanes (lab cells, soak campaigns, engine batches) hands
-///     each contiguous lane to run_lanes;
-///   * harness::estimate_rate fans independent trials out via parallel_for
-///     (each trial owns its RNG stream, so results are identical for any
-///     thread count).
+/// simulation runs on the thread that calls Simulator::run. Its one client
+/// is engine::for_lanes (lab cells, soak campaigns, engine batches and
+/// harness::estimate_rate), which hands each contiguous lane to run_lanes.
 ///
 /// The batch machinery is deliberately simple: one mutex-guarded in-flight
 /// batch that workers join by snapshotting its descriptor, and an atomic
@@ -22,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -63,12 +59,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
-  /// Runs fn(i) for i in [0, count), blocking until all iterations finish.
-  /// Iterations are chunked into ~4 run_lanes indices per worker to
-  /// amortize dispatch. Exceptions thrown by fn propagate to the caller
-  /// (first one wins).
-  void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// The batch primitive: runs fn(l) exactly once for every lane l in
   /// [0, lanes), blocking until all finished. Lanes are claimed from an

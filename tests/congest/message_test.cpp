@@ -54,22 +54,6 @@ TEST(Codec, UnderflowThrows) {
   EXPECT_THROW((void)r.get_u64(), util::CheckError);
 }
 
-TEST(Codec, U32OverflowThrows) {
-  MessageWriter w;
-  w.put_u64(1ULL << 40);
-  const Message m = w.finish();
-  MessageReader r(m);
-  EXPECT_THROW((void)r.get_u32(), util::CheckError);
-}
-
-TEST(Codec, U32RoundTrip) {
-  MessageWriter w;
-  w.put_u32(0xffffffffU);
-  const Message m = w.finish();
-  MessageReader r(m);
-  EXPECT_EQ(r.get_u32(), 0xffffffffU);
-}
-
 TEST(Codec, MalformedVarintThrows) {
   // 11 continuation bytes exceed the 64-bit budget.
   std::vector<std::uint8_t> bytes(11, 0x80);

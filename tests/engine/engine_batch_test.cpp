@@ -80,17 +80,17 @@ TEST(DetectionEngine, ByteIdenticalAcrossThreadCountsWeightsAndCaching) {
       EXPECT_TRUE(verdicts_equal(got[i], baseline[i])) << threads << " threads, query " << i;
     }
   }
-  // Capacity 0 caches nothing: every batch starts on a cold build — same
-  // bytes (the reuse contract read backwards).
+  // The first batch builds every lane's session cold, the second runs on
+  // the cached ones — same bytes (the reuse contract).
   util::ThreadPool pool(4);
-  const DetectionEngine uncached{EngineOptions{.pool = &pool, .session_capacity = 0}};
+  const DetectionEngine cached{EngineOptions{.pool = &pool}};
   for (int batch = 0; batch < 2; ++batch) {
-    const std::vector<core::Verdict> cold = uncached.run_batch(g, queries);
+    const std::vector<core::Verdict> got = cached.run_batch(g, queries);
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_TRUE(verdicts_equal(cold[i], baseline[i])) << "uncached, query " << i;
+      EXPECT_TRUE(verdicts_equal(got[i], baseline[i])) << "batch " << batch << ", query " << i;
     }
   }
-  EXPECT_EQ(uncached.session_stats().hits, 0u);
+  EXPECT_GT(cached.session_stats().hits, 0u);
 }
 
 TEST(DetectionEngine, HomogeneousBatchLeasesOncePerLane) {

@@ -114,10 +114,9 @@ TEST_P(SoakGolden, ByteIdenticalCampaignLog) {
   EXPECT_EQ(got, golden) << first_diff(got, golden);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, NightlyGolden, ::testing::Values(1, 3, 8),
-                         [](const auto& info) { return "t" + std::to_string(info.param); });
-INSTANTIATE_TEST_SUITE_P(Threads, SoakGolden, ::testing::Values(1, 3, 8),
-                         [](const auto& info) { return "t" + std::to_string(info.param); });
+// ctest names each case by its printed thread count, e.g. ".../8".
+INSTANTIATE_TEST_SUITE_P(Threads, NightlyGolden, ::testing::Values(1, 3, 8));
+INSTANTIATE_TEST_SUITE_P(Threads, SoakGolden, ::testing::Values(1, 3, 8));
 
 }  // namespace
 }  // namespace decycle

@@ -69,18 +69,5 @@ TEST(Bipartition, HandlesDisconnected) {
   EXPECT_TRUE(bipartition(disjoint_union(even_parts)).has_value());
 }
 
-TEST(DegreeStats, Values) {
-  const Graph g = star(5);
-  const auto s = degree_stats(g);
-  EXPECT_EQ(s.min, 1u);
-  EXPECT_EQ(s.max, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.0 * 4 / 5);
-}
-
-TEST(DegreeStats, EmptyGraph) {
-  const auto s = degree_stats(Graph{});
-  EXPECT_EQ(s.max, 0u);
-}
-
 }  // namespace
 }  // namespace decycle::graph

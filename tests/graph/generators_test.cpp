@@ -78,14 +78,6 @@ TEST(Generators, Hypercube) {
   EXPECT_EQ(*girth(g), 4u);
 }
 
-TEST(Generators, Lollipop) {
-  const Graph g = lollipop(5, 3);
-  EXPECT_EQ(g.num_vertices(), 8u);
-  EXPECT_EQ(g.num_edges(), 13u);
-  EXPECT_TRUE(is_connected(g));
-  EXPECT_EQ(g.degree(7), 1u);
-}
-
 TEST(Generators, RandomTreeIsTree) {
   util::Rng rng(1);
   const Graph g = random_tree(200, rng);
@@ -154,18 +146,6 @@ TEST(Generators, RandomConnectedIsConnectedWithExactEdges) {
 TEST(Generators, RandomConnectedRejectsTooFewEdges) {
   util::Rng rng(10);
   EXPECT_THROW((void)random_connected(10, 5, rng), util::CheckError);
-}
-
-TEST(Generators, ConnectComponentsBridges) {
-  const std::vector<Graph> parts{cycle(4), cycle(4), cycle(4)};
-  const Graph u = disjoint_union(parts);
-  const std::vector<Vertex> reps{0, 4, 8};
-  const Graph c = connect_components(u, reps);
-  EXPECT_TRUE(is_connected(c));
-  EXPECT_EQ(c.num_edges(), u.num_edges() + 2);
-  // Bridges lie on no cycle: the girth stays 4 and C5 never appears.
-  EXPECT_EQ(*girth(c), 4u);
-  EXPECT_FALSE(has_cycle(c, 5));
 }
 
 TEST(Generators, DeterministicForFixedSeed) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "graph/analysis.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
 #include "util/check.hpp"
@@ -20,41 +19,6 @@ TEST(Wheel, StructureAndCycleSpectrum) {
 }
 
 TEST(Wheel, RejectsTooSmall) { EXPECT_THROW((void)wheel(3), util::CheckError); }
-
-TEST(Barbell, Structure) {
-  const Graph g = barbell(5, 3);
-  EXPECT_EQ(g.num_vertices(), 13u);
-  EXPECT_EQ(g.num_edges(), 2u * 10 + 4);  // two K5s + 4 bridge-path edges
-  EXPECT_TRUE(is_connected(g));
-  // Cycles only inside the cliques: lengths 3..5.
-  EXPECT_TRUE(has_cycle(g, 5));
-  EXPECT_FALSE(has_cycle(g, 6));
-}
-
-TEST(Barbell, ZeroBridgeDirectlyJoined) {
-  const Graph g = barbell(4, 0);
-  EXPECT_EQ(g.num_vertices(), 8u);
-  EXPECT_TRUE(is_connected(g));
-  // Left clique's exit (3) connects straight to the right clique's entry (4).
-  EXPECT_TRUE(g.has_edge(3, 4));
-}
-
-TEST(Caveman, StructureAndGlobalCycle) {
-  const Graph g = caveman(4, 5);
-  EXPECT_EQ(g.num_vertices(), 20u);
-  EXPECT_TRUE(is_connected(g));
-  // Local cycles from the cliques...
-  EXPECT_TRUE(has_cycle(g, 3));
-  EXPECT_TRUE(has_cycle(g, 5));
-  // ...and a global ring passing through all caves: entry->exit inside each
-  // cave (1 edge of the clique) + 4 inter-cave edges -> length 8 exists.
-  EXPECT_TRUE(has_cycle(g, 8));
-}
-
-TEST(Caveman, RejectsDegenerate) {
-  EXPECT_THROW((void)caveman(2, 4), util::CheckError);
-  EXPECT_THROW((void)caveman(4, 1), util::CheckError);
-}
 
 }  // namespace
 }  // namespace decycle::graph

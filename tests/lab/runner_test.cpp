@@ -123,17 +123,6 @@ TEST(LabRunner, CliqueCellsRunExactAndTagTheModelColumn) {
   EXPECT_NE(congest.find("\"model\":\"congest\""), std::string::npos);
 }
 
-TEST(LabRunner, FreshGraphModeIsDeterministicToo) {
-  const std::vector<std::string> tokens = {"family=planted", "k=5",       "n=20",
-                                           "eps=0.15",       "trials=8",  "seed=5",
-                                           "seed_mode=fresh"};
-  const std::string serial = run_matrix_jsonl(tokens, nullptr);
-  util::ThreadPool pool8(8);
-  EXPECT_EQ(serial, run_matrix_jsonl(tokens, &pool8));
-  EXPECT_NE(serial.find("\"seed_mode\":\"fresh\""), std::string::npos);
-  EXPECT_NE(serial.find("mean_vertices"), std::string::npos);
-}
-
 TEST(LabRunner, SoundnessHoldsOnCkFreeCells) {
   const ScenarioSpec spec = ScenarioSpec::parse_tokens(
       {"family=ckfree_forest,ckfree_highgirth", "k=4,5", "n=24", "trials=12", "seed=11"});

@@ -78,20 +78,22 @@ TEST(ScenarioSpec, BadValuesAreRejectedWithClearMessages) {
   EXPECT_NE(parse_error({"n=0"}).find("n: 0 out of range 1.."), std::string::npos);
   EXPECT_NE(parse_error({"algo=quantum"}).find("unknown algorithm 'quantum'"),
             std::string::npos);
-  EXPECT_NE(parse_error({"seed_mode=both"}).find("shared or fresh"), std::string::npos);
 }
 
 TEST(ScenarioSpec, RetiredExecutionKnobsAreUnknownKeys) {
-  // The simulator has one delivery path and the lab always reuses sessions:
-  // `delivery=` and decycle_lab's former `--reuse` flag (which the CLI now
-  // forwards to this parser) fail like any typo, listing the live keys.
-  const std::pair<std::string, std::string> retired[] = {{"delivery=legacy", "delivery"},
-                                                          {"reuse=0", "reuse"}};
+  // The simulator has one delivery path, the lab always reuses sessions
+  // and every cell shares one topology across its trials: `delivery=`,
+  // decycle_lab's former `--reuse` flag (which the CLI now forwards to this
+  // parser) and `seed_mode=` fail like any typo, listing the live keys.
+  const std::pair<std::string, std::string> retired[] = {
+      {"delivery=legacy", "delivery"}, {"reuse=0", "reuse"}, {"seed_mode=fresh", "seed_mode"}};
   for (const auto& [token, key] : retired) {
     const std::string err = parse_error({token});
     EXPECT_NE(err.find(key + ": unknown scenario key"), std::string::npos) << err;
-    EXPECT_NE(err.find("seed_mode, budget, track"), std::string::npos) << err;
-    EXPECT_EQ(err.find("delivery", err.find("(accepted:")), std::string::npos) << err;
+    EXPECT_NE(err.find("(accepted: family, k, eps, n, adversary, model, algo, trials, seed, "
+                       "reps, budget, track)"),
+              std::string::npos)
+        << err;
   }
 }
 

@@ -1,12 +1,15 @@
 /// \file overload_test.cpp
-/// \brief Admission control under pressure: a wedged worker plus a 1-slot
-/// queue must shed with explicit REJECTED overload replies — never hang,
-/// never crash — and the queue counters must reconcile exactly.
+/// \brief Admission control under pressure: a full queue and a tenant at
+/// its in-flight cap must shed with explicit REJECTED overload replies —
+/// never hang, never crash — and the queue counters must reconcile exactly.
+///
+/// The first two cases submit before Server::start(): `create` is answered
+/// inline, and an admitted op waits in the queue because no worker runs
+/// yet, so the queue is full for as long as the case needs it to be.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <future>
 #include <string>
 #include <thread>
@@ -15,30 +18,14 @@
 namespace decycle::serve {
 namespace {
 
-void wait_for_stalled(const Server& server, std::size_t count) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (server.stalled_workers() < count) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "worker never parked in stall";
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
 TEST(ServeOverload, FullQueueShedsWithExplicitRejection) {
   ServerOptions options;
   options.workers = 1;
   options.queue_capacity = 1;
-  options.enable_stall = true;
   Server server(options);
-  server.start();
   ASSERT_TRUE(is_ok(server.call("create tenant=a n=8")));
 
-  // Park the only worker, then fill the single queue slot.
-  std::promise<std::string> stall_promise;
-  std::future<std::string> stall_reply = stall_promise.get_future();
-  server.submit("stall id=1",
-                [&stall_promise](std::string reply) { stall_promise.set_value(std::move(reply)); });
-  wait_for_stalled(server, 1);
-
+  // No worker runs yet: the first admitted op fills the single queue slot.
   std::promise<std::string> queued_promise;
   std::future<std::string> queued_reply = queued_promise.get_future();
   server.submit("checkpoint tenant=a", [&queued_promise](std::string reply) {
@@ -59,10 +46,10 @@ TEST(ServeOverload, FullQueueShedsWithExplicitRejection) {
   EXPECT_EQ(server.stats().queue().shed_total, kShed);
   EXPECT_EQ(server.stats().tenant("a").shed, kShed);
 
-  // Release the worker: the admitted op completes, nothing was lost.
-  server.release_stall(1);
-  EXPECT_EQ(stall_reply.get(), "OK stall");
-  EXPECT_TRUE(is_ok(queued_reply.get()));
+  // Start the worker: the admitted op completes, nothing was lost.
+  server.start();
+  const std::string served = queued_reply.get();
+  EXPECT_EQ(served.rfind("OK checkpoint ", 0), 0u) << served;
   EXPECT_EQ(server.queue_depth(), 0u);
 
   // Counters reconcile: everything admitted was served, everything over
@@ -78,19 +65,12 @@ TEST(ServeOverload, TenantInFlightCapShedsTheHotTenantOnly) {
   options.workers = 1;
   options.queue_capacity = 64;
   options.tenant_inflight_cap = 1;
-  options.enable_stall = true;
   Server server(options);
-  server.start();
   ASSERT_TRUE(is_ok(server.call("create tenant=hot n=8")));
   ASSERT_TRUE(is_ok(server.call("create tenant=cold n=8")));
 
-  std::promise<std::string> stall_promise;
-  std::future<std::string> stall_reply = stall_promise.get_future();
-  server.submit("stall id=9",
-                [&stall_promise](std::string reply) { stall_promise.set_value(std::move(reply)); });
-  wait_for_stalled(server, 1);
-
-  // First hot request occupies the tenant's one in-flight slot.
+  // No worker runs yet: the first hot request occupies the tenant's one
+  // in-flight slot.
   std::promise<std::string> first_promise;
   std::future<std::string> first_reply = first_promise.get_future();
   server.submit("checkpoint tenant=hot", [&first_promise](std::string reply) {
@@ -109,8 +89,7 @@ TEST(ServeOverload, TenantInFlightCapShedsTheHotTenantOnly) {
     cold_promise.set_value(std::move(reply));
   });
 
-  server.release_stall(9);
-  EXPECT_EQ(stall_reply.get(), "OK stall");
+  server.start();
   EXPECT_TRUE(is_ok(first_reply.get()));
   EXPECT_TRUE(is_ok(cold_reply.get()));
   EXPECT_EQ(server.stats().tenant("hot").shed, 1u);
@@ -121,7 +100,7 @@ TEST(ServeOverload, TenantInFlightCapShedsTheHotTenantOnly) {
 TEST(ServeOverload, StopDrainsAdmittedWorkUnderPressure) {
   // Concurrent submitters race server.stop(): every admitted op must get
   // its reply (drain, not drop), every unadmitted one a typed refusal.
-  // This is the suite TSan runs to pin the queue/stall synchronization.
+  // This is the suite TSan runs to pin the queue synchronization.
   ServerOptions options;
   options.workers = 2;
   options.queue_capacity = 4;

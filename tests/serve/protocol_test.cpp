@@ -268,8 +268,6 @@ TEST(ServeProtocol, ParsePositivePaths) {
   ASSERT_EQ(insert.edges.size(), 2u);
   EXPECT_EQ(insert.edges[0], (incremental::Insert{0, 1}));
   EXPECT_EQ(insert.edges[1], (incremental::Insert{2, 5}));
-
-  EXPECT_EQ(parse_request("stall id=7").stall_id, 7u);
 }
 
 TEST(ServeProtocol, FormatRequestRoundTrips) {
@@ -277,8 +275,7 @@ TEST(ServeProtocol, FormatRequestRoundTrips) {
        {std::string_view("create tenant=web n=64 family=planted k=5 seed=9"),
         std::string_view("insert tenant=web edges=0-1,2-5"),
         std::string_view("query tenant=web algo=tester k=7 eps=0.25 seed=3 reps=2"),
-        std::string_view("checkpoint tenant=web"), std::string_view("stats"),
-        std::string_view("stall id=7")}) {
+        std::string_view("checkpoint tenant=web"), std::string_view("stats")}) {
     const Request parsed = parse_request(payload);
     EXPECT_EQ(format_request(parsed), payload);
   }

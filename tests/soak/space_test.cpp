@@ -50,7 +50,7 @@ TEST(SoakSpace, DrawsCoverTheSpace) {
   for (std::uint64_t index = 0; index < 200; ++index) {
     const SoakInstance inst = space.draw(7, index);
     ASSERT_GE(inst.graph.num_vertices(), 1u);
-    ASSERT_GE(inst.scenario.k, space.min_k);
+    ASSERT_GE(inst.scenario.k, SoakSpace::kMinK);
     ASSERT_LE(inst.scenario.k, space.max_k);
     ks.insert(inst.scenario.k);
     adversaries.insert(inst.scenario.adversary.name());

@@ -237,8 +237,7 @@ std::vector<Reader> readers() {
                   {"k", FieldKind::kU32, "query tenant=a algo=tester k=%"},
                   {"eps", FieldKind::kUnit, "query tenant=a algo=tester k=5 eps=%"},
                   {"reps", FieldKind::kU64, "query tenant=a algo=tester k=5 reps=%"},
-                  {"edges", FieldKind::kU32, "insert tenant=a edges=0-%"},
-                  {"id", FieldKind::kU64, "stall id=%"}},
+                  {"edges", FieldKind::kU32, "insert tenant=a edges=0-%"}},
                  request,
                  [request](const Field& f) {
                    Field twice = f;

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <numeric>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -38,73 +37,6 @@ TEST(ThreadPool, RunsRequestedThreadCount) {
 TEST(ThreadPool, DefaultUsesHardwareConcurrency) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPool, ParallelForZeroCountIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-/// parallel_for's chunks partition [0, count) exactly, whether or not the
-/// count divides into the pool's chunking.
-TEST(ThreadPool, ChunkedRangesPartitionExactly) {
-  for (const std::size_t workers : {1u, 3u, 4u}) {
-    ThreadPool pool(workers);
-    for (const std::size_t n : {1u, 5u, 12u, 13u, 1237u}) {
-      std::vector<std::atomic<int>> hits(n);
-      pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [](std::size_t i) {
-                          if (i == 57) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-}
-
-TEST(ThreadPool, UsableAfterException) {
-  ThreadPool pool(2);
-  try {
-    pool.parallel_for(10, [](std::size_t) { throw std::runtime_error("x"); });
-  } catch (const std::runtime_error&) {
-  }
-  std::atomic<std::size_t> sum{0};
-  pool.parallel_for(100, [&](std::size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 4950u);
-}
-
-TEST(ThreadPool, SequentialConsistencyOfResults) {
-  ThreadPool pool(8);
-  std::vector<std::uint64_t> out(5000);
-  pool.parallel_for(out.size(), [&](std::size_t i) { out[i] = i * i; });
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST(ThreadPool, ManySmallBatches) {
-  ThreadPool pool(4);
-  std::atomic<int> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.parallel_for(7, [&](std::size_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 350);
 }
 
 TEST(ThreadPool, RunLanesCoversEveryIndexOnce) {

@@ -19,7 +19,6 @@
 ///   --tenant-cap=N    per-tenant in-flight cap (default 64)
 ///   --cache=N         verdict-cache capacity, 0 disables (default 65536)
 ///   --stats-out=FILE  write the JSONL stats dump here at shutdown
-///   --enable-stall    accept the test-only stall verb (never in production)
 ///
 /// Shutdown: a `shutdown` request (or SIGINT/SIGTERM) drains admitted work,
 /// dumps stats JSONL (to --stats-out and stderr), and exits 0.
@@ -110,7 +109,6 @@ int run(const decycle::util::Args& args) {
   options.queue_capacity = args.get("queue-capacity", options.queue_capacity);
   options.tenant_inflight_cap = args.get("tenant-cap", options.tenant_inflight_cap);
   options.verdict_cache_capacity = args.get("cache", options.verdict_cache_capacity);
-  options.enable_stall = args.get_bool("enable-stall", false);
   const std::string stats_out = args.get_string("stats-out", "");
   args.reject_unknown();
 
